@@ -10,6 +10,7 @@ sampled evidence only and are labelled as such in the criterion names.
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 from . import data
@@ -193,12 +194,19 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(report=print) -> bool:
-    """Run every criterion in order, emitting one pass/fail line each."""
-    all_ok = True
+def run_all(report=print) -> list[dict]:
+    """Run every criterion in order, emitting one pass/fail line each.
+
+    Returns one record per criterion: its name, passed, detail and the
+    wall-clock seconds it took.
+    """
+    results = []
     for fn in ALL_CRITERIA:
+        start = time.perf_counter()
         result = fn()
+        seconds = time.perf_counter() - start
         status = "PASS" if result["passed"] else "FAIL"
         report(f"[{status}] criterion {result['name']}: {result['detail']}")
-        all_ok = all_ok and result["passed"]
-    return all_ok
+        results.append({"name": result["name"], "passed": bool(result["passed"]),
+                        "detail": result["detail"], "seconds": seconds})
+    return results

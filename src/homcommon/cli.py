@@ -48,12 +48,19 @@ def _parse_seeds(spec: str) -> list[int]:
     return [int(spec)]
 
 
+def _to_json(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True, default=str)
+
+
+def _write_json(report: dict, path: str | None):
+    if path:
+        with open(path, "w") as fh:
+            fh.write(_to_json(report) + "\n")
+
+
 def _emit(report: dict, config: RunConfig):
-    text = json.dumps(report, indent=2, sort_keys=True, default=str)
-    print(text)
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
-            fh.write(text + "\n")
+    print(_to_json(report))
+    _write_json(report, config.output_path)
 
 
 def _load_template_arg(spec: str):
@@ -102,7 +109,7 @@ def _cmd_pair_gap(args, config: RunConfig) -> int:
                           data.parse_graph_spec(args.h2), args.p1)
     worst = None
     for s in _parse_seeds(args.seeds):
-        gap = pair_gap(spec, sample_graphon(s, args.max_blocks))
+        gap = pair_gap(spec, sample_graphon(s, args.max_blocks), config.work_budget)
         if worst is None or gap < worst:
             worst = gap
     report = {"h1": args.h1, "h2": args.h2, "p1": args.p1, "min_gap": worst,
@@ -141,11 +148,10 @@ def _cmd_dk3k2(args, config: RunConfig) -> int:
 
 def _cmd_falsify(args, config: RunConfig) -> int:
     target = data.parse_graph_spec(args.target)
-    seed = args.seed if args.seed is not None else config.seed
-    result = falsify(common_gap_objective(target), seed=seed,
+    result = falsify(common_gap_objective(target, config.work_budget), seed=config.seed,
                      restarts=args.restarts, steps=args.steps)
     violation = result.best_gap < -args.threshold
-    report = {"target": args.target, "seed": seed, "restarts": args.restarts,
+    report = {"target": args.target, "seed": config.seed, "restarts": args.restarts,
               "best_gap": result.best_gap, "evaluations": result.evaluations,
               "violation_found": violation,
               "witness": {"measures": list(result.best_kernel.measures),
@@ -155,8 +161,10 @@ def _cmd_falsify(args, config: RunConfig) -> int:
 
 
 def _cmd_repro_all(args, config: RunConfig) -> int:
-    ok = acceptance.run_all()
+    criteria = acceptance.run_all()
+    ok = all(c["passed"] for c in criteria)
     print("acceptance suite:", "ALL PASS" if ok else "FAILURES PRESENT")
+    _write_json({"passed": ok, "criteria": criteria}, config.output_path)
     return 0 if ok else 1
 
 
@@ -166,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Homomorphism densities, gluing templates, and commonness certificates")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=10**8,
-                        help="work budget in elementary enumeration steps")
+                        help="work budget: contraction terms per density or hom count")
     parser.add_argument("--tolerance-identity", type=float, default=1e-10)
     parser.add_argument("--tolerance-inequality", type=float, default=1e-9)
     parser.add_argument("--json-out", default=None, help="also write the report here")
@@ -222,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     cfal = csub.add_parser("falsify")
     cfal.add_argument("--target", required=True,
                       help="graph JSON path, family string, or bundled name (paw, k3uk2, ...)")
-    cfal.add_argument("--seed", type=int, default=None)
+    # SUPPRESS keeps an absent subcommand --seed from overwriting the global one
+    cfal.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     cfal.add_argument("--restarts", type=int, default=50)
     cfal.add_argument("--steps", type=int, default=200)
     cfal.add_argument("--threshold", type=float, default=1e-4)

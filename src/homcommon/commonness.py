@@ -17,7 +17,8 @@ import numpy as np
 
 from .cone import GoodnessCertificate, check_good
 from .gluing import GluingTemplate, build_j
-from .graphs import Graph, components, girth_and_cycle_count, make_family
+from .graphs import (DEFAULT_WORK_BUDGET, Graph, components, girth_and_cycle_count,
+                     make_family)
 from .graphons import StepKernel, density, one_minus, sample_graphon
 from .identities import strongly_common_gap
 
@@ -71,7 +72,7 @@ class SearchResult:
     seed: int
 
 
-def pair_gap(spec: CommonPairSpec, w: StepKernel) -> float:
+def pair_gap(spec: CommonPairSpec, w: StepKernel, budget: int = DEFAULT_WORK_BUDGET) -> float:
     """Weighted two-colour gap; non-negative for every graphon w exactly
     when (h1, h2) is (p1, p2)-common.
 
@@ -81,17 +82,17 @@ def pair_gap(spec: CommonPairSpec, w: StepKernel) -> float:
         raise ValueError("pair_gap expects a graphon")
     e1, e2 = spec.h1.edge_count, spec.h2.edge_count
     p1, p2 = spec.p1, spec.p2
-    return (density(spec.h1, w) / (e1 * p1 ** (e1 - 1))
-            + density(spec.h2, one_minus(w)) / (e2 * p2 ** (e2 - 1))
+    return (density(spec.h1, w, budget) / (e1 * p1 ** (e1 - 1))
+            + density(spec.h2, one_minus(w), budget) / (e2 * p2 ** (e2 - 1))
             - p1 / e1 - p2 / e2)
 
 
-def common_gap(h: Graph, w: StepKernel) -> float:
+def common_gap(h: Graph, w: StepKernel, budget: int = DEFAULT_WORK_BUDGET) -> float:
     """t(h,w) + t(h,1-w) - (1/2)^(e(h)-1); h is common iff this is
     non-negative for every graphon."""
     if h.edge_count == 0:
         raise ValueError("h must be non-empty")
-    return (density(h, w) + density(h, one_minus(w))
+    return (density(h, w, budget) + density(h, one_minus(w), budget)
             - 0.5 ** (h.edge_count - 1))
 
 
@@ -617,13 +618,13 @@ def falsify(objective, seed: int, restarts: int = 50, steps: int = 200,
     return SearchResult(best_kernel, final, evals, seed)
 
 
-def common_gap_objective(h: Graph):
-    return lambda w: common_gap(h, w)
+def common_gap_objective(h: Graph, budget: int = DEFAULT_WORK_BUDGET):
+    return lambda w: common_gap(h, w, budget)
 
 
 def strongly_common_objective(f: Graph):
     return lambda w: strongly_common_gap(f, w)
 
 
-def pair_gap_objective(spec: CommonPairSpec):
-    return lambda w: pair_gap(spec, w)
+def pair_gap_objective(spec: CommonPairSpec, budget: int = DEFAULT_WORK_BUDGET):
+    return lambda w: pair_gap(spec, w, budget)

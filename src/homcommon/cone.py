@@ -306,9 +306,8 @@ def certificate_from_json(obj: dict) -> GoodnessCertificate:
     if not isinstance(obj, dict) or "template" not in obj or "verdict" not in obj:
         raise ValueError("certificate JSON needs 'template' and 'verdict' fields")
     t = template_from_json(obj["template"])
-    stored = obj.get("template_hash")
-    if stored is not None and stored != template_hash(t):
-        raise ValueError("certificate template hash mismatch (tampered file?)")
+    if obj.get("template_hash") != template_hash(t):
+        raise ValueError("certificate 'template_hash' missing or mismatched (tampered file?)")
     try:
         gens = tuple(
             ((tuple(g["r1"]), tuple(g["r2"]), tuple(g["r3"])), _fraction_from_str(g["coeff"]))

@@ -2,8 +2,9 @@
 
 A step kernel is a symmetric q x q block matrix together with block
 measures summing to 1.  Graphons are the kernels flagged as having all
-values in [0, 1].  Densities are computed as the exact finite sum over
-block assignments, vectorised in chunks with compensated accumulation.
+values in [0, 1].  Densities are the finite sum over block assignments,
+contracted vertex by vertex along an elimination order planned once per
+graph (see `graphs`), with float64 operands.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import DEFAULT_WORK_BUDGET, BudgetExceededError, Graph
+from .graphs import DEFAULT_WORK_BUDGET, Graph, _contract
 
 _MEASURE_TOL = 1e-12
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -68,35 +68,14 @@ def kernel_from_graph(g: Graph) -> StepKernel:
 
 
 def density(h: Graph, w: StepKernel, budget: int = DEFAULT_WORK_BUDGET) -> float:
-    """Homomorphism density t(h, w), summed exactly over all q^v(h) maps.
+    """Homomorphism density t(h, w) = sum over maps phi: V(h) -> blocks of
+    prod_v measure[phi v] * prod_uv value[phi u, phi v].
 
-    Chunked mixed-radix enumeration; per-chunk products are pairwise-summed
-    by numpy and chunk totals recombined with math.fsum, which keeps the
-    rounding error far below the identity tolerances used by callers.
+    Computed by the elimination contraction shared with `hom_count`; the
+    budget bounds the contraction's terms, sum over steps of q^|scope|.
     """
-    q = w.block_count
-    n = h.vertex_count
-    terms = q**n
-    if terms > budget:
-        raise BudgetExceededError(f"density needs {terms} terms, budget {budget}")
-    if n == 0:
-        return 1.0
-    vals = np.asarray(w.values, dtype=np.float64)
-    meas = np.asarray(w.measures, dtype=np.float64)
-    edges = sorted(h.edges)
-    powers = [q**v for v in range(n)]
-    partials = []
-    for lo in range(0, terms, _CHUNK):
-        hi = min(lo + _CHUNK, terms)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digit = [(idx // powers[v]) % q for v in range(n)]
-        term = meas[digit[0]].copy()
-        for v in range(1, n):
-            term *= meas[digit[v]]
-        for u, v in edges:
-            term *= vals[digit[u], digit[v]]
-        partials.append(float(term.sum()))
-    return math.fsum(partials)
+    return float(_contract(h, np.asarray(w.values, dtype=np.float64),
+                           np.asarray(w.measures, dtype=np.float64), budget, "density"))
 
 
 def complement(w: StepKernel) -> StepKernel:

@@ -109,6 +109,44 @@ def test_common_falsify(capsys):
     assert code == 0
 
 
+def test_falsify_seed_global_and_subcommand(capsys):
+    code, out, _ = run_cli(capsys, "--seed", "3", "common", "falsify", "--target", "K3",
+                           "--restarts", "1", "--steps", "2")
+    assert code == 0
+    assert json.loads(out)["seed"] == 3
+    code, out, _ = run_cli(capsys, "--seed", "3", "common", "falsify", "--target", "K3",
+                           "--seed", "5", "--restarts", "1", "--steps", "2")
+    assert code == 0
+    assert json.loads(out)["seed"] == 5
+
+
+@pytest.mark.parametrize("command", [
+    ("common", "pair-gap", "--h1", "C5", "--h2", "C5", "--p1", "0.5", "--seeds", "0"),
+    ("common", "falsify", "--target", "K3", "--restarts", "1", "--steps", "2"),
+])
+def test_budget_reaches_common_commands(capsys, command):
+    code, _, err = run_cli(capsys, "--budget", "1", *command)
+    assert code == 2
+    assert "budget" in err
+
+
+def test_repro_all_json_out(capsys, tmp_path, monkeypatch):
+    from homcommon import acceptance
+    stubs = (lambda: {"name": "stub pass", "passed": True, "detail": "ok"},
+             lambda: {"name": "stub fail", "passed": False, "detail": "no"})
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", stubs)
+    path = tmp_path / "repro.json"
+    code, out, _ = run_cli(capsys, "--json-out", str(path), "repro-all")
+    assert code == 1
+    assert "[PASS] criterion stub pass: ok" in out
+    assert "[FAIL] criterion stub fail: no" in out
+    report = json.loads(path.read_text())
+    assert report["passed"] is False
+    assert [(c["name"], c["passed"], c["detail"]) for c in report["criteria"]] == [
+        ("stub pass", True, "ok"), ("stub fail", False, "no")]
+    assert all(c["seconds"] >= 0 for c in report["criteria"])
+
+
 def test_json_out_writes_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "--json-out", str(path),

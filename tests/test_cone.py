@@ -145,6 +145,14 @@ def test_certificate_json_round_trip(tmp_path):
     assert payload["template_hash"] == template_hash(cert.template)
 
 
+def test_certificate_without_template_hash_rejected():
+    payload = certificate_to_json(check_good(data.load_template("lone_edge_c5")))
+    assert verify_certificate(certificate_from_json(payload))
+    del payload["template_hash"]
+    with pytest.raises(ValueError, match="template_hash"):
+        certificate_from_json(payload)
+
+
 def test_binomial_inequality_square_attachment():
     t = data.load_template("pentagon_square")
     cert = check_good(t)

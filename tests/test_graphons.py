@@ -1,7 +1,13 @@
 import math
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import small_graphs
+from homcommon import data
+from homcommon.gluing import build_j
 from homcommon.graphs import (BudgetExceededError, disjoint_union, hom_count,
                               make_family, random_graph)
 from homcommon.graphons import (StepKernel, complement, constant_kernel,
@@ -48,6 +54,57 @@ def test_density_in_unit_interval_and_multiplicative(graphon_suite):
         d = density(both, w)
         assert -1e-12 <= d <= 1 + 1e-12
         assert d == pytest.approx(density(K3, w) * density(p3, w), abs=1e-12)
+
+
+@st.composite
+def step_kernels(draw, min_blocks, max_blocks, low, high):
+    """Kernels with positive block measures and values in [low, high]."""
+    q = draw(st.integers(min_blocks, max_blocks))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=q, max_size=q))
+    total = math.fsum(raw)
+    vals = [[0.0] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(i, q):
+            vals[i][j] = vals[j][i] = draw(st.floats(low, high))
+    return StepKernel(tuple(r / total for r in raw), tuple(tuple(row) for row in vals),
+                      graphon=low >= 0.0 and high <= 1.0)
+
+
+def brute_density_terms(h, w):
+    """Oracle: one term per map V(h) -> blocks."""
+    q = w.block_count
+    for phi in product(range(q), repeat=h.vertex_count):
+        term = math.prod(w.measures[b] for b in phi)
+        yield term * math.prod(w.values[phi[u]][phi[v]] for u, v in h.edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs(6), step_kernels(1, 4, -1.0, 2.0))
+def test_density_matches_brute_force(h, w):
+    terms = list(brute_density_terms(h, w))
+    # float64 contraction in another summation order: error ~ eps * sum |terms|
+    tol = 1e-12 * max(1.0, math.fsum(abs(t) for t in terms))
+    assert abs(density(h, w) - math.fsum(terms)) <= tol
+
+
+def _split_block(w, i, share):
+    """w with block i replaced by two twin blocks of measures share * m_i and
+    (1 - share) * m_i; t(h, w) is unchanged for every h."""
+    order = list(range(w.block_count)) + [i]
+    measures = list(w.measures) + [(1.0 - share) * w.measures[i]]
+    measures[i] *= share
+    values = tuple(tuple(w.values[a][b] for b in order) for a in order)
+    return StepKernel(tuple(measures), values, graphon=w.graphon)
+
+
+@settings(max_examples=20, deadline=None)
+@given(step_kernels(3, 3, 0.0, 1.0), st.integers(0, 2), st.floats(0.05, 0.95))
+def test_density_invariant_under_twin_block_split(w, i, share):
+    j, _ = build_j(data.load_template("gen_c5_tree_a"))
+    assert j.vertex_count == 15  # 4^15 terms: beyond the budget of a plain sum
+    split = _split_block(w, i, share)
+    assert split.block_count == 4
+    assert density(j, split) == pytest.approx(density(j, w), rel=1e-12, abs=1e-300)
 
 
 def test_density_budget():

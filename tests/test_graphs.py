@@ -3,7 +3,9 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import small_graphs
 from homcommon.graphs import (BudgetExceededError, Graph, all_labelled_graphs,
                               automorphisms, components, disjoint_union,
                               girth_and_cycle_count, graph_from_json,
@@ -152,9 +154,27 @@ def test_hom_count_closed_walk_identity():
             assert hom_count(cm, kn) == round(np.trace(np.linalg.matrix_power(a, m)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(5), small_graphs(5))
+def test_hom_count_matches_brute_force(h, g):
+    assert hom_count(h, g) == brute_hom_count(h, g)
+
+
+def test_hom_count_python_int_path_is_exact():
+    # 5^30 > 2^63, so the count is carried in Python ints
+    assert hom_count(make_family("path", 30), make_family("complete", 5)) == 5 * 4**29
+    assert hom_count(make_family("cycle", 31), make_family("complete", 5)) == 4**31 - 4
+
+
 def test_hom_count_budget():
     with pytest.raises(BudgetExceededError):
         hom_count(make_family("path", 8), make_family("complete", 5), budget=10)
+
+
+def test_hom_count_elimination_width_limit():
+    # eliminating a vertex of K53 sums over 53 indices, more than einsum names
+    with pytest.raises(BudgetExceededError, match="53 vertices"):
+        hom_count(make_family("complete", 53), make_family("complete", 1))
 
 
 def test_girth_and_cycle_count():
