@@ -19,6 +19,7 @@ import string
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -201,8 +202,7 @@ def automorphisms(g: Graph, max_vertices: int = AUTOMORPHISM_VERTEX_BOUND) -> li
     return found
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """Variable elimination over V(h), fixed by h alone.
 
     Operand 0 is the edge matrix and operand 1 the vertex-weight vector;
