@@ -2,7 +2,9 @@
 commonness certification, falsification, and the acceptance suite.
 
 Reports go to stdout as JSON (or a table for repro-all).  Exit codes:
-0 pass / good, 1 violation found / not good, 2 usage or data error.
+0 pass / good / verified, 1 violation found / not good / rejected, 2 usage
+or data error, including a malformed certificate or a template hash that
+does not match.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from . import acceptance, data
 from .commonness import (CommonPairSpec, certify_pair_via_templates, common_gap_objective,
                          dk3k2_verify, falsify, pair_gap, solve_simple_tree_p)
-from .cone import certificate_to_json, check_good
+from .cone import certificate_from_json, certificate_to_json, check_good, verify_certificate
 from .gluing import template_from_json
 from .graphons import density, sample_graphon
 from .graphs import BudgetExceededError, make_family
@@ -94,7 +96,7 @@ def _cmd_verify(args, config: RunConfig) -> int:
 
 def _cmd_glue_check(args, config: RunConfig) -> int:
     template = _load_template_arg(args.template)
-    cert = check_good(template)
+    cert = check_good(template, budget=config.work_budget)
     payload = certificate_to_json(cert)
     if args.certificate:
         with open(args.certificate, "w") as fh:
@@ -102,6 +104,16 @@ def _cmd_glue_check(args, config: RunConfig) -> int:
             fh.write("\n")
     _emit(payload, config)
     return 0 if cert.verdict == "good" else 1
+
+
+def _cmd_glue_verify(args, config: RunConfig) -> int:
+    with open(args.certificate) as fh:
+        payload = json.load(fh)
+    cert = certificate_from_json(payload)
+    verified = verify_certificate(cert)
+    _emit({"certificate": args.certificate, "template_hash": payload["template_hash"],
+           "verdict": cert.verdict, "verified": verified}, config)
+    return 0 if verified else 1
 
 
 def _cmd_pair_gap(args, config: RunConfig) -> int:
@@ -122,7 +134,7 @@ def _cmd_pair_gap(args, config: RunConfig) -> int:
 def _cmd_certify(args, config: RunConfig) -> int:
     verdict = certify_pair_via_templates(_load_template_arg(args.template1), args.l1,
                                          _load_template_arg(args.template2), args.l2,
-                                         args.p1)
+                                         args.p1, config.work_budget)
     report = {"certified": verdict.certified, "reason": verdict.reason,
               "p1": verdict.p1, "m": verdict.m,
               "h1_edge_count": verdict.h1_edge_count,
@@ -152,7 +164,8 @@ def _cmd_falsify(args, config: RunConfig) -> int:
                      restarts=args.restarts, steps=args.steps)
     violation = result.best_gap < -args.threshold
     report = {"target": args.target, "seed": config.seed, "restarts": args.restarts,
-              "best_gap": result.best_gap, "evaluations": result.evaluations,
+              "steps": args.steps, "threshold": args.threshold,
+              "budget": config.work_budget, "best_gap": result.best_gap, "evaluations": result.evaluations,
               "violation_found": violation,
               "witness": {"measures": list(result.best_kernel.measures),
                           "values": [list(r) for r in result.best_kernel.values]}}
@@ -174,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Homomorphism densities, gluing templates, and commonness certificates")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=10**8,
-                        help="work budget: contraction terms per density or hom count")
+                        help="work budget: contraction terms per density or hom count, "
+                             "generator assignments per goodness check")
     parser.add_argument("--tolerance-identity", type=float, default=1e-10)
     parser.add_argument("--tolerance-inequality", type=float, default=1e-9)
     parser.add_argument("--json-out", default=None, help="also write the report here")
@@ -195,6 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     gcheck.add_argument("template", help="template JSON path or bundled name")
     gcheck.add_argument("--certificate", default=None)
     gcheck.set_defaults(handler=_cmd_glue_check)
+    gverify = gsub.add_parser("verify", help="re-check a saved certificate file")
+    gverify.add_argument("certificate", help="certificate JSON written by glue check")
+    gverify.set_defaults(handler=_cmd_glue_verify)
 
     common = sub.add_parser("common", help="commonness gaps and certificates")
     csub = common.add_subparsers(dest="common_what", required=True)

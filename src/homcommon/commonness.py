@@ -10,8 +10,10 @@ verifier, and a random-restart falsifier for (un)commonness.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -19,8 +21,8 @@ from .cone import GoodnessCertificate, check_good
 from .gluing import GluingTemplate, build_j
 from .graphs import (DEFAULT_WORK_BUDGET, Graph, components, girth_and_cycle_count,
                      make_family)
-from .graphons import StepKernel, density, one_minus, sample_graphon
-from .identities import strongly_common_gap
+from .graphons import StepKernel, densities, density, kernel_arrays, sample_graphon
+from .identities import _strongly_common_gap, strongly_common_gap
 
 _K2 = make_family("path", 2)
 
@@ -72,6 +74,16 @@ class SearchResult:
     seed: int
 
 
+def _pair_gap(spec: CommonPairSpec, measures: np.ndarray, values: np.ndarray,
+              budget: int) -> np.ndarray:
+    """`pair_gap` of graphons given as arrays with leading batch axes."""
+    e1, e2 = spec.h1.edge_count, spec.h2.edge_count
+    p1, p2 = spec.p1, spec.p2
+    return (densities(spec.h1, measures, values, budget) / (e1 * p1 ** (e1 - 1))
+            + densities(spec.h2, measures, 1.0 - values, budget) / (e2 * p2 ** (e2 - 1))
+            - p1 / e1 - p2 / e2)
+
+
 def pair_gap(spec: CommonPairSpec, w: StepKernel, budget: int = DEFAULT_WORK_BUDGET) -> float:
     """Weighted two-colour gap; non-negative for every graphon w exactly
     when (h1, h2) is (p1, p2)-common.
@@ -80,20 +92,22 @@ def pair_gap(spec: CommonPairSpec, w: StepKernel, budget: int = DEFAULT_WORK_BUD
     """
     if not w.graphon:
         raise ValueError("pair_gap expects a graphon")
-    e1, e2 = spec.h1.edge_count, spec.h2.edge_count
-    p1, p2 = spec.p1, spec.p2
-    return (density(spec.h1, w, budget) / (e1 * p1 ** (e1 - 1))
-            + density(spec.h2, one_minus(w), budget) / (e2 * p2 ** (e2 - 1))
-            - p1 / e1 - p2 / e2)
+    return float(_pair_gap(spec, *kernel_arrays(w), budget))
+
+
+def _common_gap(h: Graph, measures: np.ndarray, values: np.ndarray,
+                budget: int) -> np.ndarray:
+    """`common_gap` of graphons given as arrays with leading batch axes."""
+    if h.edge_count == 0:
+        raise ValueError("h must be non-empty")
+    return (densities(h, measures, values, budget) + densities(h, measures, 1.0 - values, budget)
+            - 0.5 ** (h.edge_count - 1))
 
 
 def common_gap(h: Graph, w: StepKernel, budget: int = DEFAULT_WORK_BUDGET) -> float:
     """t(h,w) + t(h,1-w) - (1/2)^(e(h)-1); h is common iff this is
     non-negative for every graphon."""
-    if h.edge_count == 0:
-        raise ValueError("h must be non-empty")
-    return (density(h, w, budget) + density(h, one_minus(w), budget)
-            - 0.5 ** (h.edge_count - 1))
+    return float(_common_gap(h, *kernel_arrays(w), budget))
 
 
 def convexity_conditions(spec: CommonPairSpec, sample_seeds,
@@ -185,13 +199,15 @@ class PairTemplateVerdict:
 
 def certify_pair_via_templates(t1: GluingTemplate, l1: int,
                                t2: GluingTemplate, l2: int,
-                               p1: float) -> PairTemplateVerdict:
+                               p1: float, budget: int = DEFAULT_WORK_BUDGET
+                               ) -> PairTemplateVerdict:
     """Certify (H1, H2) as (p1, p2)-common from two good odd-cycle templates.
 
     H_i is the generalized tree J(t_i) with l_i two-vertex components and
     all isolated vertices removed.  Certification needs both goodness
     certificates, e(H_i) >= m, and the balance equation
     (e(H1)+l1)/(e(H1) p1^(m-1)) = (e(H2)+l2)/(e(H2) p2^(m-1)).
+    `budget` bounds each goodness check's generator enumeration.
     """
     base = t1.base
     if base != t2.base:
@@ -201,8 +217,8 @@ def certify_pair_via_templates(t1: GluingTemplate, l1: int,
     m = base.vertex_count
     if not 0.0 < p1 < 1.0:
         raise ValueError("p1 must lie in (0, 1)")
-    cert1 = check_good(t1)
-    cert2 = check_good(t2)
+    cert1 = check_good(t1, budget=budget)
+    cert2 = check_good(t2, budget=budget)
     sides = []
     for t, l, cert in ((t1, l1, cert1), (t2, l2, cert2)):
         j, _ = build_j(t)
@@ -529,102 +545,145 @@ def appendix_convexity_verify(f: Graph, e1: int, e2: int, k1: int, k2: int,
 # Falsifier
 
 
-def _descend(objective, start: StepKernel, max_sweeps: int):
-    """Coordinate descent over block values and measures; returns the best
-    kernel, value, and number of objective evaluations."""
-    q = start.block_count
-    values = [list(row) for row in start.values]
-    measures = list(start.measures)
+@dataclass(frozen=True)
+class GapObjective:
+    """A gap functional for `falsify` to minimise.
 
-    def build() -> StepKernel:
-        return StepKernel(tuple(measures), tuple(tuple(row) for row in values), graphon=True)
+    `objective(w)` is the public gap function on one `StepKernel`;
+    `objective.batch(measures, values)` is the same formula on B graphons
+    given as arrays of shape (B, q) and (B, q, q), and returns shape (B,).
+    """
 
-    current = build()
-    best_val = objective(current)
-    evals = 1
-    delta = 0.25
+    gap: Callable[[StepKernel], float]
+    formula: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    def __call__(self, w: StepKernel) -> float:
+        return self.gap(w)
+
+    def batch(self, measures: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return self.formula(measures, values)
+
+
+def common_gap_objective(h: Graph, budget: int = DEFAULT_WORK_BUDGET) -> GapObjective:
+    return GapObjective(partial(common_gap, h, budget=budget),
+                        partial(_common_gap, h, budget=budget))
+
+
+def strongly_common_objective(f: Graph) -> GapObjective:
+    return GapObjective(partial(strongly_common_gap, f),
+                        partial(_strongly_common_gap, f, budget=DEFAULT_WORK_BUDGET))
+
+
+def pair_gap_objective(spec: CommonPairSpec, budget: int = DEFAULT_WORK_BUDGET) -> GapObjective:
+    return GapObjective(partial(pair_gap, spec, budget=budget),
+                        partial(_pair_gap, spec, budget=budget))
+
+
+def _descend(objective: GapObjective, measures: np.ndarray, values: np.ndarray,
+             max_sweeps: int):
+    """Coordinate descent over block values and measures, B starts in lockstep.
+
+    `measures` (B, q) and `values` (B, q, q) are updated in place.  Each
+    start follows its own path, as if descended alone: moves in a fixed
+    order, a per-start step delta halved after a sweep without improvement,
+    and a start drops out once delta < 1e-6.  A move is scored by one
+    `objective.batch` call over the starts for which it is not skipped.
+    Returns each start's best value and its number of evaluations.
+    """
+    count, q = measures.shape
+    best = objective.batch(measures, values)
+    evals = np.ones(count, dtype=np.int64)
+    delta = np.full(count, 0.25)
+    live = np.arange(count)
+    value_moves = [(i, j, sgn) for i in range(q) for j in range(i, q) for sgn in (1.0, -1.0)]
+    measure_moves = [(i, j) for i in range(q) for j in range(q) if i != j]
     for _ in range(max_sweeps):
-        improved = False
-        for i in range(q):
-            for j in range(i, q):
-                for sgn in (1.0, -1.0):
-                    cand = values[i][j] + sgn * delta
-                    cand = min(1.0, max(0.0, cand))
-                    if cand == values[i][j]:
-                        continue
-                    old = values[i][j]
-                    values[i][j] = values[j][i] = cand
-                    val = objective(build())
-                    evals += 1
-                    if val < best_val - 1e-15:
-                        best_val = val
-                        improved = True
-                    else:
-                        values[i][j] = values[j][i] = old
-        if q > 1:
-            for i in range(q):
-                for j in range(q):
-                    if i == j:
-                        continue
-                    amount = min(delta, measures[i])
-                    if amount <= 0.0:
-                        continue
-                    measures[i] -= amount
-                    measures[j] += amount
-                    val = objective(build())
-                    evals += 1
-                    if val < best_val - 1e-15:
-                        best_val = val
-                        improved = True
-                    else:
-                        measures[i] += amount
-                        measures[j] -= amount
-        if not improved:
-            delta *= 0.5
-            if delta < 1e-6:
-                break
-    return build(), best_val, evals
+        if live.size == 0:
+            break
+        improved = np.zeros(count, dtype=bool)
+        for i, j, sgn in value_moves:
+            old = values[live, i, j]
+            cand = np.minimum(1.0, np.maximum(0.0, old + sgn * delta[live]))
+            moved = cand != old
+            rows, cand = live[moved], cand[moved]
+            if rows.size == 0:
+                continue
+            trial = values[rows]
+            trial[:, i, j] = trial[:, j, i] = cand
+            val = objective.batch(measures[rows], trial)
+            evals[rows] += 1
+            better = val < best[rows] - 1e-15
+            rows = rows[better]
+            best[rows] = val[better]
+            improved[rows] = True
+            values[rows, i, j] = values[rows, j, i] = cand[better]
+        for i, j in measure_moves:
+            amount = np.minimum(delta[live], measures[live, i])
+            moved = amount > 0.0
+            rows, amount = live[moved], amount[moved]
+            if rows.size == 0:
+                continue
+            trial = measures[rows]
+            trial[:, i] -= amount
+            trial[:, j] += amount
+            val = objective.batch(trial, values[rows])
+            evals[rows] += 1
+            better = val < best[rows] - 1e-15
+            best[rows[better]] = val[better]
+            improved[rows[better]] = True
+            # a rejected move is undone by the inverse update, not by
+            # restoring the old measures: the rounding it leaves is part
+            # of the search path, so results stay those of earlier releases
+            trial[~better, i] += amount[~better]
+            trial[~better, j] -= amount[~better]
+            measures[rows] = trial
+        stalled = live[~improved[live]]
+        delta[stalled] *= 0.5
+        live = live[delta[live] >= 1e-6]
+    return best, evals
 
 
-def falsify(objective, seed: int, restarts: int = 50, steps: int = 200,
+def falsify(objective: GapObjective, seed: int, restarts: int = 50, steps: int = 200,
             max_blocks: int = 4) -> SearchResult:
     """Random-restart coordinate descent minimising `objective` over step
     graphons with up to `max_blocks` blocks.
 
-    Deterministic in (seed, restarts, steps): restart r uses its own
-    generator derived from the seed, and ties between restarts are broken
-    by restart index, so any evaluation order gives the same result.
+    `objective` is a `GapObjective`, such as `common_gap_objective(h)`: the
+    descent scores moves with `objective.batch`, and the returned gap is
+    `objective(best_kernel)`.  Restarts with the same block count descend in
+    lockstep, each on its own path, at most `steps` sweeps each.
+
+    Deterministic in (seed, restarts, steps): restart r draws its start from
+    its own generator derived from the seed, and ties between restarts are
+    broken by restart index, so any evaluation order gives the same result.
     """
+    if not callable(getattr(objective, "batch", None)):
+        raise TypeError("falsify needs an objective with a batch(measures, values) method, "
+                        "such as common_gap_objective(h); got "
+                        f"{type(objective).__name__}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    best_kernel = None
-    best_val = math.inf
-    evals = 0
+    starts: dict[int, list] = {}
     for r in range(restarts):
         rng = np.random.default_rng((int(seed) * 0x9E3779B97F4A7C15 + r) % 2**64)
         q = int(rng.integers(2, max_blocks + 1)) if max_blocks > 1 else 1
         measures = rng.dirichlet(np.ones(q))
         raw = rng.uniform(size=(q, q))
-        vals = np.triu(raw) + np.triu(raw, 1).T
-        start = StepKernel(tuple(float(m) for m in measures),
-                           tuple(tuple(float(x) for x in row) for row in vals),
-                           graphon=True)
-        kernel, val, used = _descend(objective, start, steps)
-        evals += used
+        starts.setdefault(q, []).append((r, measures, np.triu(raw) + np.triu(raw, 1).T))
+    finals = []
+    evals = 0
+    for group in starts.values():
+        measures = np.array([m for _, m, _ in group])
+        values = np.array([v for _, _, v in group])
+        best, used = _descend(objective, measures, values, steps)
+        evals += int(used.sum())
+        finals += [(r, best[k], measures[k], values[k]) for k, (r, _, _) in enumerate(group)]
+    finals.sort(key=lambda item: item[0])
+    best_val = math.inf
+    for _, val, measures, values in finals:
         if val < best_val:
-            best_val = val
-            best_kernel = kernel
-    final = objective(best_kernel)
-    return SearchResult(best_kernel, final, evals, seed)
-
-
-def common_gap_objective(h: Graph, budget: int = DEFAULT_WORK_BUDGET):
-    return lambda w: common_gap(h, w, budget)
-
-
-def strongly_common_objective(f: Graph):
-    return lambda w: strongly_common_gap(f, w)
-
-
-def pair_gap_objective(spec: CommonPairSpec, budget: int = DEFAULT_WORK_BUDGET):
-    return lambda w: pair_gap(spec, w, budget)
+            best_val, best_measures, best_values = val, measures, values
+    best_kernel = StepKernel(tuple(float(m) for m in best_measures),
+                             tuple(tuple(float(x) for x in row) for row in best_values),
+                             graphon=True)
+    return SearchResult(best_kernel, objective(best_kernel), evals, seed)

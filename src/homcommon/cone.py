@@ -118,12 +118,15 @@ def _phase_one(columns: list[list[Fraction]], b: list[Fraction]):
 
 
 def check_good(t: GluingTemplate,
-               max_base_vertices: int = MAX_BASE_VERTICES) -> GoodnessCertificate:
+               max_base_vertices: int = MAX_BASE_VERTICES,
+               budget: int = DEFAULT_WORK_BUDGET) -> GoodnessCertificate:
     """Decide goodness of a template by exact LP feasibility.
 
-    The returned certificate is re-checked from scratch (conic equality or
-    Farkas inequalities) before this function returns; a failure there is
-    a solver bug, not a property of the template.
+    Generator enumeration visits 4^v(F) assignments; that count is charged
+    against `budget` before it starts.  The returned certificate is
+    re-checked from scratch (conic equality or Farkas inequalities) before
+    this function returns; a failure there is a solver bug, not a property
+    of the template.
     """
     f = t.base
     if f.vertex_count > max_base_vertices:
@@ -141,6 +144,10 @@ def check_good(t: GluingTemplate,
         if not verify_certificate(cert):
             raise AssertionError("trivial certificate failed re-verification")
         return cert
+    if 4**f.vertex_count > budget:
+        raise BudgetExceededError(
+            f"check_good: enumerating generators of a {f.vertex_count}-vertex base "
+            f"visits {4**f.vertex_count} assignments, budget {budget}")
     generators = enumerate_generators(f)
     class_keys = sorted({k for _, vec in generators for k in vec.coeffs}
                         | set(rhs_vec.coeffs), key=lambda k: (len(k), k))

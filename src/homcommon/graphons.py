@@ -4,7 +4,9 @@ A step kernel is a symmetric q x q block matrix together with block
 measures summing to 1.  Graphons are the kernels flagged as having all
 values in [0, 1].  Densities are the finite sum over block assignments,
 contracted vertex by vertex along an elimination order planned once per
-graph (see `graphs`), with float64 operands.
+graph (see `graphs`), with float64 operands.  `densities` takes the same
+kernels as arrays with leading batch axes, so one contraction scores many
+kernels; `density` is its one-kernel form.
 """
 
 from __future__ import annotations
@@ -67,6 +69,19 @@ def kernel_from_graph(g: Graph) -> StepKernel:
                       tuple(tuple(row) for row in vals), graphon=True)
 
 
+def kernel_arrays(w: StepKernel) -> tuple[np.ndarray, np.ndarray]:
+    """The measures (q,) and values (q, q) of w as float64 arrays."""
+    return np.asarray(w.measures, dtype=np.float64), np.asarray(w.values, dtype=np.float64)
+
+
+def densities(h: Graph, measures: np.ndarray, values: np.ndarray,
+              budget: int = DEFAULT_WORK_BUDGET) -> np.ndarray:
+    """t(h, .) of step kernels given as float64 arrays, measures (..., q) and
+    values (..., q, q); leading axes are a batch and the result has their
+    shape.  No validation: callers pass arrays of kernels they built."""
+    return _contract(h, values, measures, budget, "density")
+
+
 def density(h: Graph, w: StepKernel, budget: int = DEFAULT_WORK_BUDGET) -> float:
     """Homomorphism density t(h, w) = sum over maps phi: V(h) -> blocks of
     prod_v measure[phi v] * prod_uv value[phi u, phi v].
@@ -74,8 +89,7 @@ def density(h: Graph, w: StepKernel, budget: int = DEFAULT_WORK_BUDGET) -> float
     Computed by the elimination contraction shared with `hom_count`; the
     budget bounds the contraction's terms, sum over steps of q^|scope|.
     """
-    return float(_contract(h, np.asarray(w.values, dtype=np.float64),
-                           np.asarray(w.measures, dtype=np.float64), budget, "density"))
+    return float(densities(h, *kernel_arrays(w), budget))
 
 
 def complement(w: StepKernel) -> StepKernel:

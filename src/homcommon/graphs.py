@@ -208,7 +208,8 @@ class _Plan(NamedTuple):
     Operand 0 is the edge matrix and operand 1 the vertex-weight vector;
     step k contracts the listed operands with `np.einsum` and appends its
     result as operand k + 2.  A step whose output has no indices closes a
-    component of h; the contraction is the product of those scalars.
+    component of h; the contraction is the product of those scalars.  Every
+    subscript starts with `...`, so leading batch axes pass through.
     """
 
     steps: tuple[tuple[str, tuple[int, ...]], ...]
@@ -240,8 +241,8 @@ def _plan(h: Graph) -> _Plan:
         touching = [f for f in factors if v in f[1]]
         factors = [f for f in factors if v not in f[1]]
         out = tuple(u for u in scope if u != v)
-        subscripts = (",".join("".join(letter[u] for u in f[1]) for f in touching)
-                      + "->" + "".join(letter[u] for u in out))
+        subscripts = (",".join("..." + "".join(letter[u] for u in f[1]) for f in touching)
+                      + "->..." + "".join(letter[u] for u in out))
         result_id = len(steps) + 2
         steps.append((subscripts, tuple(f[0] for f in touching)))
         widths.append(len(scope))
@@ -259,12 +260,14 @@ def _plan(h: Graph) -> _Plan:
 def _contract(h: Graph, matrix: np.ndarray, vector: np.ndarray, budget: int, caller: str):
     """sum over maps phi: V(h) -> [q] of prod_v vector[phi v] * prod_uv matrix[phi u, phi v].
 
-    The work charged against `budget` is sum over steps of q^|scope|.
-    Returns a numpy scalar of the operands' dtype, or a Python int for
-    object operands.
+    `matrix` has shape (..., q, q) and `vector` shape (..., q); leading axes
+    are a batch, broadcast against each other, and the result has their
+    shape.  The work charged against `budget` is sum over steps of
+    q^|scope|, per kernel of the batch.  Unbatched operands give a numpy
+    scalar of the operands' dtype, or a Python int for object operands.
     """
     plan = _plan(h)
-    q = len(vector)
+    q = vector.shape[-1]
     work = sum(q**width for width in plan.widths)
     if work > budget:
         raise BudgetExceededError(

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph,
                      make_family, subgraph_on_edges)
-from .graphons import StepKernel, density, one_minus, shift
+from .graphons import StepKernel, densities, density, kernel_arrays, one_minus, shift
 
 _K2 = make_family("path", 2)
 _P3 = make_family("path", 3)
@@ -81,6 +83,18 @@ def c5_goodman_residual(w: StepKernel, budget: int = DEFAULT_WORK_BUDGET) -> flo
     return lhs - rhs
 
 
+def _strongly_common_gap(f: Graph, measures: np.ndarray, values: np.ndarray,
+                         budget: int) -> np.ndarray:
+    """`strongly_common_gap` of kernels given as arrays with leading batch axes."""
+    if f.edge_count == 0:
+        raise ValueError("f must have at least one edge")
+    complement = 1.0 - values
+    e = f.edge_count
+    return (densities(f, measures, values, budget) + densities(f, measures, complement, budget)
+            - densities(_K2, measures, values, budget)**e
+            - densities(_K2, measures, complement, budget)**e)
+
+
 def strongly_common_gap(f: Graph, w: StepKernel,
                         budget: int = DEFAULT_WORK_BUDGET) -> float:
     """t(f,w) + t(f,1-w) - t(K2,w)^e(f) - t(K2,1-w)^e(f).
@@ -89,12 +103,7 @@ def strongly_common_gap(f: Graph, w: StepKernel,
     common exactly when this is non-negative for every graphon (for odd
     cycles it is non-negative for every kernel).
     """
-    if f.edge_count == 0:
-        raise ValueError("f must have at least one edge")
-    wc = one_minus(w)
-    e = f.edge_count
-    return (density(f, w, budget) + density(f, wc, budget)
-            - density(_K2, w, budget)**e - density(_K2, wc, budget)**e)
+    return float(_strongly_common_gap(f, *kernel_arrays(w), budget))
 
 
 def supersaturation_gap(w: StepKernel, budget: int = DEFAULT_WORK_BUDGET) -> float:

@@ -104,6 +104,8 @@ def test_common_falsify(capsys):
     assert code == 1  # violation found is the expected outcome for the paw
     report = json.loads(out)
     assert report["violation_found"] and report["best_gap"] < -1e-4
+    assert (report["seed"], report["restarts"], report["steps"]) == (1, 3, 200)
+    assert (report["threshold"], report["budget"]) == (1e-4, 10**8)
     code, out, _ = run_cli(capsys, "common", "falsify", "--target", "K3",
                            "--seed", "1", "--restarts", "3")
     assert code == 0
@@ -128,6 +130,43 @@ def test_budget_reaches_common_commands(capsys, command):
     code, _, err = run_cli(capsys, "--budget", "1", *command)
     assert code == 2
     assert "budget" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("glue", "check", "lone_edge_c5"),
+    ("common", "certify", "--template1", "pentagon_square", "--l1", "1",
+     "--template2", "simple_c5_vertex", "--l2", "0", "--p1", "0.4"),
+])
+def test_budget_reaches_goodness_commands(capsys, command):
+    code, _, err = run_cli(capsys, "--budget", "1", *command)
+    assert code == 2
+    assert "check_good" in err and "budget" in err
+
+
+def test_glue_verify_certificate_file(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "glue", "check", "gen_c5_tree_b", "--certificate", str(path))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "glue", "verify", str(path))
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+
+    payload = json.loads(path.read_text())
+    tampered = tmp_path / "tampered.json"
+    coeff = payload["generators_used"][0]["coeff"]
+    payload["generators_used"][0]["coeff"] = "2/1" if coeff != "2/1" else "3/1"
+    tampered.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "glue", "verify", str(tampered))
+    assert code == 1
+    assert json.loads(out)["verified"] is False
+
+    payload = json.loads(path.read_text())
+    del payload["template_hash"]
+    unhashed = tmp_path / "unhashed.json"
+    unhashed.write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, "glue", "verify", str(unhashed))
+    assert code == 2
+    assert "template_hash" in err
 
 
 def test_repro_all_json_out(capsys, tmp_path, monkeypatch):

@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homcommon import data
 from homcommon.commonness import (CommonPairSpec, P_DIAMOND_PAIR,
@@ -10,9 +13,10 @@ from homcommon.commonness import (CommonPairSpec, P_DIAMOND_PAIR,
                                   common_gap_objective, convexity_conditions,
                                   dk3k2_f, dk3k2_functions, dk3k2_verify,
                                   disjoint_k3_k2, falsify, girth_obstruction,
-                                  pair_gap, solve_simple_tree_p)
+                                  pair_gap, pair_gap_objective, solve_simple_tree_p,
+                                  strongly_common_objective, _descend)
 from homcommon.cone import check_good
-from homcommon.graphons import constant_kernel
+from homcommon.graphons import StepKernel, constant_kernel
 from homcommon.graphs import make_family
 
 K3 = make_family("complete", 3)
@@ -234,3 +238,62 @@ def test_falsify_other_objectives_stay_nonnegative():
     spec = CommonPairSpec(D, disjoint_k3_k2(), P_DIAMOND_PAIR)
     res2 = falsify(pair_gap_objective(spec), seed=2, restarts=3, steps=120)
     assert res2.best_gap >= -1e-9
+
+
+def _random_graphons(seed: int, count: int, q: int):
+    """`count` random graphons on q blocks as (count, q) and (count, q, q) arrays."""
+    rng = np.random.default_rng(seed)
+    measures = rng.dirichlet(np.ones(q), size=count)
+    raw = rng.uniform(size=(count, q, q))
+    values = np.triu(raw) + np.swapaxes(np.triu(raw, 1), 1, 2)
+    return measures, values
+
+
+def _objectives():
+    """(label, objective, scale): scale bounds the sum of the absolute terms
+    of the gap formula on graphons."""
+    paw = data.load_graph("paw")
+    k3k2 = disjoint_k3_k2()
+    spec = CommonPairSpec(D, k3k2, P_DIAMOND_PAIR)
+    p1, p2 = spec.p1, spec.p2
+    pair_scale = 1 / (5 * p1**4) + 1 / (4 * p2**3) + p1 / 5 + p2 / 4
+    return [("common paw", common_gap_objective(paw), 3.0),
+            ("common K3+K2", common_gap_objective(k3k2), 3.0),
+            ("pair (diamond, K3+K2)", pair_gap_objective(spec), pair_scale),
+            ("strongly common C5", strongly_common_objective(C5), 4.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6), q=st.integers(1, 4))
+def test_objective_batch_matches_one_kernel_calls(seed, count, q):
+    measures, values = _random_graphons(seed, count, q)
+    for label, objective, scale in _objectives():
+        batch = objective.batch(measures, values)
+        assert batch.shape == (count,), label
+        for k in range(count):
+            w = StepKernel(tuple(float(m) for m in measures[k]),
+                           tuple(tuple(float(x) for x in row) for row in values[k]),
+                           graphon=True)
+            assert abs(batch[k] - objective(w)) <= 1e-12 * scale, label
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_lockstep_descent_matches_each_start_alone(q):
+    paw = data.load_graph("paw")
+    objective = common_gap_objective(paw)
+    measures, values = _random_graphons(100 + q, 6, q)
+    together_m, together_v = measures.copy(), values.copy()
+    best, evals = _descend(objective, together_m, together_v, 40)
+    for k in range(len(measures)):
+        alone_m, alone_v = measures[k:k + 1].copy(), values[k:k + 1].copy()
+        alone_best, alone_evals = _descend(objective, alone_m, alone_v, 40)
+        assert evals[k] == alone_evals[0]
+        assert best[k] == pytest.approx(alone_best[0], abs=1e-12)
+        assert np.allclose(together_m[k], alone_m[0], rtol=0, atol=1e-12)
+        assert np.allclose(together_v[k], alone_v[0], rtol=0, atol=1e-12)
+
+
+def test_falsify_rejects_a_bare_callable():
+    paw = data.load_graph("paw")
+    with pytest.raises(TypeError, match="batch"):
+        falsify(lambda w: common_gap(paw, w), seed=1, restarts=2, steps=2)
