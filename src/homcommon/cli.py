@@ -164,8 +164,8 @@ def _cmd_falsify(args, config: RunConfig) -> int:
                      restarts=args.restarts, steps=args.steps)
     violation = result.best_gap < -args.threshold
     report = {"target": args.target, "seed": config.seed, "restarts": args.restarts,
-              "steps": args.steps, "threshold": args.threshold,
-              "budget": config.work_budget, "best_gap": result.best_gap, "evaluations": result.evaluations,
+              "steps": args.steps, "threshold": args.threshold, "budget": config.work_budget,
+              "best_gap": result.best_gap, "evaluations": result.evaluations,
               "violation_found": violation,
               "witness": {"measures": list(result.best_kernel.measures),
                           "values": [list(r) for r in result.best_kernel.values]}}

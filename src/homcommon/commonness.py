@@ -5,6 +5,17 @@ condition checker, template-based pair certification over odd cycles, the
 balance-equation solver for simple cycle-trees, the girth obstruction, the
 dedicated (D, K3 u K2) threshold verification, a generic numeric convexity
 verifier, and a random-restart falsifier for (un)commonness.
+
+Each gap formula is written once over arrays with leading batch axes
+(`_common_gap`, `_pair_gap`, and `identities._strongly_common_gap`); the
+public gap functions evaluate it on one kernel's arrays.  The objective
+factories return a `GapObjective`: calling it gives the public gap of one
+`StepKernel`, and its `batch` method the same formula on a stack of
+graphons.  `falsify` groups its restarts by block count and descends each
+group in lockstep, one batched objective call per coordinate move.  Each
+restart still draws its start from its own generator and follows the path
+it would follow alone, so the result depends only on (seed, restarts,
+steps, max_blocks), whatever the grouping or evaluation order.
 """
 
 from __future__ import annotations
@@ -545,17 +556,21 @@ def appendix_convexity_verify(f: Graph, e1: int, e2: int, k1: int, k2: int,
 # Falsifier
 
 
-@dataclass(frozen=True)
 class GapObjective:
     """A gap functional for `falsify` to minimise.
 
     `objective(w)` is the public gap function on one `StepKernel`;
     `objective.batch(measures, values)` is the same formula on B graphons
     given as arrays of shape (B, q) and (B, q, q), and returns shape (B,).
+    A plain class: a dataclass would add ~1 ms to every import.
     """
 
-    gap: Callable[[StepKernel], float]
-    formula: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    __slots__ = ("gap", "formula")
+
+    def __init__(self, gap: Callable[[StepKernel], float],
+                 formula: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        self.gap = gap
+        self.formula = formula
 
     def __call__(self, w: StepKernel) -> float:
         return self.gap(w)
@@ -631,9 +646,9 @@ def _descend(objective: GapObjective, measures: np.ndarray, values: np.ndarray,
             better = val < best[rows] - 1e-15
             best[rows[better]] = val[better]
             improved[rows[better]] = True
-            # a rejected move is undone by the inverse update, not by
-            # restoring the old measures: the rounding it leaves is part
-            # of the search path, so results stay those of earlier releases
+            # undo a rejected move by the inverse update, which can leave a
+            # measure one rounding away from its old value: the search path
+            # is defined with that rounding, so restoring would change results
             trial[~better, i] += amount[~better]
             trial[~better, j] -= amount[~better]
             measures[rows] = trial
@@ -677,13 +692,9 @@ def falsify(objective: GapObjective, seed: int, restarts: int = 50, steps: int =
         values = np.array([v for _, _, v in group])
         best, used = _descend(objective, measures, values, steps)
         evals += int(used.sum())
-        finals += [(r, best[k], measures[k], values[k]) for k, (r, _, _) in enumerate(group)]
-    finals.sort(key=lambda item: item[0])
-    best_val = math.inf
-    for _, val, measures, values in finals:
-        if val < best_val:
-            best_val, best_measures, best_values = val, measures, values
-    best_kernel = StepKernel(tuple(float(m) for m in best_measures),
-                             tuple(tuple(float(x) for x in row) for row in best_values),
+        finals += [(best[k], r, measures[k], values[k]) for k, (r, _, _) in enumerate(group)]
+    _, _, measures, values = min(finals, key=lambda item: item[:2])
+    best_kernel = StepKernel(tuple(float(m) for m in measures),
+                             tuple(tuple(float(x) for x in row) for row in values),
                              graphon=True)
     return SearchResult(best_kernel, objective(best_kernel), evals, seed)
