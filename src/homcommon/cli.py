@@ -110,7 +110,7 @@ def _cmd_glue_verify(args, config: RunConfig) -> int:
     with open(args.certificate) as fh:
         payload = json.load(fh)
     cert = certificate_from_json(payload)
-    verified = verify_certificate(cert)
+    verified = verify_certificate(cert, config.work_budget)
     _emit({"certificate": args.certificate, "template_hash": payload["template_hash"],
            "verdict": cert.verdict, "verified": verified}, config)
     return 0 if verified else 1

@@ -1,11 +1,13 @@
 """Exact-rational cone membership deciding template goodness.
 
 A template is good when (e(J)/e(F)) * e_V(F) - z lies in the convex cone
-of the x-vectors over pairwise disjoint subset triples.  Feasibility is
-decided by a dense phase-one simplex over Fractions with Bland's rule;
-"good" verdicts carry the conic coefficients and "not good" verdicts a
-Farkas separating vector, both re-verified independently of the solver
-before being returned.
+of the x-vectors over pairwise disjoint subset triples.  The generators
+are enumerated over bitmask triples with integer coefficients on canonical
+class masks, keeping one least triple per distinct vector.  Feasibility is
+decided by an exact revised phase-one simplex over Fractions (basis
+inverse, Bland's rule); "good" verdicts carry the conic coefficients and
+"not good" verdicts a Farkas separating vector, both re-verified
+independently of the solver before being returned.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph,
                      all_labelled_graphs, graph_to_json, hom_count)
-from .gluing import (ClassVector, GluingTemplate, build_j, template_from_json,
+from .gluing import (MAX_CLASS_VERTICES, ClassVector, GluingTemplate, _canonical_table,
+                     _lex_submasks, _mask_vertices, build_j, template_from_json,
                      template_to_json, x_vector, z_vector)
 
 MAX_BASE_VERTICES = 12
@@ -40,34 +42,45 @@ class GoodnessCertificate:
 
 def enumerate_generators(f: Graph):
     """Distinct nonzero x-vectors over unordered disjoint triples with
-    r1, r3 nonempty; one lexicographically-least triple per vector."""
+    r1, r3 nonempty; one lexicographically-least triple per vector.
+
+    Triples are walked as bitmasks in lexicographic order of (r1, r2, r3),
+    so the first triple met for a vector is its least.  The vector
+    e(r1|r2|r3) - e(r2|r3) - e(r1|r2) + e(r2) is keyed by its four canonical
+    class masks, the two negative ones in either order.  It is never zero:
+    r1|r2|r3 is larger than each other part, and r2 than none.  The result
+    is ordered by the sorted (class, coefficient) items of each vector.
+    """
     n = f.vertex_count
-    seen: dict[tuple, tuple[GeneratorTriple, ClassVector]] = {}
-    for assign in product(range(4), repeat=n):
-        r1 = tuple(v for v in range(n) if assign[v] == 1)
-        r2 = tuple(v for v in range(n) if assign[v] == 2)
-        r3 = tuple(v for v in range(n) if assign[v] == 3)
-        if not r1 or not r3 or r1 > r3:
-            continue
-        vec = x_vector(f, r1, r2, r3)
-        if vec.is_zero():
-            continue
-        key = tuple(sorted(vec.coeffs.items()))
-        if key not in seen or (r1, r2, r3) < seen[key][0]:
-            seen[key] = ((r1, r2, r3), vec)
-    return [seen[key] for key in sorted(seen)]
-
-
-def _pivot(tableau, red, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            factor = r[col]
-            tableau[i] = [a - factor * b for a, b in zip(r, tableau[row])]
-    if red[col] != 0:
-        factor = red[col]
-        red[:] = [a - factor * b for a, b in zip(red, tableau[row])]
+    canon = _canonical_table(f, MAX_CLASS_VERTICES)
+    lex, rank = _lex_submasks(n)
+    full = (1 << n) - 1
+    seen: dict[tuple[int, int, int, int], tuple[int, int, int]] = {}
+    for m1 in lex[full][1:]:
+        rank1 = rank[m1]
+        for m2 in lex[full ^ m1]:
+            m12 = m1 | m2
+            c, d = canon[m12], canon[m2]
+            for m3 in lex[full ^ m12]:
+                if rank[m3] <= rank1:
+                    continue
+                a, b = canon[m12 | m3], canon[m2 | m3]
+                key = (a, b, c, d) if b <= c else (a, c, b, d)
+                if key not in seen:
+                    seen[key] = (m1, m2, m3)
+    vectors = []
+    for m1, m2, m3 in seen.values():
+        coeffs = {canon[m1 | m2 | m3]: 1, canon[m2 | m3]: -1}
+        c = canon[m1 | m2]
+        coeffs[c] = coeffs.get(c, 0) - 1
+        if m2:
+            coeffs[canon[m2]] = 1
+        order = sorted((rank[k], v) for k, v in coeffs.items())
+        vectors.append((order, (m1, m2, m3), coeffs))
+    vectors.sort(key=lambda entry: entry[0])
+    return [(tuple(_mask_vertices(m) for m in triple),
+             ClassVector(f, {_mask_vertices(k): v for k, v in coeffs.items()}))
+            for _, triple, coeffs in vectors]
 
 
 def _phase_one(columns: list[list[Fraction]], b: list[Fraction]):
@@ -75,46 +88,61 @@ def _phase_one(columns: list[list[Fraction]], b: list[Fraction]):
 
     Returns ("feasible", coefficients) or ("infeasible", y) where y
     satisfies y.A_j <= 0 for every column and y.b > 0.
+
+    Revised simplex on the phase-one problem min sum(a) s.t. S A c + a = S b,
+    c, a >= 0, with S = diag(sign b) and artificial a_i as column n + i.  It
+    keeps the exact basis inverse, prices columns in index order with the
+    duals pi = c_B B^-1 and enters the first with negative reduced cost
+    (Bland); the ratio test breaks ties on the smaller basic variable.  On
+    an infeasible system S pi is the Farkas vector.
     """
     m, n = len(b), len(columns)
-    sign = [Fraction(1) if b[i] >= 0 else Fraction(-1) for i in range(m)]
-    tableau = []
-    for i in range(m):
-        row = [sign[i] * columns[j][i] for j in range(n)]
-        row += [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-        row.append(sign[i] * b[i])
-        tableau.append(row)
+    sign = [1 if b[i] >= 0 else -1 for i in range(m)]
+    cols = [[(i, sign[i] * Fraction(v)) for i, v in enumerate(col) if v] for col in columns]
     basis = [n + i for i in range(m)]
-    width = n + m + 1
-    red = [Fraction(0)] * width
-    for j in range(n + m):
-        red[j] = (Fraction(1) if j >= n else Fraction(0)) - sum(tableau[i][j] for i in range(m))
-    red[-1] = -sum(tableau[i][-1] for i in range(m))
+    binv = [[Fraction(int(i == k)) for k in range(m)] for i in range(m)]
+    x = [sign[i] * Fraction(b[i]) for i in range(m)]
     while True:
-        enter = next((j for j in range(n + m) if red[j] < 0), None)
+        pi = [Fraction(0)] * m
+        for i in range(m):
+            if basis[i] >= n:
+                pi = [p + v for p, v in zip(pi, binv[i])]
+        enter = next((j for j, col in enumerate(cols)
+                      if sum(pi[i] * v for i, v in col) > 0), None)
+        if enter is None:
+            # artificial n + i has reduced cost 1 - pi_i
+            enter = next((n + i for i in range(m) if pi[i] > 1), None)
         if enter is None:
             break
+        col = cols[enter] if enter < n else [(enter - n, 1)]
+        u = [sum(row[k] * v for k, v in col) for row in binv]
         leave = None
         best = None
         for i in range(m):
-            if tableau[i][enter] > 0:
-                ratio = tableau[i][-1] / tableau[i][enter]
+            if u[i] > 0:
+                ratio = x[i] / u[i]
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best, leave = ratio, i
         if leave is None:
             raise AssertionError("phase-one objective is bounded; unbounded pivot")
-        _pivot(tableau, red, leave, enter)
+        piv = u[leave]
+        pivot_row = [v / piv for v in binv[leave]]
+        binv[leave] = pivot_row
+        x[leave] /= piv
+        for i in range(m):
+            if i != leave and u[i] != 0:
+                factor = u[i]
+                binv[i] = [a - factor * p for a, p in zip(binv[i], pivot_row)]
+                x[i] -= factor * x[leave]
         basis[leave] = enter
-    objective = -red[-1]
+    objective = sum((x[i] for i in range(m) if basis[i] >= n), Fraction(0))
     if objective == 0:
         coeffs = [Fraction(0)] * n
         for i, var in enumerate(basis):
             if var < n:
-                coeffs[var] = tableau[i][-1]
+                coeffs[var] = x[i]
         return "feasible", coeffs
-    y_flipped = [Fraction(1) - red[n + i] for i in range(m)]
-    y = [sign[i] * y_flipped[i] for i in range(m)]
-    return "infeasible", y
+    return "infeasible", [sign[i] * pi[i] for i in range(m)]
 
 
 def check_good(t: GluingTemplate,
@@ -122,7 +150,7 @@ def check_good(t: GluingTemplate,
                budget: int = DEFAULT_WORK_BUDGET) -> GoodnessCertificate:
     """Decide goodness of a template by exact LP feasibility.
 
-    Generator enumeration visits 4^v(F) assignments; that count is charged
+    Generator enumeration is charged as its 4^v(F) vertex assignments
     against `budget` before it starts.  The returned certificate is
     re-checked from scratch (conic equality or Farkas inequalities) before
     this function returns; a failure there is a solver bug, not a property
@@ -141,13 +169,10 @@ def check_good(t: GluingTemplate,
     if rhs_vec.is_zero():
         cert = GoodnessCertificate(t, "good", target, (), None,
                                    j.vertex_count, j.edge_count)
-        if not verify_certificate(cert):
+        if not verify_certificate(cert, budget):
             raise AssertionError("trivial certificate failed re-verification")
         return cert
-    if 4**f.vertex_count > budget:
-        raise BudgetExceededError(
-            f"check_good: enumerating generators of a {f.vertex_count}-vertex base "
-            f"visits {4**f.vertex_count} assignments, budget {budget}")
+    _charge_generators("check_good", f, budget)
     generators = enumerate_generators(f)
     class_keys = sorted({k for _, vec in generators for k in vec.coeffs}
                         | set(rhs_vec.coeffs), key=lambda k: (len(k), k))
@@ -170,17 +195,27 @@ def check_good(t: GluingTemplate,
                                   for i in range(len(class_keys)) if payload[i] != 0})
         cert = GoodnessCertificate(t, "not_good", target, (), witness,
                                    j.vertex_count, j.edge_count)
-    if not verify_certificate(cert):
+    if not verify_certificate(cert, budget):
         raise AssertionError("solver output failed independent re-verification")
     return cert
 
 
-def verify_certificate(cert: GoodnessCertificate) -> bool:
+def _charge_generators(caller: str, f: Graph, budget: int):
+    """Charge generator enumeration as its 4^v(F) vertex assignments."""
+    if 4**f.vertex_count > budget:
+        raise BudgetExceededError(
+            f"{caller}: enumerating generators of a {f.vertex_count}-vertex base "
+            f"visits {4**f.vertex_count} assignments, budget {budget}")
+
+
+def verify_certificate(cert: GoodnessCertificate,
+                       budget: int = DEFAULT_WORK_BUDGET) -> bool:
     """Recompute everything the certificate asserts, in exact arithmetic.
 
     Good: coefficients non-negative and z + sum(c * x) equals the target.
     Not good: the witness has non-positive inner product with every
-    generator and positive inner product with target - z.
+    generator and positive inner product with target - z; enumerating the
+    generators is charged 4^v(F) against `budget`, as in `check_good`.
     """
     if cert.verdict not in ("good", "not_good"):
         raise ValueError(f"malformed certificate verdict {cert.verdict!r}")
@@ -210,6 +245,7 @@ def verify_certificate(cert: GoodnessCertificate) -> bool:
         return False
     if witness.inner(target - z) <= 0:
         return False
+    _charge_generators("verify_certificate", f, budget)
     for _, vec in enumerate_generators(f):
         if witness.inner(vec) > 0:
             return False

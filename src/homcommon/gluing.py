@@ -3,8 +3,9 @@
 A template is a tree T with subsets of V(F) attached to its nodes and
 edges (edge sets contained in both endpoint sets).  Gluing the induced
 subgraphs F[psi(s)] along shared labels yields the generalized F-tree.
-Subset classes are orbits of 2^V(F) under Aut(F); class vectors carry
-exact rational coefficients on canonical class representatives.
+Subset classes are orbits of 2^V(F) under Aut(F), looked up in a table
+indexed by subset bitmask; class vectors carry exact rational
+coefficients on canonical class representatives.
 """
 
 from __future__ import annotations
@@ -29,28 +30,55 @@ def _as_subset(f: Graph, s) -> frozenset[int]:
     return out
 
 
+def _lex_submasks(n: int) -> tuple[list[list[int]], list[int]]:
+    """For every mask r < 2^n, the submasks of r in lexicographic order of
+    their sorted vertex tuples (the empty set, then the sets whose least
+    vertex is the least vertex v of r, then those of r - {v} without the
+    empty set); and for every mask, its rank in that order over all of V."""
+    lex = [[0]]
+    for r in range(1, 1 << n):
+        low = r & -r
+        rest = lex[r ^ low]
+        lex.append([0] + [low | s for s in rest] + rest[1:])
+    rank = [0] * (1 << n)
+    for i, mask in enumerate(lex[-1]):
+        rank[mask] = i
+    return lex, rank
+
+
+def _mask_vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of a subset mask as a sorted tuple."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 @lru_cache(maxsize=None)
-def _canonical_table(f: Graph, max_vertices: int) -> dict[frozenset[int], tuple[int, ...]]:
-    """Canonical representative (lexicographically least sorted tuple over
-    Aut(f)) for every subset of V(f)."""
+def _canonical_table(f: Graph, max_vertices: int) -> tuple[int, ...]:
+    """Indexed by subset mask of V(f): the mask of its canonical
+    representative, the lexicographically least sorted tuple over Aut(f)."""
     perms = automorphisms(f, max_vertices)
-    table: dict[frozenset[int], tuple[int, ...]] = {}
     n = f.vertex_count
-    for mask in range(1 << n):
-        s = frozenset(v for v in range(n) if mask >> v & 1)
-        table[s] = min(tuple(sorted(p.apply_set(s))) for p in perms)
-    return table
+    _, rank = _lex_submasks(n)
+    images = []
+    for p in perms:
+        image = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << p.image[low.bit_length() - 1]
+        images.append(image)
+    return tuple(min((image[mask] for image in images), key=rank.__getitem__)
+                 for mask in range(1 << n))
 
 
 def canonical_class(f: Graph, s, max_vertices: int = MAX_CLASS_VERTICES) -> frozenset[int]:
     """Least subset (in sorted-list lexicographic order) equivalent to s
     under the automorphism group of f."""
-    return frozenset(_canonical_table(f, max_vertices)[_as_subset(f, s)])
+    mask = sum(1 << v for v in _as_subset(f, s))
+    return frozenset(_mask_vertices(_canonical_table(f, max_vertices)[mask]))
 
 
 def class_count(f: Graph, max_vertices: int = MAX_CLASS_VERTICES) -> int:
     """Number of Aut(f)-orbits of subsets of V(f), the empty class included."""
-    return len(set(_canonical_table(f, max_vertices).values()))
+    return len(set(_canonical_table(f, max_vertices)))
 
 
 @dataclass
@@ -109,6 +137,30 @@ class ClassVector:
                    Fraction(0))
 
 
+class _UnionFind:
+    def __init__(self):
+        self.parent: dict = {}
+
+    def add(self, x):
+        self.parent.setdefault(x, x)
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            # keep the lexicographically smaller representative
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+
 @dataclass(frozen=True)
 class GluingTemplate:
     """Tree T plus subset assignments on nodes and edges of T.
@@ -129,22 +181,16 @@ class GluingTemplate:
             raise ValueError("template tree needs at least one node")
         if len(self.tree_edges) != k - 1:
             raise ValueError("template tree must have exactly n-1 edges")
-        parent = list(range(k))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+        uf = _UnionFind()
+        for a in range(k):
+            uf.add(a)
         for s, t in self.tree_edges:
             if not (0 <= s < t < k):
                 raise ValueError(f"tree edge ({s},{t}) out of range")
-            rs, rt = find(s), find(t)
-            if rs == rt:
+            if uf.find(s) == uf.find(t):
                 raise ValueError("tree edges contain a cycle")
-            parent[rs] = rt
-        if k > 1 and len({find(a) for a in range(k)}) != 1:
+            uf.union(s, t)
+        if k > 1 and len({uf.find(a) for a in range(k)}) != 1:
             raise ValueError("template tree is not connected")
         if len(self.psi_nodes) != k:
             raise ValueError("psi_nodes must cover every tree node")
@@ -180,30 +226,6 @@ class GluingTemplate:
             if e == key:
                 return subset
         raise KeyError(key)
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the lexicographically smaller representative
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
 
 
 def build_j(t: GluingTemplate):

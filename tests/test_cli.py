@@ -169,6 +169,18 @@ def test_glue_verify_certificate_file(capsys, tmp_path):
     assert "template_hash" in err
 
 
+
+def test_budget_reaches_glue_verify(capsys, tmp_path):
+    not_good, good = tmp_path / "lone_edge.json", tmp_path / "square.json"
+    assert run_cli(capsys, "glue", "check", "lone_edge_c5", "--certificate", str(not_good))[0] == 1
+    assert run_cli(capsys, "glue", "check", "pentagon_square", "--certificate", str(good))[0] == 0
+    code, _, err = run_cli(capsys, "--budget", "1", "glue", "verify", str(not_good))
+    assert code == 2
+    assert "verify_certificate" in err and "budget" in err
+    code, out, _ = run_cli(capsys, "--budget", "1", "glue", "verify", str(good))
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+
 def test_repro_all_json_out(capsys, tmp_path, monkeypatch):
     from homcommon import acceptance
     stubs = (lambda: {"name": "stub pass", "passed": True, "detail": "ok"},

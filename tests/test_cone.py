@@ -4,15 +4,18 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import small_graphs
 from homcommon import data
-from homcommon.cone import (binomial_inequality_check, certificate_from_json,
+from homcommon.cone import (_phase_one, binomial_inequality_check, certificate_from_json,
                             certificate_to_json, check_good,
                             enumerate_generators, template_hash,
                             verify_certificate)
 from homcommon.gluing import (ClassVector, GluingTemplate, build_j, x_vector,
                               z_vector)
-from homcommon.graphs import make_family, random_graph
+from homcommon.graphs import BudgetExceededError, make_family, random_graph
 
 C5 = make_family("cycle", 5)
 
@@ -184,3 +187,143 @@ def test_binomial_inequality_random_five_vertex():
     extra = [random_graph(5, 10_000 + i) for i in range(25)]
     report = binomial_inequality_check(t, 1, cert=cert, extra_graphs=extra)
     assert report["all_hold_exact"]
+
+
+def _reference_generators(f):
+    """Every assignment of V(f) to parts 0-3 in product order, one
+    x-vector each; the least triple per distinct vector, sorted by the
+    vector's (class, coefficient) items."""
+    seen = {}
+    for r1, r2, r3 in _all_triples(f):
+        if r1 > r3:
+            continue
+        vec = x_vector(f, r1, r2, r3)
+        if vec.is_zero():
+            continue
+        key = tuple(sorted(vec.coeffs.items()))
+        if key not in seen or (r1, r2, r3) < seen[key][0]:
+            seen[key] = ((r1, r2, r3), vec)
+    return [seen[key] for key in sorted(seen)]
+
+
+def _assert_same_generators(f):
+    got = enumerate_generators(f)
+    want = _reference_generators(f)
+    assert [triple for triple, _ in got] == [triple for triple, _ in want]
+    assert [list(vec.coeffs.items()) for _, vec in got] == \
+        [list(vec.coeffs.items()) for _, vec in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(5))
+def test_enumerate_generators_matches_assignment_loop(f):
+    _assert_same_generators(f)
+
+
+@pytest.mark.parametrize("f", [make_family("cycle", 6), make_family("path", 6)])
+def test_enumerate_generators_matches_assignment_loop_six_vertices(f):
+    _assert_same_generators(f)
+
+
+@st.composite
+def _linear_systems(draw):
+    """Small integer systems A c = b; half are feasible by construction."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 6))
+    entries = st.integers(-3, 3)
+    columns = [[Fraction(draw(entries)) for _ in range(m)] for _ in range(n)]
+    if draw(st.booleans()):
+        c = [draw(st.integers(0, 3)) for _ in range(n)]
+        b = [sum(c[j] * columns[j][i] for j in range(n)) for i in range(m)]
+        return columns, [Fraction(v) for v in b], True
+    return columns, [Fraction(draw(st.integers(-5, 5))) for _ in range(m)], False
+
+
+def _dense_phase_one(columns, b):
+    """Reference: the phase-one simplex on a dense tableau with Bland's
+    rule, the same ratio test and tie break, and y read off the reduced
+    costs of the artificial columns."""
+    m, n = len(b), len(columns)
+    sign = [Fraction(1) if b[i] >= 0 else Fraction(-1) for i in range(m)]
+    tableau = [[sign[i] * columns[j][i] for j in range(n)]
+               + [Fraction(int(k == i)) for k in range(m)] + [sign[i] * b[i]]
+               for i in range(m)]
+    basis = [n + i for i in range(m)]
+    red = [Fraction(int(j >= n)) - sum(row[j] for row in tableau) for j in range(n + m)]
+    red.append(-sum(row[-1] for row in tableau))
+    while True:
+        enter = next((j for j in range(n + m) if red[j] < 0), None)
+        if enter is None:
+            break
+        leave = best = None
+        for i in range(m):
+            if tableau[i][enter] > 0:
+                ratio = tableau[i][-1] / tableau[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        piv = tableau[leave][enter]
+        tableau[leave] = [x / piv for x in tableau[leave]]
+        for row in tableau + [red]:
+            if row is not tableau[leave] and row[enter] != 0:
+                factor = row[enter]
+                row[:] = [a - factor * p for a, p in zip(row, tableau[leave])]
+        basis[leave] = enter
+    if red[-1] == 0:
+        coeffs = [Fraction(0)] * n
+        for i, var in enumerate(basis):
+            if var < n:
+                coeffs[var] = tableau[i][-1]
+        return "feasible", coeffs
+    return "infeasible", [sign[i] * (1 - red[n + i]) for i in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_linear_systems())
+def test_phase_one_answers_are_exact_certificates(system):
+    columns, b, feasible_by_construction = system
+    m = len(b)
+    status, payload = _phase_one(columns, b)
+    assert (status, payload) == _dense_phase_one(columns, b)
+    if status == "feasible":
+        assert all(c >= 0 for c in payload)
+        assert [sum(c * col[i] for c, col in zip(payload, columns)) for i in range(m)] == b
+    else:
+        assert status == "infeasible"
+        assert not feasible_by_construction
+        for col in columns:
+            assert sum(y * a for y, a in zip(payload, col)) <= 0
+        assert sum(y * v for y, v in zip(payload, b)) > 0
+
+
+def _c7_template(name):
+    """Two C7 templates: a square hung on the cycle plus a K2 component
+    (good, with cone generators), and a lone edge (not good)."""
+    f = make_family("cycle", 7)
+    full = list(range(7))
+    if name == "c7_square":
+        return GluingTemplate.make(f, 4, [(0, 1), (1, 2), (0, 3)],
+                                   {0: full, 1: [6, 0, 1], 2: [6, 0, 1], 3: [0, 1]},
+                                   {(0, 1): [6], (1, 2): [1, 6]})
+    return GluingTemplate.make(f, 1, [], {0: [0, 1]}, {})
+
+
+@pytest.mark.parametrize("name,verdict", [("c7_square", "good"),
+                                          ("c7_lone_edge", "not_good")])
+def test_c7_goodness_round_trip(name, verdict):
+    cert = check_good(_c7_template(name))
+    assert cert.verdict == verdict
+    if verdict == "good":
+        assert cert.generators_used
+        _check_conic_equality(cert)
+    loaded = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
+    assert loaded == cert
+    assert verify_certificate(loaded)
+
+
+def test_verify_certificate_charges_generator_enumeration():
+    not_good = check_good(data.load_template("lone_edge_c5"))
+    with pytest.raises(BudgetExceededError, match="verify_certificate"):
+        verify_certificate(not_good, budget=4**5 - 1)
+    assert verify_certificate(not_good, budget=4**5)
+    good = check_good(data.load_template("pentagon_square"))
+    assert verify_certificate(good, budget=1)
