@@ -9,7 +9,7 @@ commonness inequalities the certificates rest on.
 from .graphs import (BudgetExceededError, Graph, Permutation, automorphisms,
                      disjoint_union, girth_and_cycle_count, hom_count,
                      make_family, subgraph_on_edges)
-from .graphons import StepKernel, complement, density, sample_graphon, shift
+from .graphons import StepKernel, density, sample_graphon, shift
 from .gluing import (ClassVector, GluingTemplate, build_j, canonical_class,
                      class_count, x_vector, z_vector)
 from .cone import (GoodnessCertificate, binomial_inequality_check, check_good,

@@ -1,9 +1,9 @@
 """The acceptance checks behind `homcommon repro-all` and the test suite.
 
 Each criterion function returns a dict with at least "name", "passed",
-and "detail".  Tolerances are pinned here: exact identities at 1e-10,
-inequalities at 1e-9, balance equations at 1e-12, with the exceptions
-each criterion states inline.  Universal ("for every graphon") claims are
+and "detail".  Tolerances are the package's (`graphs.IDENTITY_TOL`,
+`INEQUALITY_TOL`, `BALANCE_TOL`), with the exceptions each criterion
+states inline.  Universal ("for every graphon") claims are
 sampled evidence only and are labelled as such in the criterion names.
 """
 
@@ -18,14 +18,10 @@ from .commonness import (appendix_convexity_verify, common_gap_objective,
                          dk3k2_verify, falsify, girth_obstruction,
                          solve_simple_tree_p)
 from .cone import binomial_inequality_check, check_good, verify_certificate
-from .graphs import make_family, random_graph
+from .graphs import BALANCE_TOL, IDENTITY_TOL, INEQUALITY_TOL, make_family, random_graph
 from .graphons import density, sample_graphon, sample_kernel
 from .identities import (c5_goodman_residual, expansion_residual,
                          goodman_residual, strongly_common_gap)
-
-IDENTITY_TOL = 1e-10
-INEQUALITY_TOL = 1e-9
-BALANCE_TOL = 1e-12
 
 _K2 = make_family("path", 2)
 

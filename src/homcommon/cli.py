@@ -20,16 +20,17 @@ from .commonness import (CommonPairSpec, certify_pair_via_templates, common_gap_
 from .cone import certificate_from_json, certificate_to_json, check_good, verify_certificate
 from .gluing import template_from_json
 from .graphons import density, sample_graphon
-from .graphs import BudgetExceededError, make_family
+from .graphs import (DEFAULT_WORK_BUDGET, IDENTITY_TOL, INEQUALITY_TOL, BudgetExceededError,
+                     make_family)
 from .identities import (c5_goodman_residual, expansion_residual, goodman_residual)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    tolerance_identity: float = 1e-10
-    tolerance_inequality: float = 1e-9
-    work_budget: int = 10**8
+    tolerance_identity: float = IDENTITY_TOL
+    tolerance_inequality: float = INEQUALITY_TOL
+    work_budget: int = DEFAULT_WORK_BUDGET
     output_path: str | None = None
 
     def __post_init__(self):
@@ -74,7 +75,6 @@ def _load_template_arg(spec: str):
 
 def _cmd_verify(args, config: RunConfig) -> int:
     seeds = _parse_seeds(args.seeds)
-    tol = args.tolerance if args.tolerance is not None else config.tolerance_identity
     k2 = make_family("path", 2)
     worst = 0.0
     for s in seeds:
@@ -89,7 +89,8 @@ def _cmd_verify(args, config: RunConfig) -> int:
                 for p in (0.0, 0.3, density(k2, w)):
                     worst = max(worst, abs(expansion_residual(h, w, p, config.work_budget)))
     report = {"identity": args.identity, "seeds": len(seeds),
-              "max_abs_residual": worst, "tolerance": tol, "passed": worst < tol}
+              "max_abs_residual": worst, "tolerance": config.tolerance_identity,
+              "passed": worst < config.tolerance_identity}
     _emit(report, config)
     return 0 if report["passed"] else 1
 
@@ -186,11 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="homcommon", allow_abbrev=False,
         description="Homomorphism densities, gluing templates, and commonness certificates")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=10**8,
-                        help="work budget: contraction terms per density or hom count, "
+    parser.add_argument("--budget", type=int, default=DEFAULT_WORK_BUDGET,
+                        help="work budget: contraction terms per density or hom count; "
+                             "automorphism search nodes, class-table subset images and "
                              "generator assignments per goodness check")
-    parser.add_argument("--tolerance-identity", type=float, default=1e-10)
-    parser.add_argument("--tolerance-inequality", type=float, default=1e-9)
+    parser.add_argument("--tolerance-identity", type=float, default=IDENTITY_TOL)
+    parser.add_argument("--tolerance-inequality", type=float, default=INEQUALITY_TOL)
     parser.add_argument("--json-out", default=None, help="also write the report here")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -199,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     ident = vsub.add_parser("identity")
     ident.add_argument("identity", choices=("goodman", "c5goodman", "expansion"))
     ident.add_argument("--seeds", default="0..99")
-    ident.add_argument("--tolerance", type=float, default=None)
     ident.add_argument("--max-blocks", type=int, default=4)
     ident.set_defaults(handler=_cmd_verify)
 

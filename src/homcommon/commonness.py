@@ -9,9 +9,9 @@ verifier, and a random-restart falsifier for (un)commonness.
 Each gap formula is written once over arrays with leading batch axes
 (`_common_gap`, `_pair_gap`, and `identities._strongly_common_gap`); the
 public gap functions evaluate it on one kernel's arrays.  The objective
-factories return a `GapObjective`: calling it gives the public gap of one
-`StepKernel`, and its `batch` method the same formula on a stack of
-graphons.  `falsify` groups its restarts by block count and descends each
+factories return a `GapObjective`, which evaluates the same formula on one
+`StepKernel` when called and on a stack of graphons by its `batch`
+method.  `falsify` groups its restarts by block count and descends each
 group in lockstep, one batched objective call per coordinate move.  Each
 restart still draws its start from its own generator and follows the path
 it would follow alone, so the result depends only on (seed, restarts,
@@ -30,15 +30,12 @@ import numpy as np
 
 from .cone import GoodnessCertificate, check_good
 from .gluing import GluingTemplate, build_j
-from .graphs import (DEFAULT_WORK_BUDGET, Graph, components, girth_and_cycle_count,
-                     make_family)
+from .graphs import (BALANCE_TOL, DEFAULT_WORK_BUDGET, INEQUALITY_TOL, Graph, components,
+                     girth_and_cycle_count, make_family)
 from .graphons import StepKernel, densities, density, kernel_arrays, sample_graphon
-from .identities import _strongly_common_gap, strongly_common_gap
+from .identities import _strongly_common_gap
 
 _K2 = make_family("path", 2)
-
-BALANCE_TOL = 1e-12
-INEQ_TOL = 1e-9
 
 # exact threshold probability for the diamond / K3+K2 pair
 P_DIAMOND_PAIR = (8.0 - 2.0 * math.sqrt(10.0)) / 3.0
@@ -151,7 +148,7 @@ def convexity_conditions(spec: CommonPairSpec, sample_seeds,
         tf = density(f, w)
         for h, k, l in ((spec.h1, spec.k1, spec.l1), (spec.h2, spec.k2, spec.l2)):
             worst = min(worst, density(h, w) * tk2**l - tf**k)
-    cond4 = worst >= -INEQ_TOL
+    cond4 = worst >= -INEQUALITY_TOL
     assurance = "numerically_supported"
     if certificates is not None:
         ok = all(c.verdict == "good" for c in certificates)
@@ -258,28 +255,15 @@ def solve_simple_tree_p(e1: int, v1: int, e2: int, v2: int, m: int) -> float:
     """The unique p1 in (0,1) balancing two simple cycle-trees:
     (e1-v1+1)/(e1 p1^(m-1)) = (e2-v2+1)/(e2 (1-p1)^(m-1)).
 
-    Bracketed bisection; the left side minus the right side is strictly
-    decreasing in p1, so the root is unique.
+    With c_i = e_i - v_i + 1 the equation says ((1-p1)/p1)^(m-1) = R for
+    R = c2 e1 / (c1 e2), so p1 = 1 / (1 + R^(1/(m-1))).
     """
     if m < 3 or m % 2 == 0:
         raise ValueError("m must be an odd integer >= 3")
     c1, c2 = e1 - v1 + 1, e2 - v2 + 1
     if c1 < 1 or c2 < 1 or e1 < 1 or e2 < 1:
         raise ValueError("cycle rank e - v + 1 must be positive on both sides")
-
-    def residual(p: float) -> float:
-        return c1 / (e1 * p ** (m - 1)) - c2 / (e2 * (1.0 - p) ** (m - 1))
-
-    lo, hi = 1e-12, 1.0 - 1e-12
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16:
-            break
-    return 0.5 * (lo + hi)
+    return 1.0 / (1.0 + (c2 * e1 / (c1 * e2)) ** (1.0 / (m - 1)))
 
 
 def girth_obstruction(h1: Graph, h2: Graph, m: int, p1) -> bool:
@@ -455,7 +439,7 @@ def dk3k2_verify(pair_gap_seeds=range(20), max_blocks: int = 4) -> dict:
         "g1_min_at_zero": abs(g1_x) <= 1e-6 and abs(g1_min - threshold) <= 1e-9,
         "y1_ge_y0_crossover": crossover,
         "pair_gap_min": worst_gap,
-        "pair_gap_ok": worst_gap >= -INEQ_TOL,
+        "pair_gap_ok": worst_gap >= -INEQUALITY_TOL,
     }
     report["passed"] = (report["g1_at_zero_error"] <= 1e-12
                         and coeff_err <= 1e-6
@@ -545,10 +529,10 @@ def appendix_convexity_verify(f: Graph, e1: int, e2: int, k1: int, k2: int,
         "value_error": abs(value - expected),
         "argmin_distance": max(abs(x_min), abs(y_min)),
         "boundary_values": boundary,
-        "boundary_ok": all(v >= expected - INEQ_TOL for v in boundary),
+        "boundary_ok": all(v >= expected - INEQUALITY_TOL for v in boundary),
         "passed": (abs(value - expected) <= 1e-8
                    and max(abs(x_min), abs(y_min)) <= 1e-4
-                   and all(v >= expected - INEQ_TOL for v in boundary)),
+                   and all(v >= expected - INEQUALITY_TOL for v in boundary)),
     }
 
 
@@ -559,39 +543,35 @@ def appendix_convexity_verify(f: Graph, e1: int, e2: int, k1: int, k2: int,
 class GapObjective:
     """A gap functional for `falsify` to minimise.
 
-    `objective(w)` is the public gap function on one `StepKernel`;
-    `objective.batch(measures, values)` is the same formula on B graphons
-    given as arrays of shape (B, q) and (B, q, q), and returns shape (B,).
-    A plain class: a dataclass would add ~1 ms to every import.
+    `objective.batch(measures, values)` evaluates the gap formula on B
+    graphons given as arrays of shape (B, q) and (B, q, q), and returns
+    shape (B,); `objective(w)` evaluates it on one `StepKernel`, as the
+    public gap function does.  A plain class: a dataclass would add ~1 ms
+    to every import.
     """
 
-    __slots__ = ("gap", "formula")
+    __slots__ = ("formula",)
 
-    def __init__(self, gap: Callable[[StepKernel], float],
-                 formula: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-        self.gap = gap
+    def __init__(self, formula: Callable[[np.ndarray, np.ndarray], np.ndarray]):
         self.formula = formula
 
     def __call__(self, w: StepKernel) -> float:
-        return self.gap(w)
+        return float(self.formula(*kernel_arrays(w)))
 
     def batch(self, measures: np.ndarray, values: np.ndarray) -> np.ndarray:
         return self.formula(measures, values)
 
 
 def common_gap_objective(h: Graph, budget: int = DEFAULT_WORK_BUDGET) -> GapObjective:
-    return GapObjective(partial(common_gap, h, budget=budget),
-                        partial(_common_gap, h, budget=budget))
+    return GapObjective(partial(_common_gap, h, budget=budget))
 
 
 def strongly_common_objective(f: Graph) -> GapObjective:
-    return GapObjective(partial(strongly_common_gap, f),
-                        partial(_strongly_common_gap, f, budget=DEFAULT_WORK_BUDGET))
+    return GapObjective(partial(_strongly_common_gap, f, budget=DEFAULT_WORK_BUDGET))
 
 
 def pair_gap_objective(spec: CommonPairSpec, budget: int = DEFAULT_WORK_BUDGET) -> GapObjective:
-    return GapObjective(partial(pair_gap, spec, budget=budget),
-                        partial(_pair_gap, spec, budget=budget))
+    return GapObjective(partial(_pair_gap, spec, budget=budget))
 
 
 def _descend(objective: GapObjective, measures: np.ndarray, values: np.ndarray,

@@ -19,11 +19,10 @@ from fractions import Fraction
 
 from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph,
                      all_labelled_graphs, graph_to_json, hom_count)
-from .gluing import (MAX_CLASS_VERTICES, ClassVector, GluingTemplate, _canonical_table,
-                     _lex_submasks, _mask_vertices, build_j, template_from_json,
-                     template_to_json, x_vector, z_vector)
+from .gluing import (ClassVector, GluingTemplate, _canonical_table, _lex_submasks,
+                     _mask_vertices, build_j, template_from_json, template_to_json,
+                     x_vector, z_vector)
 
-MAX_BASE_VERTICES = 12
 GeneratorTriple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
@@ -52,7 +51,7 @@ def enumerate_generators(f: Graph):
     is ordered by the sorted (class, coefficient) items of each vector.
     """
     n = f.vertex_count
-    canon = _canonical_table(f, MAX_CLASS_VERTICES)
+    canon = _canonical_table(f, DEFAULT_WORK_BUDGET, "enumerate_generators")
     lex, rank = _lex_submasks(n)
     full = (1 << n) - 1
     seen: dict[tuple[int, int, int, int], tuple[int, int, int]] = {}
@@ -145,24 +144,21 @@ def _phase_one(columns: list[list[Fraction]], b: list[Fraction]):
     return "infeasible", [sign[i] * pi[i] for i in range(m)]
 
 
-def check_good(t: GluingTemplate,
-               max_base_vertices: int = MAX_BASE_VERTICES,
-               budget: int = DEFAULT_WORK_BUDGET) -> GoodnessCertificate:
+def check_good(t: GluingTemplate, budget: int = DEFAULT_WORK_BUDGET) -> GoodnessCertificate:
     """Decide goodness of a template by exact LP feasibility.
 
-    Generator enumeration is charged as its 4^v(F) vertex assignments
-    against `budget` before it starts.  The returned certificate is
-    re-checked from scratch (conic equality or Farkas inequalities) before
-    this function returns; a failure there is a solver bug, not a property
-    of the template.
+    The canonical class table of F is built first, and generator
+    enumeration is charged as its 4^v(F) vertex assignments before it
+    starts, each against `budget`.  The returned certificate is re-checked
+    from scratch (conic equality or Farkas inequalities) before this
+    function returns; a failure there is a solver bug, not a property of
+    the template.
     """
     f = t.base
-    if f.vertex_count > max_base_vertices:
-        raise BudgetExceededError(
-            f"generator enumeration 4^{f.vertex_count} exceeds the configured bound")
     j, _ = build_j(t)
     if j.edge_count == 0 or f.edge_count == 0:
         raise ValueError("goodness requires e(J) > 0")
+    _canonical_table(f, budget, "check_good")
     target = ClassVector.basis(f, range(f.vertex_count)).scaled(
         Fraction(j.edge_count, f.edge_count))
     rhs_vec = target - z_vector(t)
@@ -214,8 +210,9 @@ def verify_certificate(cert: GoodnessCertificate,
 
     Good: coefficients non-negative and z + sum(c * x) equals the target.
     Not good: the witness has non-positive inner product with every
-    generator and positive inner product with target - z; enumerating the
-    generators is charged 4^v(F) against `budget`, as in `check_good`.
+    generator and positive inner product with target - z.  The class table
+    and, for a not-good certificate, generator enumeration are charged
+    against `budget` as in `check_good`.
     """
     if cert.verdict not in ("good", "not_good"):
         raise ValueError(f"malformed certificate verdict {cert.verdict!r}")
@@ -226,6 +223,7 @@ def verify_certificate(cert: GoodnessCertificate,
         return False
     if j.edge_count == 0 or f.edge_count == 0:
         return False
+    _canonical_table(f, budget, "verify_certificate")
     target = ClassVector.basis(f, range(f.vertex_count)).scaled(
         Fraction(j.edge_count, f.edge_count))
     if target.coeffs != cert.target.coeffs:
@@ -254,7 +252,7 @@ def verify_certificate(cert: GoodnessCertificate,
 
 def binomial_inequality_check(t: GluingTemplate, max_g_vertices: int,
                               cert: GoodnessCertificate | None = None,
-                              extra_graphs=(), budget: int | None = None) -> dict:
+                              extra_graphs=(), budget: int = DEFAULT_WORK_BUDGET) -> dict:
     """Check t(J,G) >= t(F,G)^(e(J)/e(F)) over all labelled graphs G on up
     to max_g_vertices vertices (plus any extra graphs), with exact rational
     homomorphism counts.
@@ -263,10 +261,8 @@ def binomial_inequality_check(t: GluingTemplate, max_g_vertices: int,
     floating slack, the minimising graph, and whether the exact rational
     comparison held everywhere.
     """
-    if budget is None:
-        budget = DEFAULT_WORK_BUDGET
     if cert is None:
-        cert = check_good(t)
+        cert = check_good(t, budget)
     if cert.verdict != "good":
         raise ValueError("binomial inequality applies to certified-good templates")
     j, _ = build_j(t)
@@ -307,10 +303,6 @@ def _fraction_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def template_hash(t: GluingTemplate) -> str:
     payload = json.dumps(template_to_json(t), sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(payload.encode()).hexdigest()
@@ -324,7 +316,7 @@ def _classvec_from_json(base: Graph, obj: dict) -> ClassVector:
     coeffs = {}
     for key, val in obj.items():
         k = tuple(int(x) for x in key.split(","))
-        coeffs[k] = _fraction_from_str(val)
+        coeffs[k] = Fraction(val)
     return ClassVector(base, coeffs)
 
 
@@ -353,7 +345,7 @@ def certificate_from_json(obj: dict) -> GoodnessCertificate:
         raise ValueError("certificate 'template_hash' missing or mismatched (tampered file?)")
     try:
         gens = tuple(
-            ((tuple(g["r1"]), tuple(g["r2"]), tuple(g["r3"])), _fraction_from_str(g["coeff"]))
+            ((tuple(g["r1"]), tuple(g["r2"]), tuple(g["r3"])), Fraction(g["coeff"]))
             for g in obj.get("generators_used", []))
         witness = obj.get("farkas_witness")
         return GoodnessCertificate(

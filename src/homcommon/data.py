@@ -4,19 +4,15 @@ acceptance suite; everything loads offline from package resources."""
 from __future__ import annotations
 
 import json
-import re
 from importlib import resources
 
 from .gluing import GluingTemplate, template_from_json
-from .graphs import Graph, graph_from_json, make_family
+from .graphs import Graph, graph_from_json, parse_family
 
 GRAPH_NAMES = ("c3", "c5", "c7", "diamond", "paw", "k3_plus_k2",
                "pentagon_square", "gen_c5_tree_a", "gen_c5_tree_b")
 TEMPLATE_NAMES = ("pentagon_square", "gen_c5_tree_a", "gen_c5_tree_b",
                   "simple_c5_vertex", "simple_k3_edge", "lone_edge_c5")
-
-_FAMILY_RE = re.compile(r"^([CPKcpk])(\d+)$")
-_FAMILY_KIND = {"C": "cycle", "P": "path", "K": "complete"}
 
 
 def _load(kind: str, name: str) -> dict:
@@ -42,9 +38,9 @@ def load_template(name: str) -> GluingTemplate:
 def parse_graph_spec(spec: str) -> Graph:
     """Resolve a graph argument: a family string like C5/P4/K3, a bundled
     graph name, or a path to a graph JSON file."""
-    m = _FAMILY_RE.match(spec)
-    if m:
-        return make_family(_FAMILY_KIND[m.group(1).upper()], int(m.group(2)))
+    family = parse_family(spec)
+    if family is not None:
+        return family
     aliases = {"k3uk2": "k3_plus_k2", "d": "diamond"}
     name = aliases.get(spec.lower(), spec.lower())
     if name in GRAPH_NAMES:

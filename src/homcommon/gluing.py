@@ -12,14 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
-from .graphs import Graph, automorphisms
+from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, automorphisms,
+                     graph_from_json, parse_family)
 
-
-# canonicalisation supports the same base-graph ceiling as the cone check
-MAX_CLASS_VERTICES = 12
+_CANONICAL_TABLES: dict[Graph, tuple[int, ...]] = {}
 
 
 def _as_subset(f: Graph, s) -> frozenset[int]:
@@ -51,12 +49,26 @@ def _mask_vertices(mask: int) -> tuple[int, ...]:
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-@lru_cache(maxsize=None)
-def _canonical_table(f: Graph, max_vertices: int) -> tuple[int, ...]:
+def _canonical_table(f: Graph, budget: int, caller: str) -> tuple[int, ...]:
     """Indexed by subset mask of V(f): the mask of its canonical
-    representative, the lexicographically least sorted tuple over Aut(f)."""
-    perms = automorphisms(f, max_vertices)
+    representative, the lexicographically least sorted tuple over Aut(f).
+
+    Built once per base graph and process.  Building charges the
+    automorphism search's nodes, then |Aut(f)| * 2^v(f) subset images,
+    each against `budget`; errors name `caller`.
+    """
+    table = _CANONICAL_TABLES.get(f)
+    if table is not None:
+        return table
+    try:
+        perms = automorphisms(f, budget)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(f"{caller}: {exc}") from None
     n = f.vertex_count
+    if len(perms) << n > budget:
+        raise BudgetExceededError(
+            f"{caller}: canonicalising subsets of a {n}-vertex base takes "
+            f"{len(perms) << n} subset images, budget {budget}")
     _, rank = _lex_submasks(n)
     images = []
     for p in perms:
@@ -65,20 +77,22 @@ def _canonical_table(f: Graph, max_vertices: int) -> tuple[int, ...]:
             low = mask & -mask
             image[mask] = image[mask ^ low] | 1 << p.image[low.bit_length() - 1]
         images.append(image)
-    return tuple(min((image[mask] for image in images), key=rank.__getitem__)
-                 for mask in range(1 << n))
+    table = tuple(min((image[mask] for image in images), key=rank.__getitem__)
+                  for mask in range(1 << n))
+    _CANONICAL_TABLES[f] = table
+    return table
 
 
-def canonical_class(f: Graph, s, max_vertices: int = MAX_CLASS_VERTICES) -> frozenset[int]:
+def canonical_class(f: Graph, s, budget: int = DEFAULT_WORK_BUDGET) -> frozenset[int]:
     """Least subset (in sorted-list lexicographic order) equivalent to s
     under the automorphism group of f."""
     mask = sum(1 << v for v in _as_subset(f, s))
-    return frozenset(_mask_vertices(_canonical_table(f, max_vertices)[mask]))
+    return frozenset(_mask_vertices(_canonical_table(f, budget, "canonical_class")[mask]))
 
 
-def class_count(f: Graph, max_vertices: int = MAX_CLASS_VERTICES) -> int:
+def class_count(f: Graph, budget: int = DEFAULT_WORK_BUDGET) -> int:
     """Number of Aut(f)-orbits of subsets of V(f), the empty class included."""
-    return len(set(_canonical_table(f, max_vertices)))
+    return len(set(_canonical_table(f, budget, "class_count")))
 
 
 @dataclass
@@ -133,8 +147,8 @@ class ClassVector:
 
     def inner(self, other: "ClassVector") -> Fraction:
         self._check_base(other)
-        return sum((v * other.coeffs.get(k, Fraction(0)) for k, v in self.coeffs.items()),
-                   Fraction(0))
+        small, large = sorted((self.coeffs, other.coeffs), key=len)
+        return sum((v * large[k] for k, v in small.items() if k in large), Fraction(0))
 
 
 class _UnionFind:
@@ -220,13 +234,6 @@ class GluingTemplate:
         full = tuple(sorted((e, edge_psis.get(e, frozenset())) for e in edges))
         return cls(base, tree_nodes, edges, nodes, full)
 
-    def psi_edge(self, s: int, t: int) -> frozenset[int]:
-        key = tuple(sorted((s, t)))
-        for e, subset in self.psi_edges:
-            if e == key:
-                return subset
-        raise KeyError(key)
-
 
 def build_j(t: GluingTemplate):
     """Glue the copies F[psi(s)] along the tree into the generalized F-tree.
@@ -293,16 +300,13 @@ def template_to_json(t: GluingTemplate) -> dict:
 def template_from_json(obj: dict) -> GluingTemplate:
     """Parse the template JSON format; the base graph may be a family
     string such as "C5" or an inline graph object."""
-    from .graphs import graph_from_json, make_family
-
     if not isinstance(obj, dict) or "F" not in obj or "tree" not in obj:
         raise ValueError("template JSON needs 'F' and 'tree' fields")
     raw_f = obj["F"]
     if isinstance(raw_f, str):
-        kind_map = {"C": "cycle", "P": "path", "K": "complete"}
-        if len(raw_f) < 2 or raw_f[0].upper() not in kind_map or not raw_f[1:].isdigit():
+        base = parse_family(raw_f)
+        if base is None:
             raise ValueError(f"unrecognised base graph string {raw_f!r}")
-        base = make_family(kind_map[raw_f[0].upper()], int(raw_f[1:]))
     else:
         base = graph_from_json(raw_f)
     tree = obj["tree"]

@@ -1,4 +1,4 @@
-"""Step kernels and graphons: homomorphism densities, complements, sampling.
+"""Step kernels and graphons: homomorphism densities, 1 - w, shifts, sampling.
 
 A step kernel is a symmetric q x q block matrix together with block
 measures summing to 1.  Graphons are the kernels flagged as having all
@@ -90,14 +90,6 @@ def density(h: Graph, w: StepKernel, budget: int = DEFAULT_WORK_BUDGET) -> float
     budget bounds the contraction's terms, sum over steps of q^|scope|.
     """
     return float(densities(h, *kernel_arrays(w), budget))
-
-
-def complement(w: StepKernel) -> StepKernel:
-    """The graphon 1 - w; rejects kernels not marked as graphons."""
-    if not w.graphon:
-        raise ValueError("complement is defined for graphons only")
-    vals = tuple(tuple(1.0 - x for x in row) for row in w.values)
-    return StepKernel(w.measures, vals, graphon=True)
 
 
 def one_minus(w: StepKernel) -> StepKernel:

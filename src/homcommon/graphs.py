@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import string
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,7 +25,10 @@ from typing import NamedTuple
 import numpy as np
 
 DEFAULT_WORK_BUDGET = 10**8
-AUTOMORPHISM_VERTEX_BOUND = 10
+# float tolerances for exact identities, sampled inequalities and balance equations
+IDENTITY_TOL = 1e-10
+INEQUALITY_TOL = 1e-9
+BALANCE_TOL = 1e-12
 _EINSUM_LETTERS = string.ascii_letters
 
 
@@ -100,6 +104,8 @@ class Permutation:
 
 
 FAMILY_KINDS = ("cycle", "path", "complete", "complete_minus_edge")
+_FAMILY_RE = re.compile(r"([CPKcpk])(\d+)")
+_FAMILY_LETTERS = {"C": "cycle", "P": "path", "K": "complete"}
 
 
 def make_family(kind: str, n: int) -> Graph:
@@ -126,6 +132,15 @@ def make_family(kind: str, n: int) -> Graph:
     edges = set(combinations(range(n), 2))
     edges.discard((n - 2, n - 1))
     return Graph.from_edges(n, edges)
+
+
+def parse_family(spec: str) -> Graph | None:
+    """The graph a family string such as "C5", "P4" or "K3" names (either
+    letter case), or None when spec is not of that form."""
+    m = _FAMILY_RE.fullmatch(spec)
+    if m is None:
+        return None
+    return make_family(_FAMILY_LETTERS[m.group(1).upper()], int(m.group(2)))
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
@@ -166,16 +181,13 @@ def components(g: Graph) -> list[list[int]]:
     return out
 
 
-def automorphisms(g: Graph, max_vertices: int = AUTOMORPHISM_VERTEX_BOUND) -> list[Permutation]:
+def automorphisms(g: Graph, budget: int = DEFAULT_WORK_BUDGET) -> list[Permutation]:
     """All adjacency-preserving bijections of g, by backtracking.
 
-    Rejects graphs above `max_vertices` since the search is factorial in
-    the worst case.
+    The search is factorial in the worst case; each node it visits (one
+    partial bijection) is charged against `budget`.
     """
     n = g.vertex_count
-    if n > max_vertices:
-        raise BudgetExceededError(
-            f"automorphism search limited to {max_vertices} vertices, got {n}")
     adj = [[False] * n for _ in range(n)]
     for u, v in g.edges:
         adj[u][v] = adj[v][u] = True
@@ -183,8 +195,14 @@ def automorphisms(g: Graph, max_vertices: int = AUTOMORPHISM_VERTEX_BOUND) -> li
     image = [-1] * n
     used = [False] * n
     found: list[Permutation] = []
+    nodes = 0
 
     def extend(v: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"automorphisms: searching a {n}-vertex graph "
+                                      f"needs more nodes than budget {budget}")
         if v == n:
             found.append(Permutation(tuple(image)))
             return
@@ -266,7 +284,10 @@ def _contract(h: Graph, matrix: np.ndarray, vector: np.ndarray, budget: int, cal
     q^|scope|, per kernel of the batch.  Unbatched operands give a numpy
     scalar of the operands' dtype, or a Python int for object operands.
     """
-    plan = _plan(h)
+    try:
+        plan = _plan(h)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(f"{caller}: {exc}") from None
     q = vector.shape[-1]
     work = sum(q**width for width in plan.widths)
     if work > budget:
@@ -310,7 +331,8 @@ def _count_cycles(h: Graph, length: int, budget: int) -> int:
         nonlocal count, steps
         steps += 1
         if steps > budget:
-            raise BudgetExceededError("cycle enumeration budget exceeded")
+            raise BudgetExceededError(f"girth_and_cycle_count: enumerating {length}-cycles "
+                                      f"needs more steps than budget {budget}")
         if remaining == 0:
             if start in nbrs[current]:
                 count += 1

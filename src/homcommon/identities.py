@@ -36,7 +36,8 @@ def expansion_residual(h: Graph, w: StepKernel, p: float,
     """
     if h.edge_count > MAX_EXPANSION_EDGES:
         raise BudgetExceededError(
-            f"expansion over 2^{h.edge_count} edge subsets exceeds the cap")
+            f"expansion_residual: expanding over 2^{h.edge_count} edge subsets exceeds "
+            f"the cap of 2^{MAX_EXPANSION_EDGES}")
     u = shift(w, p)
     lhs = density(h, w, budget)
     edges = sorted(h.edges)

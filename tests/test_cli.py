@@ -3,9 +3,10 @@ import json
 import pytest
 
 from homcommon import data
-from homcommon.cli import RunConfig, _parse_seeds, main
+from homcommon.cli import RunConfig, _parse_seeds, build_parser, main
 from homcommon.cone import certificate_from_json, verify_certificate
 from homcommon.gluing import template_to_json
+from homcommon.graphs import DEFAULT_WORK_BUDGET, IDENTITY_TOL, INEQUALITY_TOL
 
 
 def run_cli(capsys, *argv):
@@ -19,6 +20,15 @@ def test_run_config_validation():
         RunConfig(tolerance_identity=0.0)
     with pytest.raises(ValueError):
         RunConfig(work_budget=-1)
+
+
+def test_defaults_are_the_library_constants():
+    args = build_parser().parse_args(["repro-all"])
+    config = RunConfig()
+    expected = (DEFAULT_WORK_BUDGET, IDENTITY_TOL, INEQUALITY_TOL)
+    assert (args.budget, args.tolerance_identity, args.tolerance_inequality) == expected
+    assert (config.work_budget, config.tolerance_identity,
+            config.tolerance_inequality) == expected
 
 
 def test_parse_seeds():
@@ -36,9 +46,10 @@ def test_verify_identity_commands(capsys):
     code, out, _ = run_cli(capsys, "verify", "identity", "expansion", "--seeds", "0..2")
     assert code == 0
     # absurdly tight tolerance forces a reported failure
-    code, out, _ = run_cli(capsys, "verify", "identity", "goodman",
-                           "--seeds", "0..9", "--tolerance", "1e-18")
+    code, out, _ = run_cli(capsys, "--tolerance-identity", "1e-18",
+                           "verify", "identity", "goodman", "--seeds", "0..9")
     assert code == 1
+    assert json.loads(out)["tolerance"] == 1e-18
 
 
 def test_glue_check_good_and_bad(capsys, tmp_path):

@@ -327,3 +327,15 @@ def test_verify_certificate_charges_generator_enumeration():
     assert verify_certificate(not_good, budget=4**5)
     good = check_good(data.load_template("pentagon_square"))
     assert verify_certificate(good, budget=1)
+
+
+def test_binomial_check_passes_its_budget_to_check_good():
+    with pytest.raises(BudgetExceededError, match="^check_good: "):
+        binomial_inequality_check(data.load_template("pentagon_square"), 2, budget=1)
+
+
+def test_check_good_charges_the_class_table_first():
+    # K9 has 9! automorphisms; at budget 1 the search stops at its second node
+    lone_edge_k9 = GluingTemplate.make(make_family("complete", 9), 1, [], {0: [0, 1]}, {})
+    with pytest.raises(BudgetExceededError, match="^check_good: automorphisms: "):
+        check_good(lone_edge_k9, budget=1)

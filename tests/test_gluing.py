@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homcommon.gluing import (ClassVector, GluingTemplate, build_j,
+from homcommon.gluing import (_CANONICAL_TABLES, ClassVector, GluingTemplate, build_j,
                               canonical_class, class_count, template_from_json,
                               template_to_json, x_vector, z_vector)
-from homcommon.graphs import (automorphisms, components, disjoint_union,
-                              make_family)
+from homcommon.graphs import (BudgetExceededError, automorphisms, components,
+                              disjoint_union, make_family)
 
 C3 = make_family("cycle", 3)
 C5 = make_family("cycle", 5)
@@ -62,6 +65,19 @@ def test_class_vector_basics():
     assert coeffs(e0) == {(0,): Fraction(1)}
     diff = e0 - ClassVector.basis(C5, {0})
     assert diff.is_zero()
+
+
+C5_KEYS = [k for r in range(1, 6) for k in combinations(range(5), r)]
+c5_coeffs = st.dictionaries(st.sampled_from(C5_KEYS),
+                            st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(c5_coeffs, c5_coeffs)
+def test_inner_is_symmetric_dense_dot_product(a, b):
+    va, vb = ClassVector(C5, a), ClassVector(C5, b)
+    dense = sum((a.get(k, 0) * b.get(k, 0) for k in C5_KEYS), Fraction(0))
+    assert va.inner(vb) == vb.inner(va) == dense
 
 
 def test_template_invariants():
@@ -192,8 +208,21 @@ def test_build_j_merges_coincident_edges():
     assert maps[0][0] == maps[1][0] and maps[0][1] == maps[1][1]
 
 
-def test_canonical_class_respects_vertex_bound():
-    from homcommon.graphs import BudgetExceededError
-    big = make_family("path", 13)
-    with pytest.raises(BudgetExceededError):
-        canonical_class(big, {0})
+def test_canonical_class_of_p13():
+    p13 = make_family("path", 13)
+    assert canonical_class(p13, {12}) == frozenset({0})
+    assert canonical_class(p13, {5, 11}) == frozenset({1, 7})
+    assert class_count(p13) == (2**13 + 2**7) // 2  # Burnside over the reflection
+
+
+def test_class_table_budget_names_caller_and_charges_once():
+    k6 = make_family("complete", 6)
+    _CANONICAL_TABLES.pop(k6, None)
+    # the automorphism search visits 1957 nodes; the table takes 6! * 2^6 images
+    with pytest.raises(BudgetExceededError, match="^canonical_class: automorphisms: "):
+        canonical_class(k6, {0}, budget=100)
+    with pytest.raises(BudgetExceededError,
+                       match="^class_count: .* 46080 subset images, budget 10000$"):
+        class_count(k6, budget=10_000)
+    assert class_count(k6, budget=46_080) == 7
+    assert canonical_class(k6, {3, 5}, budget=1) == frozenset({0, 1})

@@ -10,7 +10,7 @@ from homcommon import data
 from homcommon.gluing import build_j
 from homcommon.graphs import (BudgetExceededError, disjoint_union, hom_count,
                               make_family, random_graph)
-from homcommon.graphons import (StepKernel, complement, constant_kernel,
+from homcommon.graphons import (StepKernel, constant_kernel,
                                 density, kernel_from_graph, kernel_from_json,
                                 kernel_to_json, one_minus, sample_graphon,
                                 sample_kernel, shift)
@@ -45,6 +45,14 @@ def test_density_matches_hom_counts():
         for h in (K2, K3, C5, make_family("path", 4)):
             expect = hom_count(h, g) / g.vertex_count**h.vertex_count
             assert density(h, w) == pytest.approx(expect, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(6), small_graphs(5).filter(lambda g: g.vertex_count > 0))
+def test_density_of_graph_kernel_scales_to_hom_count(h, g):
+    hom = hom_count(h, g)
+    scaled = density(h, kernel_from_graph(g)) * g.vertex_count**h.vertex_count
+    assert abs(scaled - hom) <= 1e-12 * hom
 
 
 def test_density_in_unit_interval_and_multiplicative(graphon_suite):
@@ -114,13 +122,11 @@ def test_density_budget():
 
 def test_complement():
     half = constant_kernel(0.5)
-    assert complement(half) == half
+    assert one_minus(half) == half
     w = constant_kernel(0.3)
-    assert complement(w).values == ((0.7,),)
+    assert one_minus(w).values == ((0.7,),)
     g = sample_graphon(5, 4)
-    assert complement(complement(g)) == g
-    with pytest.raises(ValueError):
-        complement(shift(constant_kernel(0.5), 0.25))
+    assert one_minus(one_minus(g)) == g
 
 
 def test_shift():

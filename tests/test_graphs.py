@@ -115,10 +115,11 @@ def test_automorphisms_form_a_group():
             assert p.compose(q).image in images
 
 
-def test_automorphism_bound():
-    with pytest.raises(BudgetExceededError):
-        automorphisms(make_family("path", 11))
-    assert len(automorphisms(make_family("path", 11), max_vertices=11)) == 2
+def test_automorphism_budget_names_caller():
+    p11 = make_family("path", 11)
+    with pytest.raises(BudgetExceededError, match="^automorphisms: .*budget 5$"):
+        automorphisms(p11, budget=5)
+    assert len(automorphisms(p11)) == 2
 
 
 def test_hom_count_examples():
