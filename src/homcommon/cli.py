@@ -41,14 +41,18 @@ class RunConfig:
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    """Accept '0..99', a single integer, or a comma list."""
+    """Accept '0..99', a single integer, or a comma list; reject an empty list."""
     spec = spec.strip()
     if ".." in spec:
         lo, _, hi = spec.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    if "," in spec:
-        return [int(x) for x in spec.split(",") if x.strip()]
-    return [int(spec)]
+        seeds = list(range(int(lo), int(hi) + 1))
+    elif "," in spec:
+        seeds = [int(x) for x in spec.split(",") if x.strip()]
+    else:
+        seeds = [int(spec)]
+    if not seeds:
+        raise ValueError(f"seed range {spec!r} is empty")
+    return seeds
 
 
 def _to_json(report: dict) -> str:

@@ -118,18 +118,32 @@ def common_gap(h: Graph, w: StepKernel, budget: int = DEFAULT_WORK_BUDGET) -> fl
     return float(_common_gap(h, *kernel_arrays(w), budget))
 
 
-def convexity_conditions(spec: CommonPairSpec, sample_seeds,
-                         max_blocks: int = 4,
-                         certificates: tuple[GoodnessCertificate, GoodnessCertificate] | None = None
-                         ) -> dict:
+def _balance(a1: tuple[int, int], a2: tuple[int, int], n: int,
+             p1: float | Fraction) -> tuple[float | Fraction, bool]:
+    """Decide the balance equation c1/(d1 p1^n) = c2/(d2 p2^n), p2 = 1 - p1,
+    for a_i = (c_i, d_i).
+
+    Returns (lhs - rhs, holds).  A `Fraction` p1 is decided exactly; a float
+    p1 holds within BALANCE_TOL relative to the larger side (absolute when
+    both sides are at most 1).
+    """
+    (c1, d1), (c2, d2) = a1, a2
+    lhs = c1 / (d1 * p1 ** n)
+    rhs = c2 / (d2 * (1 - p1) ** n)
+    if isinstance(p1, Fraction):
+        return lhs - rhs, lhs == rhs
+    return lhs - rhs, abs(lhs - rhs) <= BALANCE_TOL * max(1.0, abs(lhs), abs(rhs))
+
+
+def convexity_conditions(spec: CommonPairSpec, sample_seeds, max_blocks: int = 4) -> dict:
     """Check the four sufficient conditions tying (h1, h2) to a strongly
     common base graph f via (k_i, l_i).
 
-    Conditions 1-3 are exact; condition 4 (the correlation inequality
-    t(h_i,W) t(K2,W)^l_i >= t(f,W)^k_i) is universally quantified, so by
-    itself sampling only yields the "numerically_supported" assurance.
-    When goodness certificates for templates realising J_i = H_i + l_i
-    K2-components are supplied and consistent, it upgrades to "certified".
+    Conditions 1-3 are decided, condition 3 exactly for a `Fraction` p1;
+    condition 4 (the correlation inequality t(h_i,W) t(K2,W)^l_i >=
+    t(f,W)^k_i) is universally quantified, so sampling it only yields the
+    "numerically_supported" assurance.  A certified verdict comes from
+    `certify_pair_via_templates`, which builds each H_i from its template.
     """
     if spec.f is None:
         raise ValueError("convexity_conditions needs the (f, k, l) data")
@@ -138,9 +152,8 @@ def convexity_conditions(spec: CommonPairSpec, sample_seeds,
     cond1 = spec.h1.edge_count >= ef and spec.h2.edge_count >= ef
     cond2 = (spec.h1.edge_count == spec.k1 * ef - spec.l1
              and spec.h2.edge_count == spec.k2 * ef - spec.l2)
-    lhs = spec.k1 / (spec.h1.edge_count * spec.p1 ** (ef - 1))
-    rhs = spec.k2 / (spec.h2.edge_count * spec.p2 ** (ef - 1))
-    cond3 = abs(lhs - rhs) <= BALANCE_TOL
+    residual, cond3 = _balance((spec.k1, spec.h1.edge_count), (spec.k2, spec.h2.edge_count),
+                               ef - 1, spec.p1)
     worst = math.inf
     for seed in sample_seeds:
         w = sample_graphon(seed, max_blocks)
@@ -149,24 +162,14 @@ def convexity_conditions(spec: CommonPairSpec, sample_seeds,
         for h, k, l in ((spec.h1, spec.k1, spec.l1), (spec.h2, spec.k2, spec.l2)):
             worst = min(worst, density(h, w) * tk2**l - tf**k)
     cond4 = worst >= -INEQUALITY_TOL
-    assurance = "numerically_supported"
-    if certificates is not None:
-        ok = all(c.verdict == "good" for c in certificates)
-        for c, h, k, l in ((certificates[0], spec.h1, spec.k1, spec.l1),
-                           (certificates[1], spec.h2, spec.k2, spec.l2)):
-            ok = ok and c.template.base == f
-            ok = ok and c.j_edge_count == h.edge_count + l
-            ok = ok and Fraction(c.j_edge_count, ef) == k
-        if ok:
-            assurance = "certified"
     return {
         "edge_floor": cond1,
         "edge_arithmetic": cond2,
         "balance": cond3,
-        "balance_residual": lhs - rhs,
+        "balance_residual": residual,
         "correlation": cond4,
         "correlation_min_slack": worst,
-        "correlation_assurance": assurance,
+        "correlation_assurance": "numerically_supported",
         "all_pass": cond1 and cond2 and cond3 and cond4,
     }
 
@@ -214,8 +217,9 @@ def certify_pair_via_templates(t1: GluingTemplate, l1: int,
     H_i is the generalized tree J(t_i) with l_i two-vertex components and
     all isolated vertices removed.  Certification needs both goodness
     certificates, e(H_i) >= m, and the balance equation
-    (e(H1)+l1)/(e(H1) p1^(m-1)) = (e(H2)+l2)/(e(H2) p2^(m-1)).
-    `budget` bounds each goodness check's generator enumeration.
+    (e(H1)+l1)/(e(H1) p1^(m-1)) = (e(H2)+l2)/(e(H2) p2^(m-1)), decided
+    exactly for a `Fraction` p1.  `budget` bounds each goodness check's
+    generator enumeration.
     """
     base = t1.base
     if base != t2.base:
@@ -223,8 +227,10 @@ def certify_pair_via_templates(t1: GluingTemplate, l1: int,
     if not _is_odd_cycle(base):
         raise ValueError("base graph must be an odd cycle")
     m = base.vertex_count
-    if not 0.0 < p1 < 1.0:
+    if not 0 < p1 < 1:
         raise ValueError("p1 must lie in (0, 1)")
+    if l1 < 0 or l2 < 0:
+        raise ValueError("l1 and l2 must be non-negative")
     cert1 = check_good(t1, budget=budget)
     cert2 = check_good(t2, budget=budget)
     sides = []
@@ -237,14 +243,11 @@ def certify_pair_via_templates(t1: GluingTemplate, l1: int,
             raise ValueError("each H_i must have at least m edges")
         sides.append(e_h)
     e1, e2 = sides
-    p2 = 1.0 - p1
-    lhs = (e1 + l1) / (e1 * p1 ** (m - 1))
-    rhs = (e2 + l2) / (e2 * p2 ** (m - 1))
-    residual = lhs - rhs
+    residual, balanced = _balance((e1 + l1, e1), (e2 + l2, e2), m - 1, p1)
     if cert1.verdict != "good" or cert2.verdict != "good":
         return PairTemplateVerdict(False, "template not good", p1, m, e1, e2,
                                    residual, cert1, cert2)
-    if abs(residual) > BALANCE_TOL * max(1.0, abs(lhs), abs(rhs)):
+    if not balanced:
         return PairTemplateVerdict(False, "balance violated", p1, m, e1, e2,
                                    residual, cert1, cert2)
     return PairTemplateVerdict(True, "certified (p1,p2)-common via good odd-cycle templates",
@@ -270,24 +273,16 @@ def girth_obstruction(h1: Graph, h2: Graph, m: int, p1) -> bool:
     """Necessary balance condition for girth-m pairs:
     c_m(h1)/(e(h1) p1^(m-1)) = c_m(h2)/(e(h2) p2^(m-1)).
 
-    False proves (h1, h2) is not (p1, p2)-common.  Rational p1 values are
-    compared exactly; floats within BALANCE_TOL.
+    False proves (h1, h2) is not (p1, p2)-common.  Decided by `_balance`:
+    exactly for a `Fraction` p1, within its relative tolerance for a float.
     """
     g1, c1 = girth_and_cycle_count(h1, m)
     g2, c2 = girth_and_cycle_count(h2, m)
     if g1 != m or g2 != m:
         raise ValueError(f"both graphs must have girth exactly {m}")
-    if isinstance(p1, Fraction):
-        if not 0 < p1 < 1:
-            raise ValueError("p1 must lie in (0, 1)")
-        p2 = 1 - p1
-        return (Fraction(c1, h1.edge_count) / p1 ** (m - 1)
-                == Fraction(c2, h2.edge_count) / p2 ** (m - 1))
-    if not 0.0 < p1 < 1.0:
+    if not 0 < p1 < 1:
         raise ValueError("p1 must lie in (0, 1)")
-    lhs = c1 / (h1.edge_count * p1 ** (m - 1))
-    rhs = c2 / (h2.edge_count * (1.0 - p1) ** (m - 1))
-    return abs(lhs - rhs) <= BALANCE_TOL * max(1.0, abs(lhs), abs(rhs))
+    return _balance((c1, h1.edge_count), (c2, h2.edge_count), m - 1, p1)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +474,7 @@ def appendix_convexity_verify(f: Graph, e1: int, e2: int, k1: int, k2: int,
         raise ValueError("e(H_i) >= e(F) is required")
     if e1 != k1 * ef - l1 or e2 != k2 * ef - l2:
         raise ValueError("e(H_i) = k_i e(F) - l_i is required")
-    balance = k1 / (e1 * p1 ** (ef - 1)) - k2 / (e2 * p2 ** (ef - 1))
-    if abs(balance) > BALANCE_TOL:
+    if not _balance((k1, e1), (k2, e2), ef - 1, p1)[1]:
         raise ValueError("the p-balance equation must hold")
 
     def objective(x: float, y: float) -> float:

@@ -23,8 +23,6 @@ _P5 = make_family("path", 5)
 _K3 = make_family("complete", 3)
 _C5 = make_family("cycle", 5)
 
-MAX_EXPANSION_EDGES = 12
-
 
 def expansion_residual(h: Graph, w: StepKernel, p: float,
                        budget: int = DEFAULT_WORK_BUDGET) -> float:
@@ -32,12 +30,14 @@ def expansion_residual(h: Graph, w: StepKernel, p: float,
 
     Expanding every edge factor of t(h, w) as (u + p) gives
     t(h,w) = sum over E of p^(e(h)-|E|) * t(h[E], u); the return value is
-    the difference of the two sides and is zero up to rounding.
+    the difference of the two sides and is zero up to rounding.  The
+    2^e(h) edge subsets are charged against `budget` before any density
+    is computed, and each density is then bounded by `budget` as well.
     """
-    if h.edge_count > MAX_EXPANSION_EDGES:
+    if 2 ** h.edge_count > budget:
         raise BudgetExceededError(
-            f"expansion_residual: expanding over 2^{h.edge_count} edge subsets exceeds "
-            f"the cap of 2^{MAX_EXPANSION_EDGES}")
+            f"expansion_residual: 2^{h.edge_count} edge subsets exceed the work budget "
+            f"of {budget}")
     u = shift(w, p)
     lhs = density(h, w, budget)
     edges = sorted(h.edges)

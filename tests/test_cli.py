@@ -35,6 +35,20 @@ def test_parse_seeds():
     assert _parse_seeds("0..3") == [0, 1, 2, 3]
     assert _parse_seeds("7") == [7]
     assert _parse_seeds("1,5,9") == [1, 5, 9]
+    for empty in ("5..3", ","):
+        with pytest.raises(ValueError, match="empty"):
+            _parse_seeds(empty)
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "identity", "goodman"),
+    ("common", "pair-gap", "--h1", "K3", "--h2", "K3", "--p1", "0.5"),
+    ("common", "dk3k2-verify"),
+], ids=["verify-identity", "pair-gap", "dk3k2-verify"])
+def test_empty_seed_range_is_a_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--seeds", "5..3")
+    assert code == 2
+    assert out == "" and "empty" in err
 
 
 def test_verify_identity_commands(capsys):
@@ -107,6 +121,15 @@ def test_common_certify(capsys):
                            "--template2", "simple_c5_vertex", "--l2", "0",
                            "--p1", "0.4")
     assert code == 1
+
+
+def test_common_certify_rejects_negative_l(capsys):
+    code, out, err = run_cli(capsys, "common", "certify",
+                             "--template1", "pentagon_square", "--l1", "-1",
+                             "--template2", "simple_c5_vertex", "--l2", "0",
+                             "--p1", "0.4940433955823518")
+    assert code == 2
+    assert out == "" and "non-negative" in err
 
 
 def test_common_falsify(capsys):

@@ -14,10 +14,9 @@ from homcommon.commonness import (CommonPairSpec, P_DIAMOND_PAIR,
                                   dk3k2_f, dk3k2_functions, dk3k2_verify,
                                   disjoint_k3_k2, falsify, girth_obstruction,
                                   pair_gap, pair_gap_objective, solve_simple_tree_p,
-                                  strongly_common_objective, _descend)
-from homcommon.cone import check_good
+                                  strongly_common_objective, _balance, _descend)
 from homcommon.graphons import StepKernel, constant_kernel
-from homcommon.graphs import make_family
+from homcommon.graphs import Graph, make_family
 
 K3 = make_family("complete", 3)
 C5 = make_family("cycle", 5)
@@ -65,10 +64,22 @@ def test_convexity_conditions_triangle_identity_case():
 def test_convexity_conditions_square_attachment_case():
     pent_sq = data.load_graph("pentagon_square")
     spec = CommonPairSpec(pent_sq, pent_sq, 0.5, f=C5, k1=2, k2=2, l1=1, l2=1)
-    cert = check_good(data.load_template("pentagon_square"))
-    rep = convexity_conditions(spec, range(20), certificates=(cert, cert))
+    rep = convexity_conditions(spec, range(20))
     assert rep["all_pass"]
-    assert rep["correlation_assurance"] == "certified"
+    assert rep["correlation_assurance"] == "numerically_supported"
+    t = data.load_template("pentagon_square")
+    assert certify_pair_via_templates(t, 1, t, 1, 0.5).certified
+
+
+def test_convexity_conditions_never_certify_by_edge_counts():
+    # nine disjoint edges match pentagon_square's H in e(H) = 2 e(C5) - 1,
+    # but t(9 K2) t(K2) = t(K2)^10 falls below t(C5)^2 on sampled graphons
+    matching = Graph.from_edges(18, [(2 * i, 2 * i + 1) for i in range(9)])
+    spec = CommonPairSpec(matching, matching, 0.5, f=C5, k1=2, k2=2, l1=1, l2=1)
+    rep = convexity_conditions(spec, range(20))
+    assert rep["edge_arithmetic"] and rep["balance"]
+    assert rep["correlation"] is False and rep["correlation_min_slack"] < 0
+    assert rep["correlation_assurance"] == "numerically_supported"
 
 
 def test_convexity_conditions_requires_fkl():
@@ -93,6 +104,37 @@ def test_certify_pair_symmetric_simple_tree():
     t = data.load_template("simple_c5_vertex")
     verdict = certify_pair_via_templates(t, 0, t, 0, 0.5)
     assert verdict.certified
+
+
+def test_certify_pair_at_a_fraction_is_exact():
+    t = data.load_template("simple_c5_vertex")
+    verdict = certify_pair_via_templates(t, 0, t, 0, Fraction(1, 2))
+    assert verdict.certified
+    assert isinstance(verdict.balance_residual, Fraction)
+    assert verdict.balance_residual == 0
+
+
+def test_certify_pair_rejects_negative_l():
+    t_sq = data.load_template("pentagon_square")
+    t_single = data.load_template("simple_c5_vertex")
+    # at the balancing p1 for l1 = -1, e(H1) would be 11 but J1 has 10 edges
+    p1 = 1.0 / (1.0 + 1.1 ** 0.25)
+    with pytest.raises(ValueError, match="non-negative"):
+        certify_pair_via_templates(t_sq, -1, t_single, 0, p1)
+    with pytest.raises(ValueError, match="non-negative"):
+        certify_pair_via_templates(t_single, 0, t_sq, -1, 1 - p1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c1=st.integers(1, 20), d1=st.integers(1, 20), c2=st.integers(1, 20),
+       d2=st.integers(1, 20), m=st.sampled_from([3, 5, 7, 9, 11]))
+def test_balance_holds_at_its_root(c1, d1, c2, d2, m):
+    ratio = (c2 / d2) / (c1 / d1)
+    root = 1.0 / (1.0 + ratio ** (1.0 / (m - 1)))
+    assert _balance((c1, d1), (c2, d2), m - 1, root)[1]
+    residual, holds = _balance((c1, d1), (c2, d2), m - 1, Fraction(1, 2))
+    assert holds == (Fraction(c1, d1) == Fraction(c2, d2))
+    assert (residual == 0) == holds
 
 
 def test_certify_pair_square_attachment_vs_bare_cycle():

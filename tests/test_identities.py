@@ -32,10 +32,19 @@ def test_expansion_residual_suite(small_suite):
                 assert abs(expansion_residual(h, w, p)) < IDENTITY_TOL
 
 
-def test_expansion_residual_edge_cap():
-    big = make_family("complete", 6)  # 15 edges
-    with pytest.raises(BudgetExceededError):
-        expansion_residual(big, constant_kernel(0.5), 0.5)
+def test_expansion_residual_charges_edge_subsets():
+    big = make_family("complete", 6)  # 15 edges: 2^15 subsets
+    with pytest.raises(BudgetExceededError, match="expansion_residual") as exc:
+        expansion_residual(big, constant_kernel(0.5), 0.5, budget=2**15 - 1)
+    assert str(2**15 - 1) in str(exc.value)
+
+
+def test_expansion_residual_thirteen_edges():
+    # K6 minus two disjoint edges: 2^13 subsets, within the default budget
+    h = Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)
+                             if (u, v) not in ((0, 1), (2, 3))])
+    assert h.edge_count == 13
+    assert abs(expansion_residual(h, constant_kernel(0.5), 0.3)) < IDENTITY_TOL
 
 
 def test_goodman_residual():
