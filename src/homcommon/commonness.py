@@ -147,6 +147,9 @@ def convexity_conditions(spec: CommonPairSpec, sample_seeds, max_blocks: int = 4
     """
     if spec.f is None:
         raise ValueError("convexity_conditions needs the (f, k, l) data")
+    sample_seeds = list(sample_seeds)
+    if not sample_seeds:
+        raise ValueError("convexity_conditions needs at least one sample seed")
     f = spec.f
     ef = f.edge_count
     cond1 = spec.h1.edge_count >= ef and spec.h2.edge_count >= ef
@@ -379,6 +382,9 @@ def dk3k2_verify(pair_gap_seeds=range(20), max_blocks: int = 4) -> dict:
     (c) Spot-check the pair gap of (diamond, K3 u K2) at the threshold p
         on sampled graphons.
     """
+    pair_gap_seeds = list(pair_gap_seeds)
+    if not pair_gap_seeds:
+        raise ValueError("dk3k2_verify needs at least one pair-gap seed")
     p = P_DIAMOND_PAIR
     s10 = math.sqrt(10.0)
     threshold = (7.0 + 2.0 * s10) / 60.0

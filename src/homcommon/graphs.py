@@ -304,18 +304,29 @@ def _contract(h: Graph, matrix: np.ndarray, vector: np.ndarray, budget: int, cal
 
 
 def hom_count(h: Graph, g: Graph, budget: int = DEFAULT_WORK_BUDGET) -> int:
-    """Exact number of edge-preserving maps V(h) -> V(g).
+    """Exact number of edge-preserving maps V(h) -> V(g): the one-graph
+    case of `_hom_counts`."""
+    return _hom_counts(h, [g], budget, "hom_count")[0]
 
-    The elimination contraction with g's 0/1 adjacency matrix and unit
-    vertex weights.  Every partial sum counts maps of a subset of V(h), so
-    int64 is exact while n^v(h) < 2^63; larger instances use Python ints.
+
+def _hom_counts(h: Graph, gs, budget: int, caller: str) -> list[int]:
+    """hom_count(h, g) for each g of the nonempty list gs of graphs on one
+    vertex count n, in one contraction.
+
+    The elimination contraction with the stacked (len(gs), n, n) 0/1
+    adjacency matrices and unit vertex weights; each graph's contraction is
+    charged against `budget`.  Every partial sum counts maps of a subset of
+    V(h), so int64 is exact while n^v(h) < 2^63; larger instances use
+    Python ints.
     """
-    n = g.vertex_count
+    n = gs[0].vertex_count
     dtype = np.int64 if n**h.vertex_count < 2**63 else object
-    adj = np.zeros((n, n), dtype=dtype)
-    for u, v in g.edges:
-        adj[u, v] = adj[v, u] = 1
-    return int(_contract(h, adj, np.ones(n, dtype=dtype), budget, "hom_count"))
+    adj = np.zeros((len(gs), n, n), dtype=dtype)
+    for i, g in enumerate(gs):
+        for u, v in g.edges:
+            adj[i, u, v] = adj[i, v, u] = 1
+    counts = _contract(h, adj, np.ones(n, dtype=dtype), budget, caller)
+    return [int(c) for c in np.broadcast_to(counts, (len(gs),))]
 
 
 def _count_cycles(h: Graph, length: int, budget: int) -> int:
@@ -374,7 +385,7 @@ def all_labelled_graphs(n: int):
     """Yield every labelled graph on exactly n vertices (2^C(n,2) of them)."""
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
-        yield Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+        yield Graph(n, frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
 
 
 def graph_to_json(g: Graph) -> dict:

@@ -87,6 +87,14 @@ def test_convexity_conditions_requires_fkl():
         convexity_conditions(CommonPairSpec(K3, K3, 0.5), range(5))
 
 
+def test_convexity_conditions_rejects_empty_seed_list():
+    # the sampled minimum over no seeds is inf, which would pass condition 4
+    spec = CommonPairSpec(K3, K3, 0.5, f=K3, k1=1, k2=1, l1=0, l2=0)
+    for seeds in ([], range(0), iter(())):
+        with pytest.raises(ValueError, match="seed"):
+            convexity_conditions(spec, seeds)
+
+
 def test_certify_pair_square_attachment_vs_c5():
     t_sq = data.load_template("pentagon_square")
     t_single = data.load_template("simple_c5_vertex")
@@ -221,6 +229,12 @@ def test_dk3k2_point_values():
         dk3k2_functions(0.9, "g0")
     with pytest.raises(ValueError):
         dk3k2_functions(0.0, "g2")
+
+
+def test_dk3k2_verify_rejects_empty_seed_list():
+    for seeds in ([], range(0)):
+        with pytest.raises(ValueError, match="seed"):
+            dk3k2_verify(pair_gap_seeds=seeds)
 
 
 def test_dk3k2_verify_report():

@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_graphs
-from homcommon import data
+from homcommon import cone, data
 from homcommon.cone import (_phase_one, binomial_inequality_check, certificate_from_json,
                             certificate_to_json, check_good,
                             enumerate_generators, template_hash,
                             verify_certificate)
 from homcommon.gluing import (ClassVector, GluingTemplate, build_j, x_vector,
                               z_vector)
-from homcommon.graphs import BudgetExceededError, make_family, random_graph
+from homcommon.graphs import (BudgetExceededError, _plan, all_labelled_graphs,
+                              graph_to_json, hom_count, make_family, random_graph)
 
 C5 = make_family("cycle", 5)
 
@@ -293,6 +294,154 @@ def test_phase_one_answers_are_exact_certificates(system):
         for col in columns:
             assert sum(y * a for y, a in zip(payload, col)) <= 0
         assert sum(y * v for y, v in zip(payload, b)) > 0
+
+
+@st.composite
+def _rational_systems(draw):
+    """Integer systems A c = b with up to 6 rows and 10 columns and right-hand
+    sides of denominator up to 6; half are feasible by construction, with
+    c = k / d for one denominator d."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 10))
+    entries = st.integers(-4, 4)
+    columns = [[Fraction(draw(entries)) for _ in range(m)] for _ in range(n)]
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 6))
+        k = [draw(st.integers(0, 4)) for _ in range(n)]
+        b = [Fraction(sum(k[j] * columns[j][i] for j in range(n)), d) for i in range(m)]
+        return columns, b, True
+    return columns, [Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+                     for _ in range(m)], False
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_systems())
+def test_phase_one_rational_rhs_sparse_columns(system):
+    columns, b, feasible_by_construction = system
+    m = len(b)
+    # the solver takes the same columns as sparse {row: int} dicts
+    sparse = [{i: int(v) for i, v in enumerate(col) if v} for col in columns]
+    status, payload = _phase_one(sparse, b)
+    assert (status, payload) == _dense_phase_one(columns, b)
+    if status == "feasible":
+        assert all(c >= 0 for c in payload)
+        assert [sum(c * col[i] for c, col in zip(payload, columns)) for i in range(m)] == b
+    else:
+        assert not feasible_by_construction
+        for col in columns:
+            assert sum(y * a for y, a in zip(payload, col)) <= 0
+        assert sum(y * v for y, v in zip(payload, b)) > 0
+
+
+@pytest.mark.parametrize("columns,b", [
+    ([[0, -1, 1, 2], [2, 1, 1, 1]], [0, 2, 0, 0]),
+    ([[-1, 2, 1, 0], [1, -1, 1, 2], [2, -1, 2, 1], [1, 1, 2, -1]], [0, 1, 0, 0]),
+])
+def test_phase_one_degenerate_ties_go_to_smaller_basic_variable(columns, b):
+    # degenerate systems where a ratio-test tie is broken against row order
+    columns = [[Fraction(v) for v in col] for col in columns]
+    b = [Fraction(v) for v in b]
+    assert _phase_one(columns, b) == _dense_phase_one(columns, b)
+
+
+@pytest.mark.parametrize("column", [[Fraction(1, 2)], [Fraction(1), 0.5], {1: Fraction(3, 2)}])
+def test_phase_one_rejects_non_integer_columns(column):
+    with pytest.raises(ValueError, match="integer"):
+        _phase_one([[Fraction(1), Fraction(0)], column], [Fraction(1), Fraction(1)])
+
+
+def _per_graph_binomial(t, max_g_vertices, extra_graphs):
+    """Reference: one hom_count per graph and exact `Fraction` densities."""
+    j, _ = build_j(t)
+    f = t.base
+    ratio = Fraction(j.edge_count, f.edge_count)
+    graphs = [g for n in range(1, max_g_vertices + 1) for g in all_labelled_graphs(n)]
+    min_slack = argmin = None
+    exact_ok = True
+    for g in graphs + list(extra_graphs):
+        n = g.vertex_count
+        t_j = Fraction(hom_count(j, g), n**j.vertex_count)
+        t_f = Fraction(hom_count(f, g), n**f.vertex_count)
+        exact_ok = exact_ok and t_j**ratio.denominator >= t_f**ratio.numerator
+        slack = float(t_j) - float(t_f) ** float(ratio)
+        if min_slack is None or slack < min_slack:
+            min_slack, argmin = slack, g
+    return {"all_hold_exact": exact_ok, "min_slack": min_slack,
+            "argmin_graph": graph_to_json(argmin),
+            "graphs_checked": len(graphs) + len(extra_graphs),
+            "exponent": f"{ratio.numerator}/{ratio.denominator}"}
+
+
+@pytest.mark.parametrize("batch", [cone._BATCH, 5])
+def test_batched_binomial_matches_per_graph_loop(batch, monkeypatch):
+    # batch 5 splits the runs of same-size graphs into several contractions
+    monkeypatch.setattr(cone, "_BATCH", batch)
+    t = data.load_template("pentagon_square")
+    cert = check_good(t)
+    k3 = make_family("complete", 3)
+    # mixed sizes out of order, a repeated graph and a graph whose size
+    # continues the last all-graphs run
+    extra = [random_graph(6, 1), random_graph(2, 2), k3, random_graph(7, 3), k3,
+             random_graph(4, 4), make_family("complete", 5), random_graph(6, 5)]
+    report = binomial_inequality_check(t, 4, cert=cert, extra_graphs=extra)
+    assert report == _per_graph_binomial(t, 4, extra)
+    assert report["graphs_checked"] == 1 + 2 + 8 + 64 + len(extra)
+
+
+def test_batched_binomial_object_counts():
+    # J(gen_c5_tree_a) has 15 vertices, so 19-vertex graphs need Python ints
+    t = data.load_template("gen_c5_tree_a")
+    j, _ = build_j(t)
+    assert j.vertex_count == 15 and 19**15 >= 2**63
+    cert = check_good(t)
+    extra = [random_graph(19, 6), random_graph(3, 7), random_graph(19, 8, 0.8)]
+    report = binomial_inequality_check(t, 2, cert=cert, extra_graphs=extra)
+    assert report == _per_graph_binomial(t, 2, extra)
+
+
+def test_binomial_check_charges_each_graph():
+    t = data.load_template("pentagon_square")
+    cert = check_good(t)
+    j, _ = build_j(t)
+    # the dearest single contraction: J or F over a 4-vertex graph
+    work = max(sum(4**w for w in _plan(h).widths) for h in (j, t.base))
+    assert binomial_inequality_check(t, 4, cert=cert, budget=work)["all_hold_exact"]
+    with pytest.raises(BudgetExceededError, match="^binomial_inequality_check: "):
+        binomial_inequality_check(t, 4, cert=cert, budget=work - 1)
+
+
+C7 = make_family("cycle", 7)
+
+
+def test_enumerate_generators_returns_fresh_copies():
+    first = enumerate_generators(C7)
+    assert len(first) == 433
+    assert enumerate_generators(C7) == first
+    expected = [(triple, dict(vec.coeffs)) for triple, vec in first]
+    first[0][1].coeffs[(0,)] = Fraction(99)
+    first[1][1].coeffs.clear()
+    first.pop()
+    again = enumerate_generators(C7)
+    assert [(triple, vec.coeffs) for triple, vec in again] == expected
+
+
+def test_check_good_charges_generators_when_cached():
+    enumerate_generators(C7)
+    with pytest.raises(BudgetExceededError, match="^check_good: "):
+        check_good(_c7_template("c7_square"), budget=4**7 - 1)
+    assert check_good(_c7_template("c7_square"), budget=4**7).verdict == "good"
+
+
+def test_check_good_enumerates_through_the_public_function(monkeypatch):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return enumerate_generators(f)
+
+    monkeypatch.setattr(cone, "enumerate_generators", counted)
+    check_good(_c7_template("c7_lone_edge"))
+    assert calls and all(f == C7 for f in calls)
 
 
 def _c7_template(name):
