@@ -658,6 +658,8 @@ def falsify(objective: GapObjective, seed: int, restarts: int = 50, steps: int =
                         f"{type(objective).__name__}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    if max_blocks < 1:
+        raise ValueError("max_blocks must be at least 1")
     starts: dict[int, list] = {}
     for r in range(restarts):
         rng = np.random.default_rng((int(seed) * 0x9E3779B97F4A7C15 + r) % 2**64)

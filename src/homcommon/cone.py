@@ -2,13 +2,14 @@
 
 A template is good when (e(J)/e(F)) * e_V(F) - z lies in the convex cone
 of the x-vectors over pairwise disjoint subset triples.  The generators
-are enumerated over bitmask triples with integer coefficients on canonical
-class masks, keeping one least triple per distinct vector, once per base
-graph and process.  Feasibility is decided by an exact revised phase-one
-simplex in integers (a fraction-free basis inverse over one positive
-denominator, Bland's rule); "good" verdicts carry the conic coefficients
-and "not good" verdicts a Farkas separating vector, both re-verified
-independently of the solver before being returned.
+are enumerated over bitmask triples, keeping one least triple per distinct
+vector, once per base graph and process, and kept in one immutable form:
+integer coefficients on canonical classes.  Feasibility is decided by an
+exact revised phase-one simplex in integers (a fraction-free basis inverse
+over one positive denominator, Bland's rule) on columns read from that
+form; "good" verdicts carry the conic coefficients and "not good" verdicts
+a Farkas separating vector.  Both are re-verified before being returned by
+a check that shares the generator enumeration but not the simplex.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .gluing import (ClassVector, GluingTemplate, _canonical_table, _lex_submask
                      x_vector, z_vector)
 
 GeneratorTriple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+# a cone generator: its least triple and its (class, integer coefficient) items
+Generator = tuple[GeneratorTriple, tuple[tuple[tuple[int, ...], int], ...]]
 # candidate graphs per batched hom-count contraction in the binomial check;
 # 1024-graph batches were no faster and raised peak memory by 0.7 MB
 _BATCH = 256
@@ -46,20 +49,13 @@ class GoodnessCertificate:
     j_edge_count: int
 
 
-def enumerate_generators(f: Graph):
+@lru_cache(maxsize=64)
+def enumerate_generators(f: Graph) -> tuple[Generator, ...]:
     """Distinct nonzero x-vectors over unordered disjoint triples with
     r1, r3 nonempty; one lexicographically-least triple per vector.
 
-    Enumerated once per base graph and process; each call returns a new
-    list of new `ClassVector`s.
-    """
-    return [(triple, ClassVector(f, dict(coeffs))) for triple, coeffs in _generators(f)]
-
-
-@lru_cache(maxsize=64)
-def _generators(f: Graph) -> tuple:
-    """The generators as a tuple of (triple, ((class, integer coefficient), ...)).
-
+    Enumerated once per base graph and process: every call returns the
+    same immutable tuple of (triple, ((class, integer coefficient), ...)).
     Triples are walked as bitmasks in lexicographic order of (r1, r2, r3),
     so the first triple met for a vector is its least.  The vector
     e(r1|r2|r3) - e(r2|r3) - e(r1|r2) + e(r2) is keyed by its four canonical
@@ -194,30 +190,24 @@ def check_good(t: GluingTemplate, budget: int = DEFAULT_WORK_BUDGET) -> Goodness
     target = ClassVector.basis(f, range(f.vertex_count)).scaled(
         Fraction(j.edge_count, f.edge_count))
     rhs_vec = target - z_vector(t)
-    if rhs_vec.is_zero():
-        cert = GoodnessCertificate(t, "good", target, (), None,
-                                   j.vertex_count, j.edge_count)
-        if not verify_certificate(cert, budget):
-            raise AssertionError("trivial certificate failed re-verification")
-        return cert
-    _charge_generators("check_good", f, budget)
-    generators = enumerate_generators(f)
-    class_keys = sorted({k for _, vec in generators for k in vec.coeffs}
-                        | set(rhs_vec.coeffs), key=lambda k: (len(k), k))
-    row_of = {k: i for i, k in enumerate(class_keys)}
-    columns = [{row_of[k]: v for k, v in vec.coeffs.items()} for _, vec in generators]
-    b = [rhs_vec.coeffs.get(k, Fraction(0)) for k in class_keys]
-    status, payload = _phase_one(columns, b)
-    if status == "feasible":
-        used = tuple((generators[idx][0], coeff)
-                     for idx, coeff in enumerate(payload) if coeff != 0)
-        cert = GoodnessCertificate(t, "good", target, used, None,
-                                   j.vertex_count, j.edge_count)
-    else:
-        witness = ClassVector(f, {class_keys[i]: payload[i]
-                                  for i in range(len(class_keys)) if payload[i] != 0})
-        cert = GoodnessCertificate(t, "not_good", target, (), witness,
-                                   j.vertex_count, j.edge_count)
+    used, witness = (), None
+    # a zero right-hand side is good with no generators and no 4^v(F) charge
+    if not rhs_vec.is_zero():
+        _charge_generators("check_good", f, budget)
+        generators = enumerate_generators(f)
+        class_keys = sorted({k for _, coeffs in generators for k, _ in coeffs}
+                            | set(rhs_vec.coeffs), key=lambda k: (len(k), k))
+        row_of = {k: i for i, k in enumerate(class_keys)}
+        columns = [{row_of[k]: v for k, v in coeffs} for _, coeffs in generators]
+        b = [rhs_vec.coeffs.get(k, Fraction(0)) for k in class_keys]
+        status, payload = _phase_one(columns, b)
+        if status == "feasible":
+            used = tuple((generators[idx][0], coeff)
+                         for idx, coeff in enumerate(payload) if coeff != 0)
+        else:
+            witness = ClassVector(f, {k: y for k, y in zip(class_keys, payload) if y != 0})
+    cert = GoodnessCertificate(t, "good" if witness is None else "not_good", target, used,
+                               witness, j.vertex_count, j.edge_count)
     if not verify_certificate(cert, budget):
         raise AssertionError("solver output failed independent re-verification")
     return cert
@@ -235,11 +225,13 @@ def verify_certificate(cert: GoodnessCertificate,
                        budget: int = DEFAULT_WORK_BUDGET) -> bool:
     """Recompute everything the certificate asserts, in exact arithmetic.
 
-    Good: coefficients non-negative and z + sum(c * x) equals the target.
-    Not good: the witness has non-positive inner product with every
-    generator and positive inner product with target - z.  The class table
-    and, for a not-good certificate, generator enumeration are charged
-    against `budget` as in `check_good`.
+    Good: coefficients non-negative and z + sum(c * x) equals the target,
+    with each x-vector rebuilt from its triple.  Not good: the witness has
+    positive inner product with target - z and non-positive inner product
+    with every generator of `enumerate_generators`; the latter products are
+    taken in integers, on the witness scaled by the lcm of its denominators.
+    The class table and, for a not-good certificate, generator enumeration
+    are charged against `budget` as in `check_good`.
     """
     if cert.verdict not in ("good", "not_good"):
         raise ValueError(f"malformed certificate verdict {cert.verdict!r}")
@@ -271,10 +263,11 @@ def verify_certificate(cert: GoodnessCertificate,
     if witness.inner(target - z) <= 0:
         return False
     _charge_generators("verify_certificate", f, budget)
-    for _, vec in enumerate_generators(f):
-        if witness.inner(vec) > 0:
-            return False
-    return True
+    # the witness times the lcm of its denominators (> 0, so signs hold)
+    scale = math.lcm(*(v.denominator for v in witness.coeffs.values()))
+    y = {k: v.numerator * (scale // v.denominator) for k, v in witness.coeffs.items()}
+    return all(sum(y.get(k, 0) * v for k, v in coeffs) <= 0
+               for _, coeffs in enumerate_generators(f))
 
 
 def binomial_inequality_check(t: GluingTemplate, max_g_vertices: int,

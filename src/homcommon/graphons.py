@@ -33,12 +33,16 @@ class StepKernel:
         q = len(self.measures)
         if q < 1:
             raise ValueError("need at least one block")
+        if not all(map(math.isfinite, self.measures)):
+            raise ValueError("block measures must be finite")
         if abs(math.fsum(self.measures) - 1.0) > _MEASURE_TOL:
             raise ValueError("block measures must sum to 1")
         if any(m < 0 for m in self.measures):
             raise ValueError("block measures must be non-negative")
         if len(self.values) != q or any(len(row) != q for row in self.values):
             raise ValueError("values must be a q x q matrix")
+        if not all(math.isfinite(v) for row in self.values for v in row):
+            raise ValueError("values must be finite")
         for i in range(q):
             for j in range(q):
                 if self.values[i][j] != self.values[j][i]:

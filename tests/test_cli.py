@@ -1,11 +1,13 @@
+import dataclasses
 import json
 
 import pytest
 
 from homcommon import data
 from homcommon.cli import RunConfig, _parse_seeds, build_parser, main
-from homcommon.cone import certificate_from_json, verify_certificate
-from homcommon.gluing import template_to_json
+from homcommon.cone import (certificate_from_json, certificate_to_json, enumerate_generators,
+                            verify_certificate)
+from homcommon.gluing import ClassVector, template_to_json, x_vector, z_vector
 from homcommon.graphs import DEFAULT_WORK_BUDGET, IDENTITY_TOL, INEQUALITY_TOL
 
 
@@ -202,6 +204,27 @@ def test_glue_verify_certificate_file(capsys, tmp_path):
     assert code == 2
     assert "template_hash" in err
 
+
+
+def test_glue_verify_rejects_a_raised_farkas_coefficient(capsys, tmp_path):
+    path = tmp_path / "lone_edge.json"
+    assert run_cli(capsys, "glue", "check", "lone_edge_c5", "--certificate", str(path))[0] == 1
+    cert = certificate_from_json(json.loads(path.read_text()))
+    base, y = cert.template.base, dict(cert.farkas_witness.coeffs)
+    xs = [x_vector(base, *triple) for triple, _ in enumerate_generators(base)]
+    # raise the coefficient of the full class, which target - z weights
+    # positively, until some generator has a positive product with it
+    full = tuple(range(base.vertex_count))
+    while all(ClassVector(base, y).inner(x) <= 0 for x in xs):
+        y[full] += 1
+    witness = ClassVector(base, y)
+    assert witness.inner(cert.target - z_vector(cert.template)) > 0
+    tampered = dataclasses.replace(cert, farkas_witness=witness)
+    assert not verify_certificate(tampered)
+    path.write_text(json.dumps(certificate_to_json(tampered)))
+    code, out, _ = run_cli(capsys, "glue", "verify", str(path))
+    assert code == 1
+    assert json.loads(out)["verified"] is False
 
 
 def test_budget_reaches_glue_verify(capsys, tmp_path):

@@ -349,6 +349,13 @@ def test_lockstep_descent_matches_each_start_alone(q):
         assert np.allclose(together_v[k], alone_v[0], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("max_blocks", [0, -1])
+def test_falsify_rejects_fewer_than_one_block(max_blocks):
+    with pytest.raises(ValueError, match="max_blocks"):
+        falsify(common_gap_objective(K3), seed=1, restarts=2, steps=2, max_blocks=max_blocks)
+    falsify(common_gap_objective(K3), seed=1, restarts=2, steps=2, max_blocks=1)
+
+
 def test_falsify_rejects_a_bare_callable():
     paw = data.load_graph("paw")
     with pytest.raises(TypeError, match="batch"):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 from fractions import Fraction
 from itertools import product
@@ -104,9 +105,10 @@ def test_enumerate_generators_distinct_nonzero():
     gens = enumerate_generators(C5)
     assert gens
     seen = set()
-    for (r1, r2, r3), vec in gens:
-        assert not vec.is_zero()
-        key = tuple(sorted(vec.coeffs.items()))
+    for (r1, r2, r3), coeffs in gens:
+        assert coeffs and all(v != 0 for _, v in coeffs)
+        assert len({k for k, _ in coeffs}) == len(coeffs)
+        key = tuple(sorted(coeffs))
         assert key not in seen
         seen.add(key)
         assert set(r1).isdisjoint(r2) and set(r1).isdisjoint(r3) and set(r2).isdisjoint(r3)
@@ -211,7 +213,7 @@ def _assert_same_generators(f):
     got = enumerate_generators(f)
     want = _reference_generators(f)
     assert [triple for triple, _ in got] == [triple for triple, _ in want]
-    assert [list(vec.coeffs.items()) for _, vec in got] == \
+    assert [list(coeffs) for _, coeffs in got] == \
         [list(vec.coeffs.items()) for _, vec in want]
 
 
@@ -413,16 +415,51 @@ def test_binomial_check_charges_each_graph():
 C7 = make_family("cycle", 7)
 
 
-def test_enumerate_generators_returns_fresh_copies():
-    first = enumerate_generators(C7)
-    assert len(first) == 433
-    assert enumerate_generators(C7) == first
-    expected = [(triple, dict(vec.coeffs)) for triple, vec in first]
-    first[0][1].coeffs[(0,)] = Fraction(99)
-    first[1][1].coeffs.clear()
-    first.pop()
-    again = enumerate_generators(C7)
-    assert [(triple, vec.coeffs) for triple, vec in again] == expected
+def _only_tuples_and_ints(value):
+    if isinstance(value, tuple):
+        return all(_only_tuples_and_ints(v) for v in value)
+    return type(value) is int
+
+
+def test_enumerate_generators_returns_one_cached_tuple():
+    gens = enumerate_generators(C7)
+    assert enumerate_generators(C7) is gens
+    assert _only_tuples_and_ints(gens)
+    assert len(gens) == 433
+
+
+@functools.cache
+def _lone_edge(base_name):
+    f = C5 if base_name == "C5" else make_family("path", 5)
+    return check_good(GluingTemplate.make(f, 1, [], {0: [0, 1]}, {}))
+
+
+def _reference_farkas_verdict(cert):
+    """Reference: `ClassVector.inner` in `Fraction`s, against target - z and
+    the x-vector of every generator triple of the assignment loop."""
+    y, t = cert.farkas_witness, cert.template
+    if y.inner(cert.target - z_vector(t)) <= 0:
+        return False
+    return all(y.inner(vec) <= 0 for _, vec in _reference_generators(t.base))
+
+
+_rationals = st.one_of(st.just(Fraction(0)),
+                       st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["C5", "P5"]), st.integers(0, 3), st.data())
+def test_integer_farkas_check_matches_fraction_reference(base_name, multiple, data_):
+    # the solver's witness times 0-3, with up to 3 generator classes moved
+    # by rationals of mixed sign and denominator, or by zero
+    cert = _lone_edge(base_name)
+    classes = sorted({k for _, coeffs in enumerate_generators(cert.template.base)
+                      for k, _ in coeffs})
+    y = {k: multiple * v for k, v in cert.farkas_witness.coeffs.items()}
+    for k in data_.draw(st.lists(st.sampled_from(classes), max_size=3, unique=True)):
+        y[k] = y.get(k, 0) + data_.draw(_rationals)
+    tampered = dataclasses.replace(cert, farkas_witness=ClassVector(cert.template.base, y))
+    assert verify_certificate(tampered) == _reference_farkas_verdict(tampered)
 
 
 def test_check_good_charges_generators_when_cached():

@@ -30,6 +30,22 @@ def test_kernel_invariants():
     StepKernel((1.0,), ((1.5,),))  # fine as a plain kernel
 
 
+@pytest.mark.parametrize("measures", [(math.nan, 1.0), (math.inf, 0.5), (0.5, -math.inf)])
+def test_kernel_rejects_non_finite_measures(measures):
+    with pytest.raises(ValueError, match="measures must be finite"):
+        StepKernel(measures, ((0.5, 0.5), (0.5, 0.5)), graphon=True)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("graphon", [False, True])
+def test_kernel_rejects_non_finite_values(bad, graphon):
+    # a NaN on the diagonal is rejected as non-finite, not as asymmetric
+    with pytest.raises(ValueError, match="values must be finite"):
+        StepKernel((0.5, 0.5), ((bad, 0.5), (0.5, 0.5)), graphon=graphon)
+    with pytest.raises(ValueError, match="values must be finite"):
+        StepKernel((0.5, 0.5), ((0.5, bad), (bad, 0.5)), graphon=graphon)
+
+
 def test_density_constant_kernels():
     assert density(K2, constant_kernel(0.37)) == pytest.approx(0.37, abs=1e-15)
     assert density(C5, constant_kernel(0.5)) == pytest.approx(1 / 32, abs=1e-15)
