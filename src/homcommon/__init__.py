@@ -6,9 +6,8 @@ cone membership, and numerically verifies the density identities and
 commonness inequalities the certificates rest on.
 """
 
-from .graphs import (BudgetExceededError, Graph, Permutation, automorphisms,
-                     disjoint_union, girth_and_cycle_count, hom_count,
-                     make_family, subgraph_on_edges)
+from .graphs import (BudgetExceededError, Graph, automorphisms, disjoint_union,
+                     girth_and_cycle_count, hom_count, make_family, subgraph_on_edges)
 from .graphons import StepKernel, density, sample_graphon, shift
 from .gluing import (ClassVector, GluingTemplate, build_j, canonical_class,
                      class_count, x_vector, z_vector)

@@ -19,7 +19,7 @@ from .commonness import (CommonPairSpec, certify_pair_via_templates, common_gap_
                          dk3k2_verify, falsify, pair_gap, solve_simple_tree_p)
 from .cone import certificate_from_json, certificate_to_json, check_good, verify_certificate
 from .gluing import template_from_json
-from .graphons import density, sample_graphon
+from .graphons import density, kernel_to_json, sample_graphon
 from .graphs import (DEFAULT_WORK_BUDGET, IDENTITY_TOL, INEQUALITY_TOL, BudgetExceededError,
                      make_family)
 from .identities import (c5_goodman_residual, expansion_residual, goodman_residual)
@@ -114,7 +114,7 @@ def _cmd_glue_check(args, config: RunConfig) -> int:
 def _cmd_glue_verify(args, config: RunConfig) -> int:
     with open(args.certificate) as fh:
         payload = json.load(fh)
-    cert = certificate_from_json(payload)
+    cert = certificate_from_json(payload, config.work_budget)
     verified = verify_certificate(cert, config.work_budget)
     _emit({"certificate": args.certificate, "template_hash": payload["template_hash"],
            "verdict": cert.verdict, "verified": verified}, config)
@@ -172,8 +172,7 @@ def _cmd_falsify(args, config: RunConfig) -> int:
               "steps": args.steps, "threshold": args.threshold, "budget": config.work_budget,
               "best_gap": result.best_gap, "evaluations": result.evaluations,
               "violation_found": violation,
-              "witness": {"measures": list(result.best_kernel.measures),
-                          "values": [list(r) for r in result.best_kernel.values]}}
+              "witness": kernel_to_json(result.best_kernel)}
     _emit(report, config)
     return 1 if violation else 0
 

@@ -507,16 +507,8 @@ def appendix_convexity_verify(f: Graph, e1: int, e2: int, k1: int, k2: int,
         return _golden_min(lambda y: objective(x, y), y_lo, y_hi, tol=1e-11)
 
     margin = 1e-9
-    xs = np.linspace(-p1 + margin, p2 - margin, grid)
-    best_x, best = None, math.inf
-    for x in xs:
-        _, val = min_over_y(float(x))
-        if val < best:
-            best, best_x = val, float(x)
-    step = float(xs[1] - xs[0])
-    lo = max(-p1 + margin, best_x - step)
-    hi = min(p2 - margin, best_x + step)
-    x_min, value = _golden_min(lambda x: min_over_y(x)[1], lo, hi, tol=1e-9)
+    x_min, value = _grid_then_golden(lambda x: min_over_y(x)[1], -p1 + margin, p2 - margin,
+                                     grid, tol=1e-9)
     y_min = min_over_y(x_min)[0]
     expected = p1 / e1 + p2 / e2
     # Bernoulli boundary values where one colour class saturates
@@ -658,6 +650,8 @@ def falsify(objective: GapObjective, seed: int, restarts: int = 50, steps: int =
                         f"{type(objective).__name__}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    if steps < 0:
+        raise ValueError("steps must be at least 0")
     if max_blocks < 1:
         raise ValueError("max_blocks must be at least 1")
     starts: dict[int, list] = {}

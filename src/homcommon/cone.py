@@ -24,9 +24,9 @@ from itertools import chain, groupby, islice
 
 from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _hom_counts,
                      all_labelled_graphs, graph_to_json)
-from .gluing import (ClassVector, GluingTemplate, _canonical_table, _lex_submasks,
-                     _mask_vertices, build_j, template_from_json, template_to_json,
-                     x_vector, z_vector)
+from .gluing import (ClassVector, GluingTemplate, _as_subset, _canonical_table,
+                     _lex_submasks, _mask_vertices, build_j, template_from_json,
+                     template_to_json, x_vector, z_vector)
 
 GeneratorTriple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 # a cone generator: its least triple and its (class, integer coefficient) items
@@ -336,10 +336,16 @@ def _classvec_to_json(vec: ClassVector) -> dict:
     return {",".join(map(str, k)): _fraction_to_str(v) for k, v in sorted(vec.coeffs.items())}
 
 
-def _classvec_from_json(base: Graph, obj: dict) -> ClassVector:
+def _classvec_from_json(base: Graph, obj: dict, canon: tuple[int, ...]) -> ClassVector:
+    """Read a class vector whose keys are canonical representatives, as
+    `_classvec_to_json` writes them; `canon` is the base's class table."""
     coeffs = {}
     for key, val in obj.items():
         k = tuple(int(x) for x in key.split(","))
+        rep = _mask_vertices(canon[sum(1 << v for v in _as_subset(base, k))])
+        if k != rep:
+            raise ValueError(f"class key {key!r} is not the canonical representative "
+                             f"{','.join(map(str, rep))!r} of its class")
         coeffs[k] = Fraction(val)
     return ClassVector(base, coeffs)
 
@@ -361,12 +367,15 @@ def certificate_to_json(cert: GoodnessCertificate) -> dict:
     }
 
 
-def certificate_from_json(obj: dict) -> GoodnessCertificate:
+def certificate_from_json(obj: dict, budget: int = DEFAULT_WORK_BUDGET) -> GoodnessCertificate:
+    """Parse a certificate file; building the base's class table, which its
+    class keys are checked against, is charged against `budget`."""
     if not isinstance(obj, dict) or "template" not in obj or "verdict" not in obj:
         raise ValueError("certificate JSON needs 'template' and 'verdict' fields")
     t = template_from_json(obj["template"])
     if obj.get("template_hash") != template_hash(t):
         raise ValueError("certificate 'template_hash' missing or mismatched (tampered file?)")
+    canon = _canonical_table(t.base, budget, "certificate_from_json")
     try:
         gens = tuple(
             ((tuple(g["r1"]), tuple(g["r2"]), tuple(g["r3"])), Fraction(g["coeff"]))
@@ -375,9 +384,9 @@ def certificate_from_json(obj: dict) -> GoodnessCertificate:
         return GoodnessCertificate(
             template=t,
             verdict=obj["verdict"],
-            target=_classvec_from_json(t.base, obj.get("target", {})),
+            target=_classvec_from_json(t.base, obj.get("target", {}), canon),
             generators_used=gens,
-            farkas_witness=(_classvec_from_json(t.base, witness)
+            farkas_witness=(_classvec_from_json(t.base, witness, canon)
                             if witness is not None else None),
             j_vertex_count=int(obj["j_vertex_count"]),
             j_edge_count=int(obj["j_edge_count"]),

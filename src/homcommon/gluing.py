@@ -53,32 +53,36 @@ def _canonical_table(f: Graph, budget: int, caller: str) -> tuple[int, ...]:
     """Indexed by subset mask of V(f): the mask of its canonical
     representative, the lexicographically least sorted tuple over Aut(f).
 
-    Built once per base graph and process.  Building charges the
-    automorphism search's nodes, then |Aut(f)| * 2^v(f) subset images,
-    each against `budget`; errors name `caller`.
+    Built once per base graph and process.  The automorphism search charges
+    its nodes against `budget`, and each automorphism it yields charges
+    2^v(f) subset images; the table is refused as soon as the images exceed
+    `budget`, before any is built.  Errors name `caller`.  The table is one
+    running minimum, by rank, over the subset images of each automorphism.
     """
     table = _CANONICAL_TABLES.get(f)
     if table is not None:
         return table
+    n = f.vertex_count
+    perms = []
     try:
-        perms = automorphisms(f, budget)
+        for perm in automorphisms(f, budget):
+            perms.append(perm)
+            if len(perms) << n > budget:
+                raise BudgetExceededError(
+                    f"canonicalising subsets of a {n}-vertex base takes at least "
+                    f"{len(perms) << n} subset images, budget {budget}")
     except BudgetExceededError as exc:
         raise BudgetExceededError(f"{caller}: {exc}") from None
-    n = f.vertex_count
-    if len(perms) << n > budget:
-        raise BudgetExceededError(
-            f"{caller}: canonicalising subsets of a {n}-vertex base takes "
-            f"{len(perms) << n} subset images, budget {budget}")
-    _, rank = _lex_submasks(n)
-    images = []
-    for p in perms:
-        image = [0] * (1 << n)
+    lex, rank = _lex_submasks(n)
+    best = list(rank)
+    image = [0] * (1 << n)
+    for perm in perms:
         for mask in range(1, 1 << n):
             low = mask & -mask
-            image[mask] = image[mask ^ low] | 1 << p.image[low.bit_length() - 1]
-        images.append(image)
-    table = tuple(min((image[mask] for image in images), key=rank.__getitem__)
-                  for mask in range(1 << n))
+            image[mask] = m = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+            if rank[m] < best[mask]:
+                best[mask] = rank[m]
+    table = tuple(lex[-1][r] for r in best)
     _CANONICAL_TABLES[f] = table
     return table
 

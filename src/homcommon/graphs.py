@@ -17,6 +17,7 @@ import math
 import random
 import re
 import string
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -74,33 +75,6 @@ class Graph:
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(len(s) for s in self.neighbor_sets()))
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on {0, ..., n-1}, stored as the image sequence."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.image) != list(range(len(self.image))):
-            raise ValueError("image is not a bijection on 0..n-1")
-
-    def apply(self, v: int) -> int:
-        return self.image[v]
-
-    def apply_set(self, s) -> frozenset[int]:
-        return frozenset(self.image[v] for v in s)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: v -> self(other(v))."""
-        return Permutation(tuple(self.image[other.image[v]] for v in range(len(self.image))))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for v, w in enumerate(self.image):
-            inv[w] = v
-        return Permutation(tuple(inv))
 
 
 FAMILY_KINDS = ("cycle", "path", "complete", "complete_minus_edge")
@@ -181,11 +155,13 @@ def components(g: Graph) -> list[list[int]]:
     return out
 
 
-def automorphisms(g: Graph, budget: int = DEFAULT_WORK_BUDGET) -> list[Permutation]:
-    """All adjacency-preserving bijections of g, by backtracking.
+def automorphisms(g: Graph, budget: int = DEFAULT_WORK_BUDGET) -> Iterator[tuple[int, ...]]:
+    """Yield every adjacency-preserving bijection of g as its image tuple,
+    by backtracking, in lexicographic order of the tuples.
 
     The search is factorial in the worst case; each node it visits (one
-    partial bijection) is charged against `budget`.
+    partial bijection) is charged against `budget` as the generator reaches
+    it, so a caller that stops early pays only for what it consumed.
     """
     n = g.vertex_count
     adj = [[False] * n for _ in range(n)]
@@ -194,7 +170,6 @@ def automorphisms(g: Graph, budget: int = DEFAULT_WORK_BUDGET) -> list[Permutati
     deg = [sum(row) for row in adj]
     image = [-1] * n
     used = [False] * n
-    found: list[Permutation] = []
     nodes = 0
 
     def extend(v: int):
@@ -204,7 +179,7 @@ def automorphisms(g: Graph, budget: int = DEFAULT_WORK_BUDGET) -> list[Permutati
             raise BudgetExceededError(f"automorphisms: searching a {n}-vertex graph "
                                       f"needs more nodes than budget {budget}")
         if v == n:
-            found.append(Permutation(tuple(image)))
+            yield tuple(image)
             return
         for w in range(n):
             if used[w] or deg[w] != deg[v]:
@@ -212,12 +187,11 @@ def automorphisms(g: Graph, budget: int = DEFAULT_WORK_BUDGET) -> list[Permutati
             if all(adj[v][u] == adj[w][image[u]] for u in range(v)):
                 image[v] = w
                 used[w] = True
-                extend(v + 1)
+                yield from extend(v + 1)
                 used[w] = False
         image[v] = -1
 
-    extend(0)
-    return found
+    return extend(0)
 
 
 class _Plan(NamedTuple):

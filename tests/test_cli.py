@@ -5,9 +5,11 @@ import pytest
 
 from homcommon import data
 from homcommon.cli import RunConfig, _parse_seeds, build_parser, main
+from homcommon.commonness import common_gap
 from homcommon.cone import (certificate_from_json, certificate_to_json, enumerate_generators,
                             verify_certificate)
 from homcommon.gluing import ClassVector, template_to_json, x_vector, z_vector
+from homcommon.graphons import kernel_from_json
 from homcommon.graphs import DEFAULT_WORK_BUDGET, IDENTITY_TOL, INEQUALITY_TOL
 
 
@@ -147,6 +149,22 @@ def test_common_falsify(capsys):
     assert code == 0
 
 
+def test_common_falsify_rejects_negative_steps(capsys):
+    code, out, err = run_cli(capsys, "common", "falsify", "--target", "K3",
+                             "--restarts", "1", "--steps", "-3")
+    assert code == 2 and out == ""
+    assert "steps must be at least 0" in err
+
+
+def test_common_falsify_witness_reloads_to_its_gap(capsys):
+    code, out, _ = run_cli(capsys, "common", "falsify", "--target", "paw",
+                           "--seed", "1", "--restarts", "2", "--steps", "20")
+    report = json.loads(out)
+    assert report["witness"]["graphon"] is True
+    witness = kernel_from_json(report["witness"])
+    assert common_gap(data.load_graph("paw"), witness) == report["best_gap"]
+
+
 def test_falsify_seed_global_and_subcommand(capsys):
     code, out, _ = run_cli(capsys, "--seed", "3", "common", "falsify", "--target", "K3",
                            "--restarts", "1", "--steps", "2")
@@ -225,6 +243,25 @@ def test_glue_verify_rejects_a_raised_farkas_coefficient(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "glue", "verify", str(path))
     assert code == 1
     assert json.loads(out)["verified"] is False
+
+
+def test_glue_verify_rejects_non_canonical_class_keys(capsys, tmp_path):
+    path = tmp_path / "lone_edge.json"
+    assert run_cli(capsys, "glue", "check", "lone_edge_c5", "--certificate", str(path))[0] == 1
+    assert run_cli(capsys, "glue", "verify", str(path))[0] == 0
+    # "1,2" and "1,0" name the class of the edge {0, 1} of C5; vertex 5 is not in C5
+    for field, key, new_key, message in (
+            ("farkas_witness", "0,1", "1,2", "'1,2' is not the canonical representative '0,1'"),
+            ("farkas_witness", "0,1", "1,0", "'1,0' is not the canonical representative '0,1'"),
+            ("target", "0,1,2,3,4", "1,2,3,4,0", "representative '0,1,2,3,4'"),
+            ("farkas_witness", "0", "5", "vertex 5 not in the base graph")):
+        edited = json.loads(path.read_text())
+        edited[field][new_key] = edited[field].pop(key)
+        renamed = tmp_path / "renamed.json"
+        renamed.write_text(json.dumps(edited))
+        code, out, err = run_cli(capsys, "glue", "verify", str(renamed))
+        assert code == 2 and out == ""
+        assert message in err
 
 
 def test_budget_reaches_glue_verify(capsys, tmp_path):

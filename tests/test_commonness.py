@@ -356,6 +356,13 @@ def test_falsify_rejects_fewer_than_one_block(max_blocks):
     falsify(common_gap_objective(K3), seed=1, restarts=2, steps=2, max_blocks=1)
 
 
+@pytest.mark.parametrize("steps", [-1, -3])
+def test_falsify_rejects_negative_steps(steps):
+    with pytest.raises(ValueError, match="^steps must be at least 0$"):
+        falsify(common_gap_objective(K3), seed=1, restarts=1, steps=steps)
+    assert falsify(common_gap_objective(K3), seed=1, restarts=1, steps=0).evaluations >= 1
+
+
 def test_falsify_rejects_a_bare_callable():
     paw = data.load_graph("paw")
     with pytest.raises(TypeError, match="batch"):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from homcommon.gluing import (_CANONICAL_TABLES, ClassVector, GluingTemplate, build_j,
                               canonical_class, class_count, template_from_json,
                               template_to_json, x_vector, z_vector)
-from homcommon.graphs import (BudgetExceededError, automorphisms, components,
+from homcommon.graphs import (BudgetExceededError, Graph, automorphisms, components,
                               disjoint_union, make_family)
 
 C3 = make_family("cycle", 3)
@@ -28,19 +28,19 @@ def test_canonical_class_examples():
     assert canonical_class(C5, {1, 3}) == frozenset({0, 2})
     assert canonical_class(C5, range(5)) == frozenset(range(5))
     # orbit of {1,3} under the dihedral group, brute force
-    orbit = {tuple(sorted(p.apply_set({1, 3}))) for p in automorphisms(C5)}
+    orbit = {tuple(sorted(p[v] for v in (1, 3))) for p in automorphisms(C5)}
     assert min(orbit) == (0, 2)
 
 
 def test_canonical_class_idempotent_and_invariant():
     for f in (C3, C5, P4):
-        perms = automorphisms(f)
+        perms = list(automorphisms(f))
         for mask in range(1 << f.vertex_count):
             s = {v for v in range(f.vertex_count) if mask >> v & 1}
             rep = canonical_class(f, s)
             assert canonical_class(f, rep) == rep
             for p in perms:
-                assert canonical_class(f, p.apply_set(s)) == rep
+                assert canonical_class(f, frozenset(p[v] for v in s)) == rep
 
 
 def test_class_count():
@@ -48,14 +48,37 @@ def test_class_count():
     assert class_count(K3) == 4
     assert class_count(P3) == 6
     # Burnside cross-check: average number of fixed subsets over Aut(C5)
-    perms = automorphisms(C5)
+    perms = list(automorphisms(C5))
     fixed = 0
     for p in perms:
         for mask in range(1 << 5):
             s = frozenset(v for v in range(5) if mask >> v & 1)
-            if p.apply_set(s) == s:
+            if frozenset(p[v] for v in s) == s:
                 fixed += 1
     assert fixed // len(perms) == 8
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs())
+def test_class_table_matches_brute_force_orbits(f):
+    n = f.vertex_count
+    perms = [p for p in permutations(range(n))
+             if {tuple(sorted((p[u], p[v]))) for u, v in f.edges} == f.edges]
+    reps = set()
+    for mask in range(1 << n):
+        s = [v for v in range(n) if mask >> v & 1]
+        rep = min(tuple(sorted(p[v] for v in s)) for p in perms)
+        assert canonical_class(f, s) == frozenset(rep)
+        reps.add(rep)
+    assert class_count(f) == len(reps)
 
 
 def test_class_vector_basics():
@@ -218,11 +241,16 @@ def test_canonical_class_of_p13():
 def test_class_table_budget_names_caller_and_charges_once():
     k6 = make_family("complete", 6)
     _CANONICAL_TABLES.pop(k6, None)
-    # the automorphism search visits 1957 nodes; the table takes 6! * 2^6 images
+    # the automorphism search visits 1957 nodes and finds the identity at its
+    # 7th; the table takes 6! * 2^6 images, and is refused as soon as the
+    # automorphisms found so far need more, 2 * 2^6 > 100, 157 * 2^6 > 10000
     with pytest.raises(BudgetExceededError, match="^canonical_class: automorphisms: "):
+        canonical_class(k6, {0}, budget=6)
+    with pytest.raises(BudgetExceededError,
+                       match="^canonical_class: .* at least 128 subset images, budget 100$"):
         canonical_class(k6, {0}, budget=100)
     with pytest.raises(BudgetExceededError,
-                       match="^class_count: .* 46080 subset images, budget 10000$"):
+                       match="^class_count: .* 10048 subset images, budget 10000$"):
         class_count(k6, budget=10_000)
     assert class_count(k6, budget=46_080) == 7
     assert canonical_class(k6, {3, 5}, budget=1) == frozenset({0, 1})

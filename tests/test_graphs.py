@@ -101,25 +101,28 @@ def brute_automorphisms(g):
     (disjoint_union(K3, K2), 12),
 ])
 def test_automorphism_counts(g, expected):
-    perms = automorphisms(g)
+    perms = list(automorphisms(g))
     assert len(perms) == expected
-    assert sorted(p.image for p in perms) == brute_automorphisms(g)
+    assert sorted(perms) == brute_automorphisms(g)
 
 
 def test_automorphisms_form_a_group():
-    perms = automorphisms(disjoint_union(K3, K2))
-    images = {p.image for p in perms}
+    perms = list(automorphisms(disjoint_union(K3, K2)))
+    images = set(perms)
     for p in perms:
-        assert p.inverse().image in images
+        inverse = [0] * len(p)
+        for v, w in enumerate(p):
+            inverse[w] = v
+        assert tuple(inverse) in images
         for q in perms:
-            assert p.compose(q).image in images
+            assert tuple(p[q[v]] for v in range(len(p))) in images
 
 
 def test_automorphism_budget_names_caller():
     p11 = make_family("path", 11)
     with pytest.raises(BudgetExceededError, match="^automorphisms: .*budget 5$"):
-        automorphisms(p11, budget=5)
-    assert len(automorphisms(p11)) == 2
+        list(automorphisms(p11, budget=5))
+    assert len(list(automorphisms(p11))) == 2
 
 
 def test_hom_count_examples():
