@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -34,8 +35,9 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.tolerance_identity <= 0 or self.tolerance_inequality <= 0:
-            raise ValueError("tolerances must be positive")
+        for tol in (self.tolerance_identity, self.tolerance_inequality):
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError("tolerances must be positive and finite")
         if self.work_budget <= 0:
             raise ValueError("work budget must be positive")
 
@@ -164,6 +166,8 @@ def _cmd_dk3k2(args, config: RunConfig) -> int:
 
 
 def _cmd_falsify(args, config: RunConfig) -> int:
+    if not (math.isfinite(args.threshold) and args.threshold >= 0):
+        raise ValueError("threshold must be non-negative and finite")
     target = data.parse_graph_spec(args.target)
     result = falsify(common_gap_objective(target, config.work_budget), seed=config.seed,
                      restarts=args.restarts, steps=args.steps)

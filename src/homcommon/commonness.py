@@ -11,11 +11,12 @@ Each gap formula is written once over arrays with leading batch axes
 public gap functions evaluate it on one kernel's arrays.  The objective
 factories return a `GapObjective`, which evaluates the same formula on one
 `StepKernel` when called and on a stack of graphons by its `batch`
-method.  `falsify` groups its restarts by block count and descends each
-group in lockstep, one batched objective call per coordinate move.  Each
-restart still draws its start from its own generator and follows the path
-it would follow alone, so the result depends only on (seed, restarts,
-steps, max_blocks), whatever the grouping or evaluation order.
+method.  `falsify` pads every restart to the largest block count drawn,
+with zero-measure blocks, and descends all of them in lockstep, one
+batched objective call per coordinate move.  Each restart still draws its
+start from its own generator and follows the path it would follow alone,
+so the result depends only on (seed, restarts, steps, max_blocks),
+whatever the padding or evaluation order.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ def _common_gap(h: Graph, measures: np.ndarray, values: np.ndarray,
     """`common_gap` of graphons given as arrays with leading batch axes."""
     if h.edge_count == 0:
         raise ValueError("h must be non-empty")
-    return (densities(h, measures, values, budget) + densities(h, measures, 1.0 - values, budget)
-            - 0.5 ** (h.edge_count - 1))
+    both = densities(h, measures, np.stack((values, 1.0 - values)), budget)
+    return both[0] + both[1] - 0.5 ** (h.edge_count - 1)
 
 
 def common_gap(h: Graph, w: StepKernel, budget: int = DEFAULT_WORK_BUDGET) -> float:
@@ -567,15 +568,20 @@ def pair_gap_objective(spec: CommonPairSpec, budget: int = DEFAULT_WORK_BUDGET) 
 
 
 def _descend(objective: GapObjective, measures: np.ndarray, values: np.ndarray,
-             max_sweeps: int):
+             blocks: np.ndarray, max_sweeps: int):
     """Coordinate descent over block values and measures, B starts in lockstep.
 
-    `measures` (B, q) and `values` (B, q, q) are updated in place.  Each
-    start follows its own path, as if descended alone: moves in a fixed
-    order, a per-start step delta halved after a sweep without improvement,
-    and a start drops out once delta < 1e-6.  A move is scored by one
-    `objective.batch` call over the starts for which it is not skipped.
-    Returns each start's best value and its number of evaluations.
+    `measures` (B, Q) and `values` (B, Q, Q) are updated in place; start k
+    uses its first `blocks[k]` blocks, and its other blocks have measure 0
+    and value 0, which add exact zeros to every density.  Each start
+    follows its own path, as if descended alone on its own blocks: moves in
+    a fixed order, a per-start step delta halved after a sweep without
+    improvement, and a start drops out once delta < 1e-6.  A value move on
+    entry (i, j >= i), or a measure move into block j, applies only to the
+    starts with j < blocks[k]; a move out of a padded block has amount 0.
+    A move is scored by one `objective.batch` call over the starts for
+    which it is not skipped.  Returns each start's best value and its
+    number of evaluations.
     """
     count, q = measures.shape
     best = objective.batch(measures, values)
@@ -588,10 +594,11 @@ def _descend(objective: GapObjective, measures: np.ndarray, values: np.ndarray,
         if live.size == 0:
             break
         improved = np.zeros(count, dtype=bool)
+        live_blocks = blocks[live]
         for i, j, sgn in value_moves:
             old = values[live, i, j]
             cand = np.minimum(1.0, np.maximum(0.0, old + sgn * delta[live]))
-            moved = cand != old
+            moved = (cand != old) & (j < live_blocks)
             rows, cand = live[moved], cand[moved]
             if rows.size == 0:
                 continue
@@ -606,7 +613,7 @@ def _descend(objective: GapObjective, measures: np.ndarray, values: np.ndarray,
             values[rows, i, j] = values[rows, j, i] = cand[better]
         for i, j in measure_moves:
             amount = np.minimum(delta[live], measures[live, i])
-            moved = amount > 0.0
+            moved = (amount > 0.0) & (j < live_blocks)
             rows, amount = live[moved], amount[moved]
             if rows.size == 0:
                 continue
@@ -637,12 +644,16 @@ def falsify(objective: GapObjective, seed: int, restarts: int = 50, steps: int =
 
     `objective` is a `GapObjective`, such as `common_gap_objective(h)`: the
     descent scores moves with `objective.batch`, and the returned gap is
-    `objective(best_kernel)`.  Restarts with the same block count descend in
-    lockstep, each on its own path, at most `steps` sweeps each.
+    `objective(best_kernel)`.  Every start is padded with zero-measure,
+    zero-value blocks to Q, the largest block count drawn, and all restarts
+    descend in one lockstep `_descend`, each on its own path over its own
+    blocks, at most `steps` sweeps each.  The witness keeps only the blocks
+    its restart drew.  The budget is charged for Q blocks per kernel.
 
-    Deterministic in (seed, restarts, steps): restart r draws its start from
-    its own generator derived from the seed, and ties between restarts are
-    broken by restart index, so any evaluation order gives the same result.
+    Deterministic in (seed, restarts, steps, max_blocks): restart r draws
+    its start from its own generator derived from the seed, and ties
+    between restarts are broken by restart index, so any evaluation order
+    gives the same result.
     """
     if not callable(getattr(objective, "batch", None)):
         raise TypeError("falsify needs an objective with a batch(measures, values) method, "
@@ -654,23 +665,23 @@ def falsify(objective: GapObjective, seed: int, restarts: int = 50, steps: int =
         raise ValueError("steps must be at least 0")
     if max_blocks < 1:
         raise ValueError("max_blocks must be at least 1")
-    starts: dict[int, list] = {}
+    drawn = []
     for r in range(restarts):
         rng = np.random.default_rng((int(seed) * 0x9E3779B97F4A7C15 + r) % 2**64)
         q = int(rng.integers(2, max_blocks + 1)) if max_blocks > 1 else 1
-        measures = rng.dirichlet(np.ones(q))
-        raw = rng.uniform(size=(q, q))
-        starts.setdefault(q, []).append((r, measures, np.triu(raw) + np.triu(raw, 1).T))
-    finals = []
-    evals = 0
-    for group in starts.values():
-        measures = np.array([m for _, m, _ in group])
-        values = np.array([v for _, _, v in group])
-        best, used = _descend(objective, measures, values, steps)
-        evals += int(used.sum())
-        finals += [(best[k], r, measures[k], values[k]) for k, (r, _, _) in enumerate(group)]
-    _, _, measures, values = min(finals, key=lambda item: item[:2])
-    best_kernel = StepKernel(tuple(float(m) for m in measures),
-                             tuple(tuple(float(x) for x in row) for row in values),
+        drawn.append((rng.dirichlet(np.ones(q)), rng.uniform(size=(q, q))))
+    blocks = np.array([len(m) for m, _ in drawn])
+    top = int(blocks.max())
+    measures = np.zeros((restarts, top))
+    values = np.zeros((restarts, top, top))
+    for k, (m, raw) in enumerate(drawn):
+        q = len(m)
+        measures[k, :q] = m
+        values[k, :q, :q] = np.triu(raw) + np.triu(raw, 1).T
+    best, used = _descend(objective, measures, values, blocks, steps)
+    k = int(np.argmin(best))
+    q = int(blocks[k])
+    best_kernel = StepKernel(tuple(float(m) for m in measures[k, :q]),
+                             tuple(tuple(float(x) for x in row[:q]) for row in values[k, :q]),
                              graphon=True)
-    return SearchResult(best_kernel, objective(best_kernel), evals, seed)
+    return SearchResult(best_kernel, objective(best_kernel), int(used.sum()), seed)

@@ -89,11 +89,11 @@ def _strongly_common_gap(f: Graph, measures: np.ndarray, values: np.ndarray,
     """`strongly_common_gap` of kernels given as arrays with leading batch axes."""
     if f.edge_count == 0:
         raise ValueError("f must have at least one edge")
-    complement = 1.0 - values
+    both = np.stack((values, 1.0 - values))
+    tf = densities(f, measures, both, budget)
+    edge = densities(_K2, measures, both, budget)
     e = f.edge_count
-    return (densities(f, measures, values, budget) + densities(f, measures, complement, budget)
-            - densities(_K2, measures, values, budget)**e
-            - densities(_K2, measures, complement, budget)**e)
+    return tf[0] + tf[1] - edge[0]**e - edge[1]**e
 
 
 def strongly_common_gap(f: Graph, w: StepKernel,

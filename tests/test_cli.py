@@ -26,6 +26,18 @@ def test_run_config_validation():
         RunConfig(work_budget=-1)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ("--tolerance-identity", "verify", "identity", "goodman", "--seeds", "0..2"),
+    ("--tolerance-inequality", "common", "pair-gap", "--h1", "K3", "--h2", "K3",
+     "--p1", "0.5", "--seeds", "0..2"),
+], ids=["identity", "inequality"])
+def test_non_finite_tolerance_is_a_usage_error(capsys, command, value):
+    code, out, err = run_cli(capsys, command[0], value, *command[1:])
+    assert code == 2 and out == ""
+    assert "tolerances must be positive and finite" in err
+
+
 def test_defaults_are_the_library_constants():
     args = build_parser().parse_args(["repro-all"])
     config = RunConfig()
@@ -154,6 +166,14 @@ def test_common_falsify_rejects_negative_steps(capsys):
                              "--restarts", "1", "--steps", "-3")
     assert code == 2 and out == ""
     assert "steps must be at least 0" in err
+
+
+@pytest.mark.parametrize("threshold", ["-1", "nan", "inf", "-inf"])
+def test_common_falsify_rejects_a_bad_threshold(capsys, threshold):
+    code, out, err = run_cli(capsys, "common", "falsify", "--target", "K3",
+                             "--restarts", "2", "--steps", "2", f"--threshold={threshold}")
+    assert code == 2 and out == ""
+    assert "threshold must be non-negative and finite" in err
 
 
 def test_common_falsify_witness_reloads_to_its_gap(capsys):

@@ -339,14 +339,63 @@ def test_lockstep_descent_matches_each_start_alone(q):
     objective = common_gap_objective(paw)
     measures, values = _random_graphons(100 + q, 6, q)
     together_m, together_v = measures.copy(), values.copy()
-    best, evals = _descend(objective, together_m, together_v, 40)
+    best, evals = _descend(objective, together_m, together_v, np.full(6, q), 40)
     for k in range(len(measures)):
         alone_m, alone_v = measures[k:k + 1].copy(), values[k:k + 1].copy()
-        alone_best, alone_evals = _descend(objective, alone_m, alone_v, 40)
+        alone_best, alone_evals = _descend(objective, alone_m, alone_v, np.array([q]), 40)
         assert evals[k] == alone_evals[0]
         assert best[k] == pytest.approx(alone_best[0], abs=1e-12)
         assert np.allclose(together_m[k], alone_m[0], rtol=0, atol=1e-12)
         assert np.allclose(together_v[k], alone_v[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("label,objective", [item[:2] for item in _objectives()],
+                         ids=[item[0] for item in _objectives()])
+def test_padded_descent_matches_each_start_alone_at_its_block_count(label, objective):
+    """Starts on 1..4 blocks, padded to 4 and descended together, each
+    follow the path they follow alone on their own blocks."""
+    starts = [_random_graphons(200 + q, 2, q) for q in (1, 2, 3, 4)]
+    blocks = np.repeat([1, 2, 3, 4], 2)
+    measures = np.zeros((8, 4))
+    values = np.zeros((8, 4, 4))
+    for k, q in enumerate(blocks):
+        measures[k, :q] = starts[q - 1][0][k % 2]
+        values[k, :q, :q] = starts[q - 1][1][k % 2]
+    best, evals = _descend(objective, measures, values, blocks, 40)
+    for k, q in enumerate(blocks):
+        alone_m = starts[q - 1][0][k % 2:k % 2 + 1].copy()
+        alone_v = starts[q - 1][1][k % 2:k % 2 + 1].copy()
+        alone_best, alone_evals = _descend(objective, alone_m, alone_v, np.array([q]), 40)
+        assert evals[k] == alone_evals[0], label
+        assert best[k] == pytest.approx(alone_best[0], abs=1e-12), label
+        assert np.allclose(measures[k, :q], alone_m[0], rtol=0, atol=1e-12), label
+        assert np.allclose(values[k, :q, :q], alone_v[0], rtol=0, atol=1e-12), label
+        assert not measures[k, q:].any() and not values[k, q:].any() and not values[k, :, q:].any()
+
+
+def _restart_start(seed, r, max_blocks):
+    """Restart r's start in `falsify`, drawn by its documented seeding."""
+    rng = np.random.default_rng((seed * 0x9E3779B97F4A7C15 + r) % 2**64)
+    q = int(rng.integers(2, max_blocks + 1))
+    measures = rng.dirichlet(np.ones(q))
+    raw = rng.uniform(size=(q, q))
+    return measures, np.triu(raw) + np.triu(raw, 1).T
+
+
+@pytest.mark.parametrize("target,seed", [("paw", 1), ("K3", 3)])
+def test_falsify_witness_has_the_block_count_its_restart_drew(target, seed):
+    objective = common_gap_objective(data.parse_graph_spec(target))
+    restarts, steps, max_blocks = 6, 20, 4
+    finals = []
+    for r in range(restarts):
+        measures, values = _restart_start(seed, r, max_blocks)
+        best, _ = _descend(objective, measures[None], values[None],
+                           np.array([len(measures)]), steps)
+        finals.append((best[0], r, len(measures)))
+    _, _, drawn = min(finals)
+    assert drawn < max(q for _, _, q in finals)  # the winner was padded in the search
+    result = falsify(objective, seed=seed, restarts=restarts, steps=steps, max_blocks=max_blocks)
+    assert result.best_kernel.block_count == drawn
 
 
 @pytest.mark.parametrize("max_blocks", [0, -1])

@@ -1,6 +1,7 @@
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from homcommon import data
 from homcommon.gluing import build_j
 from homcommon.graphs import (BudgetExceededError, disjoint_union, hom_count,
                               make_family, random_graph)
-from homcommon.graphons import (StepKernel, constant_kernel,
+from homcommon.graphons import (StepKernel, constant_kernel, densities,
                                 density, kernel_from_graph, kernel_from_json,
                                 kernel_to_json, one_minus, sample_graphon,
                                 sample_kernel, shift)
@@ -199,3 +200,22 @@ def test_kernel_json_round_trip():
         assert kernel_from_json(kernel_to_json(w)) == w
     with pytest.raises(ValueError):
         kernel_from_json({"measures": [1.0]})
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=small_graphs(5), seed=st.integers(0, 2**32 - 1), q=st.integers(1, 4),
+       pad=st.integers(1, 3))
+def test_zero_measure_padding_keeps_densities(h, seed, q, pad):
+    """Blocks of measure 0 and value 0 appended to a batch of graphons, as
+    `falsify` pads its restarts, leave every density unchanged."""
+    rng = np.random.default_rng(seed)
+    measures = rng.dirichlet(np.ones(q), size=3)
+    raw = rng.uniform(size=(3, q, q))
+    values = np.triu(raw) + np.swapaxes(np.triu(raw, 1), 1, 2)
+    padded_m = np.zeros((3, q + pad))
+    padded_v = np.zeros((3, q + pad, q + pad))
+    padded_m[:, :q] = measures
+    padded_v[:, :q, :q] = values
+    plain = densities(h, measures, values)
+    padded = densities(h, padded_m, padded_v)
+    assert np.all(np.abs(padded - plain) <= 1e-15 * np.abs(plain))
