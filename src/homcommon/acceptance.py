@@ -157,7 +157,7 @@ def criterion_10_falsifier() -> dict:
     r_k3 = falsify(common_gap_objective(k3), seed=1, restarts=50, steps=200)
     ok = (r_paw.best_gap < -1e-4 and r_mix.best_gap < -1e-4
           and r_k3.best_gap >= -INEQUALITY_TOL)
-    return {"name": "10 falsifier (paw and K3+K2 uncommon, K3 common)",
+    return {"name": "10 falsifier (sampled evidence: paw and K3+K2 uncommon, K3 common)",
             "passed": ok,
             "detail": (f"paw gap = {r_paw.best_gap:.5f}, K3+K2 gap = {r_mix.best_gap:.5f}, "
                        f"K3 gap = {r_k3.best_gap:.2e}")}

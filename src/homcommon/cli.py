@@ -173,7 +173,8 @@ def _cmd_falsify(args, config: RunConfig) -> int:
                      restarts=args.restarts, steps=args.steps)
     violation = result.best_gap < -args.threshold
     report = {"target": args.target, "seed": config.seed, "restarts": args.restarts,
-              "steps": args.steps, "threshold": args.threshold, "budget": config.work_budget,
+              "steps": args.steps, "max_blocks": result.max_blocks,
+              "threshold": args.threshold, "budget": config.work_budget,
               "best_gap": result.best_gap, "evaluations": result.evaluations,
               "violation_found": violation,
               "witness": kernel_to_json(result.best_kernel)}

@@ -81,6 +81,7 @@ class SearchResult:
     best_gap: float
     evaluations: int
     seed: int
+    max_blocks: int
 
 
 def _pair_gap(spec: CommonPairSpec, measures: np.ndarray, values: np.ndarray,
@@ -684,4 +685,4 @@ def falsify(objective: GapObjective, seed: int, restarts: int = 50, steps: int =
     best_kernel = StepKernel(tuple(float(m) for m in measures[k, :q]),
                              tuple(tuple(float(x) for x in row[:q]) for row in values[k, :q]),
                              graphon=True)
-    return SearchResult(best_kernel, objective(best_kernel), int(used.sum()), seed)
+    return SearchResult(best_kernel, objective(best_kernel), int(used.sum()), seed, max_blocks)

@@ -201,10 +201,13 @@ class _Plan(NamedTuple):
     step k contracts the listed operands with `np.einsum` and appends its
     result as operand k + 2.  A step whose output has no indices closes a
     component of h; the contraction is the product of those scalars.  Every
-    subscript starts with `...`, so leading batch axes pass through.
+    subscript ends with `...`, so trailing batch axes pass through.  Each
+    step has two subscripts: the plain one for unbatched operands, and a
+    padded one for batched operands, which gives a step of fewer than three
+    factors extra factors `...` up to three, for `_contract` to bind to 1.
     """
 
-    steps: tuple[tuple[str, tuple[int, ...]], ...]
+    steps: tuple[tuple[str, str, tuple[int, ...]], ...]
     widths: tuple[int, ...]      # |scope| of each step, eliminated vertex included
     scalars: tuple[int, ...]
 
@@ -233,10 +236,11 @@ def _plan(h: Graph) -> _Plan:
         touching = [f for f in factors if v in f[1]]
         factors = [f for f in factors if v not in f[1]]
         out = tuple(u for u in scope if u != v)
-        subscripts = (",".join("..." + "".join(letter[u] for u in f[1]) for f in touching)
-                      + "->..." + "".join(letter[u] for u in out))
+        inputs = ",".join("".join(letter[u] for u in f[1]) + "..." for f in touching)
+        output = "->" + "".join(letter[u] for u in out) + "..."
+        ones = ",..." * max(0, 3 - len(touching))
         result_id = len(steps) + 2
-        steps.append((subscripts, tuple(f[0] for f in touching)))
+        steps.append((inputs + output, inputs + ones + output, tuple(f[0] for f in touching)))
         widths.append(len(scope))
         if out:
             factors.append((result_id, out))
@@ -257,6 +261,17 @@ def _contract(h: Graph, matrix: np.ndarray, vector: np.ndarray, budget: int, cal
     shape.  The work charged against `budget` is sum over steps of
     q^|scope|, per kernel of the batch.  Unbatched operands give a numpy
     scalar of the operands' dtype, or a Python int for object operands.
+
+    A batch is contracted with its axes last: one contiguous copy of each
+    operand puts them there, so every einsum's inner loop runs over the
+    whole batch rather than over q <= 4 block indices.  A batch of one
+    kernel loops over a block index instead, and there numpy's one- and
+    two-operand einsum kernels are vectorised reductions that sum in
+    another order, so a kernel's bits would depend on its batch.  So the
+    batched steps are the padded ones, whose extra factors are a 0-d 1 (an
+    exact product): with three or more operands einsum multiplies and adds
+    every kernel alike, in block order, in a batch of any size.
+    Unbatched operands run the plain steps.
     """
     try:
         plan = _plan(h)
@@ -268,9 +283,17 @@ def _contract(h: Graph, matrix: np.ndarray, vector: np.ndarray, budget: int, cal
         raise BudgetExceededError(
             f"{caller}: contracting a {h.vertex_count}-vertex graph over {q} values "
             f"needs {work} terms, budget {budget}")
+    batched = matrix.ndim > 2 or vector.ndim > 1
+    if batched:
+        matrix = matrix.transpose(matrix.ndim - 2, matrix.ndim - 1, *range(matrix.ndim - 2)).copy()
+        vector = vector.transpose(vector.ndim - 1, *range(vector.ndim - 1)).copy()
+        ones = np.array(1, dtype=matrix.dtype)
     operands = [matrix, vector]
-    for subscripts, ids in plan.steps:
-        operands.append(np.einsum(subscripts, *[operands[i] for i in ids]))
+    for plain, padded, ids in plan.steps:
+        factors = [operands[i] for i in ids]
+        if batched:
+            factors += [ones] * (3 - len(factors))
+        operands.append(np.einsum(padded if batched else plain, *factors))
     total = 1
     for i in plan.scalars:
         total = total * operands[i]

@@ -5,7 +5,7 @@ import pytest
 
 from homcommon import data
 from homcommon.cli import RunConfig, _parse_seeds, build_parser, main
-from homcommon.commonness import common_gap
+from homcommon.commonness import common_gap, common_gap_objective, falsify
 from homcommon.cone import (certificate_from_json, certificate_to_json, enumerate_generators,
                             verify_certificate)
 from homcommon.gluing import ClassVector, template_to_json, x_vector, z_vector
@@ -159,6 +159,19 @@ def test_common_falsify(capsys):
     code, out, _ = run_cli(capsys, "common", "falsify", "--target", "K3",
                            "--seed", "1", "--restarts", "3")
     assert code == 0
+
+
+def test_common_falsify_reports_every_input_of_the_search(capsys):
+    # the search depends only on (seed, restarts, steps, max_blocks)
+    code, out, _ = run_cli(capsys, "common", "falsify", "--target", "paw",
+                           "--seed", "2", "--restarts", "2", "--steps", "5")
+    report = json.loads(out)
+    assert (report["seed"], report["restarts"], report["steps"], report["max_blocks"]) == (
+        2, 2, 5, 4)
+    again = falsify(common_gap_objective(data.load_graph("paw")), seed=2, restarts=2,
+                    steps=5, max_blocks=report["max_blocks"])
+    assert report["best_gap"] == again.best_gap
+    assert kernel_from_json(report["witness"]) == again.best_kernel
 
 
 def test_common_falsify_rejects_negative_steps(capsys):

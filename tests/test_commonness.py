@@ -373,6 +373,31 @@ def test_padded_descent_matches_each_start_alone_at_its_block_count(label, objec
         assert not measures[k, q:].any() and not values[k, q:].any() and not values[k, :, q:].any()
 
 
+@pytest.mark.parametrize("label,objective", [item[:2] for item in _objectives()],
+                         ids=[item[0] for item in _objectives()])
+def test_padded_descent_at_falsify_batch_size_matches_each_start_alone(label, objective):
+    """64 starts on 1..4 blocks, padded to 4 and descended together, as
+    many as `falsify` descends at once: each start's evaluation count, best
+    value and final kernel are the bits of its descent alone on its own
+    blocks."""
+    blocks = np.tile([1, 2, 3, 4], 16)
+    starts = [_random_graphons(300 + q, 16, q) for q in (1, 2, 3, 4)]
+    measures = np.zeros((64, 4))
+    values = np.zeros((64, 4, 4))
+    for k, q in enumerate(blocks):
+        measures[k, :q] = starts[q - 1][0][k // 4]
+        values[k, :q, :q] = starts[q - 1][1][k // 4]
+    best, evals = _descend(objective, measures, values, blocks, 12)
+    for k, q in enumerate(blocks):
+        alone_m = starts[q - 1][0][k // 4:k // 4 + 1].copy()
+        alone_v = starts[q - 1][1][k // 4:k // 4 + 1].copy()
+        alone_best, alone_evals = _descend(objective, alone_m, alone_v, np.array([q]), 12)
+        assert evals[k] == alone_evals[0], label
+        assert best[k].tobytes() == alone_best[0].tobytes(), label
+        assert np.array_equal(measures[k, :q], alone_m[0]), label
+        assert np.array_equal(values[k, :q, :q], alone_v[0]), label
+
+
 def _restart_start(seed, r, max_blocks):
     """Restart r's start in `falsify`, drawn by its documented seeding."""
     rng = np.random.default_rng((seed * 0x9E3779B97F4A7C15 + r) % 2**64)

@@ -219,3 +219,42 @@ def test_zero_measure_padding_keeps_densities(h, seed, q, pad):
     plain = densities(h, measures, values)
     padded = densities(h, padded_m, padded_v)
     assert np.all(np.abs(padded - plain) <= 1e-15 * np.abs(plain))
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=small_graphs(6), seed=st.integers(0, 2**32 - 1), q=st.integers(1, 9),
+       count=st.integers(33, 48), stacked=st.booleans(), pad=st.integers(1, 3),
+       data=st.data())
+def test_densities_rows_do_not_depend_on_their_batch(h, seed, q, count, stacked, pad, data):
+    """A graphon's densities are the same bits whatever batch it is scored
+    in: any contiguous sub-batch, alone as a batch of one, or padded with
+    zero-measure, zero-value blocks as `falsify` pads its restarts.  Stacked
+    batches are w and 1 - w of shape (2, count), as `_common_gap` scores
+    them.  Rows agree with one-kernel calls, which sum in another order,
+    within a rounding bound: every term is non-negative and meets at most
+    e(h) + v(h) (q + 3) roundings on its way to the result."""
+    rng = np.random.default_rng(seed)
+    measures = rng.dirichlet(np.ones(q), size=count)
+    raw = rng.uniform(size=(count, q, q))
+    values = np.triu(raw) + np.swapaxes(np.triu(raw, 1), 1, 2)
+    padded_m = np.zeros((count, q + pad))
+    padded_v = np.zeros((count, q + pad, q + pad))
+    padded_m[:, :q] = measures
+    padded_v[:, :q, :q] = values
+    if stacked:
+        values, padded_v = np.stack((values, 1 - values)), np.stack((padded_v, 1 - padded_v))
+    lead = values.shape[:-3]
+    rounding = (h.edge_count + h.vertex_count * (q + 3)) * np.finfo(float).eps
+    # broadcast: a graph without vertices has density 1, a scalar
+    full = np.broadcast_to(densities(h, measures, values), lead + (count,))
+    padded = densities(h, padded_m, padded_v)
+    assert np.array_equal(np.broadcast_to(padded, lead + (count,)), full)
+    start = data.draw(st.integers(0, count - 1), label="start")
+    stop = data.draw(st.integers(start + 1, count), label="stop")
+    sub = densities(h, measures[start:stop], values[..., start:stop, :, :])
+    assert np.array_equal(np.broadcast_to(sub, lead + (stop - start,)), full[..., start:stop])
+    for k in range(count):
+        row = densities(h, measures[k:k + 1], values[..., k:k + 1, :, :])
+        assert np.array_equal(np.broadcast_to(row, lead + (1,))[..., 0], full[..., k])
+        alone = np.broadcast_to(densities(h, measures[k], values[..., k, :, :]), lead)
+        assert np.all(np.abs(full[..., k] - alone) <= rounding * np.abs(alone))

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
-from homcommon.graphs import (BudgetExceededError, Graph, all_labelled_graphs,
-                              automorphisms, components, disjoint_union,
+from homcommon.graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph,
+                              _hom_counts, all_labelled_graphs, automorphisms,
+                              components, disjoint_union,
                               girth_and_cycle_count, graph_from_json,
                               graph_to_json, hom_count, make_family,
                               random_graph, subgraph_on_edges)
@@ -168,6 +169,29 @@ def test_hom_count_python_int_path_is_exact():
     # 5^30 > 2^63, so the count is carried in Python ints
     assert hom_count(make_family("path", 30), make_family("complete", 5)) == 5 * 4**29
     assert hom_count(make_family("cycle", 31), make_family("complete", 5)) == 4**31 - 4
+
+
+def _walk_count(g, length):
+    """Walks of `length` edges in g, in Python ints: the path hom count."""
+    nbrs = g.neighbor_sets()
+    ends = [1] * g.vertex_count
+    for _ in range(length):
+        ends = [sum(ends[u] for u in nbrs[v]) for v in range(g.vertex_count)]
+    return sum(ends)
+
+
+@pytest.mark.parametrize("h,exact", [(C5, "int64"), (make_family("complete", 4), "int64"),
+                                     (make_family("path", 30), "object")])
+def test_batched_hom_counts_are_exact_in_either_dtype(h, exact):
+    # 40 graphs on 5 vertices in one batch; P30 needs 5^30 > 2^63, so Python ints
+    gs = [random_graph(5, 900 + s) for s in range(40)]
+    counts = _hom_counts(h, gs, DEFAULT_WORK_BUDGET, "test")
+    assert all(type(c) is int for c in counts)
+    assert counts == [hom_count(h, g) for g in gs]
+    if exact == "object":
+        assert counts == [_walk_count(g, 29) for g in gs]
+    else:
+        assert counts[:8] == [brute_hom_count(h, g) for g in gs[:8]]
 
 
 def test_hom_count_budget():
