@@ -678,7 +678,8 @@ def falsify(objective: GapObjective, seed: int, restarts: int = 50, steps: int =
     for k, (m, raw) in enumerate(drawn):
         q = len(m)
         measures[k, :q] = m
-        values[k, :q, :q] = np.triu(raw) + np.triu(raw, 1).T
+        values[k, :q, :q] = raw
+    values = np.where(np.tri(top, dtype=bool), values.transpose(0, 2, 1), values)
     best, used = _descend(objective, measures, values, blocks, steps)
     k = int(np.argmin(best))
     q = int(blocks[k])

@@ -20,13 +20,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, groupby, islice
+from itertools import chain, combinations, groupby, islice
 
 from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _hom_counts,
-                     all_labelled_graphs, graph_to_json)
+                     _mask_adjacency, graph_to_json)
 from .gluing import (ClassVector, GluingTemplate, _as_subset, _canonical_table,
-                     _lex_submasks, _mask_vertices, build_j, template_from_json,
-                     template_to_json, x_vector, z_vector)
+                     _class_counts, _lex_submasks, _mask_vertices, _x_terms, _z_terms,
+                     build_j, template_from_json, template_to_json)
 
 GeneratorTriple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 # a cone generator: its least triple and its (class, integer coefficient) items
@@ -177,32 +177,31 @@ def check_good(t: GluingTemplate, budget: int = DEFAULT_WORK_BUDGET) -> Goodness
 
     The canonical class table of F is built first, and generator
     enumeration is charged as its 4^v(F) vertex assignments before it
-    starts, each against `budget`.  The returned certificate is re-checked
-    from scratch (conic equality or Farkas inequalities) before this
-    function returns; a failure there is a solver bug, not a property of
-    the template.
+    starts, each against `budget`.  The LP's right-hand side is the integer
+    e(F)(target - z), so its coefficients are divided by e(F).  The returned
+    certificate is re-checked from scratch (conic equality or Farkas
+    inequalities) before this function returns; a failure there is a solver
+    bug, not a property of the template.
     """
     f = t.base
     j, _ = build_j(t)
     if j.edge_count == 0 or f.edge_count == 0:
         raise ValueError("goodness requires e(J) > 0")
     _canonical_table(f, budget, "check_good")
-    target = ClassVector.basis(f, range(f.vertex_count)).scaled(
-        Fraction(j.edge_count, f.edge_count))
-    rhs_vec = target - z_vector(t)
+    rhs = _class_counts(f, [(j.edge_count, range(f.vertex_count))] + _z_terms(t, -f.edge_count))
+    target = ClassVector(f, {tuple(range(f.vertex_count)): Fraction(j.edge_count, f.edge_count)})
     used, witness = (), None
     # a zero right-hand side is good with no generators and no 4^v(F) charge
-    if not rhs_vec.is_zero():
+    if rhs:
         _charge_generators("check_good", f, budget)
         generators = enumerate_generators(f)
-        class_keys = sorted({k for _, coeffs in generators for k, _ in coeffs}
-                            | set(rhs_vec.coeffs), key=lambda k: (len(k), k))
+        class_keys = sorted({k for _, coeffs in generators for k, _ in coeffs} | set(rhs),
+                            key=lambda k: (len(k), k))
         row_of = {k: i for i, k in enumerate(class_keys)}
         columns = [{row_of[k]: v for k, v in coeffs} for _, coeffs in generators]
-        b = [rhs_vec.coeffs.get(k, Fraction(0)) for k in class_keys]
-        status, payload = _phase_one(columns, b)
+        status, payload = _phase_one(columns, [rhs.get(k, 0) for k in class_keys])
         if status == "feasible":
-            used = tuple((generators[idx][0], coeff)
+            used = tuple((generators[idx][0], coeff / f.edge_count)
                          for idx, coeff in enumerate(payload) if coeff != 0)
         else:
             witness = ClassVector(f, {k: y for k, y in zip(class_keys, payload) if y != 0})
@@ -225,13 +224,13 @@ def verify_certificate(cert: GoodnessCertificate,
                        budget: int = DEFAULT_WORK_BUDGET) -> bool:
     """Recompute everything the certificate asserts, in exact arithmetic.
 
-    Good: coefficients non-negative and z + sum(c * x) equals the target,
-    with each x-vector rebuilt from its triple.  Not good: the witness has
-    positive inner product with target - z and non-positive inner product
-    with every generator of `enumerate_generators`; the latter products are
-    taken in integers, on the witness scaled by the lcm of its denominators.
-    The class table and, for a not-good certificate, generator enumeration
-    are charged against `budget` as in `check_good`.
+    Every test is on integer counts per class from the class table.  Good:
+    coefficients c_i >= 0 and sum((L e(F) c_i) x_i) = L e(F)(target - z),
+    each x_i rebuilt from its triple and L the lcm of the c_i's denominators.
+    Not good: the witness y, times the lcm of its denominators, has
+    y.e(F)(target - z) > 0 and y.x <= 0 for every generator of
+    `enumerate_generators`.  The class table and, for a not-good
+    certificate, generator enumeration are charged as in `check_good`.
     """
     if cert.verdict not in ("good", "not_good"):
         raise ValueError(f"malformed certificate verdict {cert.verdict!r}")
@@ -243,29 +242,27 @@ def verify_certificate(cert: GoodnessCertificate,
     if j.edge_count == 0 or f.edge_count == 0:
         return False
     _canonical_table(f, budget, "verify_certificate")
-    target = ClassVector.basis(f, range(f.vertex_count)).scaled(
-        Fraction(j.edge_count, f.edge_count))
-    if target.coeffs != cert.target.coeffs:
+    if cert.target.coeffs != {tuple(range(f.vertex_count)): Fraction(j.edge_count, f.edge_count)}:
         return False
-    z = z_vector(t)
+    rhs = [(j.edge_count, range(f.vertex_count))] + _z_terms(t, -f.edge_count)
     if cert.verdict == "good":
-        if cert.farkas_witness is not None:
+        if cert.farkas_witness is not None or any(c < 0 for _, c in cert.generators_used):
             return False
-        acc = z
-        for (r1, r2, r3), coeff in cert.generators_used:
-            if coeff < 0:
-                return False
-            acc = acc + x_vector(f, r1, r2, r3).scaled(coeff)
-        return acc.coeffs == target.coeffs
+        scale = math.lcm(*(c.denominator for _, c in cert.generators_used))
+        terms = [(-scale * w, s) for w, s in rhs]
+        for triple, c in cert.generators_used:
+            m = c.numerator * (scale // c.denominator) * f.edge_count
+            terms += [(m * w, s) for w, s in _x_terms(f, *triple)]
+        return not _class_counts(f, terms)
     witness = cert.farkas_witness
     if witness is None:
         return False
-    if witness.inner(target - z) <= 0:
-        return False
-    _charge_generators("verify_certificate", f, budget)
     # the witness times the lcm of its denominators (> 0, so signs hold)
     scale = math.lcm(*(v.denominator for v in witness.coeffs.values()))
     y = {k: v.numerator * (scale // v.denominator) for k, v in witness.coeffs.items()}
+    if sum(y.get(k, 0) * v for k, v in _class_counts(f, rhs).items()) <= 0:
+        return False
+    _charge_generators("verify_certificate", f, budget)
     return all(sum(y.get(k, 0) * v for k, v in coeffs) <= 0
                for _, coeffs in enumerate_generators(f))
 
@@ -277,47 +274,57 @@ def binomial_inequality_check(t: GluingTemplate, max_g_vertices: int,
     to max_g_vertices vertices (plus any extra graphs), with exact
     homomorphism counts.
 
-    Requires the template to be certified good.  The candidates are taken
-    in runs of consecutive graphs on one vertex count, at most _BATCH per
-    run, and the hom counts of J and of F over a run are one batched
-    contraction each, charged per graph against `budget`.  With
+    Needs a candidate graph, and a certificate of `t` that
+    `verify_certificate` accepts, if one is passed; ValueError otherwise.
+    The candidates are edge masks (bit i for the i-th pair of
+    combinations(range(n), 2), as `all_labelled_graphs` orders them), then
+    the extra graphs', in runs on one vertex count of at most _BATCH masks.
+    A run's hom counts of J and of F are one batched contraction each over
+    its adjacency stack, charged per graph against `budget`.  With
     e(J)/e(F) = a/b in lowest terms, the exact comparison on an n-vertex G
     is the integer inequality hom(J,G)^b n^(v(F) a) >= hom(F,G)^a n^(v(J) b).
     Reports the minimum floating slack, the first graph attaining it, and
     whether the exact comparison held everywhere.
     """
+    if max_g_vertices < 1 and not (extra_graphs := list(extra_graphs)):
+        raise ValueError("binomial inequality check needs at least one candidate graph")
     if cert is None:
         cert = check_good(t, budget)
+    elif cert.template != t or not verify_certificate(cert, budget):
+        raise ValueError("cert is not a valid goodness certificate of this template")
     if cert.verdict != "good":
         raise ValueError("binomial inequality applies to certified-good templates")
     j, _ = build_j(t)
     f = t.base
     ratio = Fraction(j.edge_count, f.edge_count)
     a, bb = ratio.numerator, ratio.denominator
-    exponent = float(ratio)
-    min_slack = None
-    argmin = None
-    checked = 0
-    exact_ok = True
-    candidates = chain(*(all_labelled_graphs(n) for n in range(1, max_g_vertices + 1)),
-                       extra_graphs)
-    for n, run in groupby(candidates, key=lambda g: g.vertex_count):
-        while batch := list(islice(run, _BATCH)):
-            hom_j = _hom_counts(j, batch, budget, "binomial_inequality_check")
-            hom_f = _hom_counts(f, batch, budget, "binomial_inequality_check")
+    min_slack = argmin = None
+    checked, exact_ok = 0, True
+    candidates = chain(((n, m) for n in range(1, max_g_vertices + 1)
+                        for m in range(1 << n * (n - 1) // 2)),
+                       ((g.vertex_count, sum(1 << i for i, p in enumerate(
+                           combinations(range(g.vertex_count), 2)) if p in g.edges))
+                        for g in extra_graphs))
+    for n, run in groupby(candidates, key=lambda c: c[0]):
+        while batch := [m for _, m in islice(run, _BATCH)]:
+            adj = _mask_adjacency(n, batch)
+            hom_j = _hom_counts(j, adj, budget, "binomial_inequality_check")
+            hom_f = _hom_counts(f, adj, budget, "binomial_inequality_check")
             vj, vf = n**j.vertex_count, n**f.vertex_count
-            for g, hj, hf in zip(batch, hom_j, hom_f):
+            for mask, hj, hf in zip(batch, hom_j, hom_f):
                 if hj**bb * vf**a < hf**a * vj**bb:
                     exact_ok = False
-                slack = hj / vj - (hf / vf) ** exponent
+                slack = hj / vj - (hf / vf) ** (a / bb)
                 checked += 1
                 if min_slack is None or slack < min_slack:
                     min_slack = slack
-                    argmin = g
+                    argmin = n, mask
+    n, mask = argmin
+    edges = frozenset(p for i, p in enumerate(combinations(range(n), 2)) if mask >> i & 1)
     return {
         "all_hold_exact": exact_ok,
         "min_slack": min_slack,
-        "argmin_graph": graph_to_json(argmin) if argmin is not None else None,
+        "argmin_graph": graph_to_json(Graph(n, edges)),
         "graphs_checked": checked,
         "exponent": f"{a}/{bb}",
     }

@@ -117,16 +117,10 @@ class ClassVector:
                 raise ValueError("the empty class cannot carry a coefficient")
 
     @classmethod
-    def zero(cls, base: Graph) -> "ClassVector":
-        return cls(base, {})
-
-    @classmethod
     def basis(cls, base: Graph, s) -> "ClassVector":
         """The unit vector of the class of s (the zero vector for s empty)."""
         rep = tuple(sorted(canonical_class(base, s)))
-        if not rep:
-            return cls.zero(base)
-        return cls(base, {rep: Fraction(1)})
+        return cls(base, {rep: Fraction(1)} if rep else {})
 
     def _check_base(self, other: "ClassVector"):
         if self.base != other.base:
@@ -268,14 +262,33 @@ def build_j(t: GluingTemplate):
     return Graph(len(roots), frozenset(edges)), node_vertex_maps
 
 
+def _class_counts(f: Graph, terms) -> dict[tuple[int, ...], int]:
+    """sum(w * e(s)) over the (int w, subset s) terms, as nonzero ints keyed by
+    nonempty canonical class, read from f's class table (cached, else built)."""
+    canon = _canonical_table(f, DEFAULT_WORK_BUDGET, "class_counts")
+    counts: dict[int, int] = {}
+    for w, s in terms:
+        k = canon[sum(1 << v for v in s)]
+        counts[k] = counts.get(k, 0) + w
+    return {_mask_vertices(k): v for k, v in counts.items() if k and v}
+
+
+def _z_terms(t: GluingTemplate, w: int = 1) -> list[tuple[int, frozenset[int]]]:
+    """w times z as terms: w per tree node's subset, -w per tree edge's."""
+    return [(w, s) for s in t.psi_nodes] + [(-w, s) for _, s in t.psi_edges]
+
+
 def z_vector(t: GluingTemplate) -> ClassVector:
     """Sum of node-class units minus edge-class units, canonicalised."""
-    out = ClassVector.zero(t.base)
-    for s in range(t.tree_nodes):
-        out = out + ClassVector.basis(t.base, t.psi_nodes[s])
-    for _, subset in t.psi_edges:
-        out = out - ClassVector.basis(t.base, subset)
-    return out
+    return ClassVector(t.base, _class_counts(t.base, _z_terms(t)))
+
+
+def _x_terms(f: Graph, r1, r2, r3) -> tuple[tuple[int, frozenset[int]], ...]:
+    """x's terms; ValueError unless r1, r2, r3 are pairwise disjoint subsets of V(f)."""
+    r1, r2, r3 = _as_subset(f, r1), _as_subset(f, r2), _as_subset(f, r3)
+    if r1 & r2 or r1 & r3 or r2 & r3:
+        raise ValueError("r1, r2, r3 must be pairwise disjoint")
+    return (1, r1 | r2 | r3), (-1, r2 | r3), (-1, r1 | r2), (1, r2)
 
 
 def x_vector(f: Graph, r1, r2, r3) -> ClassVector:
@@ -283,13 +296,7 @@ def x_vector(f: Graph, r1, r2, r3) -> ClassVector:
 
     May be the zero vector (always when r1 or r3 is empty).
     """
-    r1, r2, r3 = _as_subset(f, r1), _as_subset(f, r2), _as_subset(f, r3)
-    if r1 & r2 or r1 & r3 or r2 & r3:
-        raise ValueError("r1, r2, r3 must be pairwise disjoint")
-    return (ClassVector.basis(f, r1 | r2 | r3)
-            - ClassVector.basis(f, r2 | r3)
-            - ClassVector.basis(f, r1 | r2)
-            + ClassVector.basis(f, r2))
+    return ClassVector(f, _class_counts(f, _x_terms(f, r1, r2, r3)))
 
 
 def template_to_json(t: GluingTemplate) -> dict:

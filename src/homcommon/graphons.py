@@ -119,7 +119,7 @@ def sample_graphon(seed: int, max_blocks: int = 4) -> StepKernel:
     q = int(rng.integers(1, max_blocks + 1))
     measures = rng.dirichlet(np.ones(q))
     raw = rng.uniform(size=(q, q))
-    vals = np.triu(raw) + np.triu(raw, 1).T
+    vals = np.where(np.tri(q, dtype=bool), raw.T, raw)
     return StepKernel(tuple(float(m) for m in measures),
                       tuple(tuple(float(x) for x in row) for row in vals),
                       graphon=True)

@@ -301,29 +301,22 @@ def _contract(h: Graph, matrix: np.ndarray, vector: np.ndarray, budget: int, cal
 
 
 def hom_count(h: Graph, g: Graph, budget: int = DEFAULT_WORK_BUDGET) -> int:
-    """Exact number of edge-preserving maps V(h) -> V(g): the one-graph
-    case of `_hom_counts`."""
-    return _hom_counts(h, [g], budget, "hom_count")[0]
+    """Exact number of edge-preserving maps V(h) -> V(g), by unbatched `_hom_counts`."""
+    adj = np.zeros((g.vertex_count, g.vertex_count), dtype=np.uint8)
+    for u, v in g.edges:
+        adj[u, v] = adj[v, u] = 1
+    return _hom_counts(h, adj, budget, "hom_count")[0]
 
 
-def _hom_counts(h: Graph, gs, budget: int, caller: str) -> list[int]:
-    """hom_count(h, g) for each g of the nonempty list gs of graphs on one
-    vertex count n, in one contraction.
-
-    The elimination contraction with the stacked (len(gs), n, n) 0/1
-    adjacency matrices and unit vertex weights; each graph's contraction is
-    charged against `budget`.  Every partial sum counts maps of a subset of
-    V(h), so int64 is exact while n^v(h) < 2^63; larger instances use
-    Python ints.
-    """
-    n = gs[0].vertex_count
+def _hom_counts(h: Graph, adj: np.ndarray, budget: int, caller: str) -> list[int]:
+    """hom_count(h, g) for each graph g of the 0/1 adjacency stack `adj`, of
+    shape (..., n, n), as a flat list: one contraction, each graph's charged
+    against `budget`.  Every partial sum counts maps of a subset of V(h), so
+    int64 is exact while n^v(h) < 2^63; larger instances use Python ints."""
+    n = adj.shape[-1]
     dtype = np.int64 if n**h.vertex_count < 2**63 else object
-    adj = np.zeros((len(gs), n, n), dtype=dtype)
-    for i, g in enumerate(gs):
-        for u, v in g.edges:
-            adj[i, u, v] = adj[i, v, u] = 1
-    counts = _contract(h, adj, np.ones(n, dtype=dtype), budget, caller)
-    return [int(c) for c in np.broadcast_to(counts, (len(gs),))]
+    counts = _contract(h, adj.astype(dtype), np.ones(n, dtype=dtype), budget, caller)
+    return [int(c) for c in np.broadcast_to(counts, adj.shape[:-2]).flat]
 
 
 def _count_cycles(h: Graph, length: int, budget: int) -> int:
@@ -383,6 +376,18 @@ def all_labelled_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield Graph(n, frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+
+
+def _mask_adjacency(n: int, masks) -> np.ndarray:
+    """The 0/1 adjacency stack of the n-vertex graphs whose edge masks, in
+    `all_labelled_graphs` order, are `masks`."""
+    rows, cols = np.triu_indices(n, 1)
+    raw = b"".join(m.to_bytes(len(rows) // 8 + 1, "little") for m in masks)
+    adj = np.zeros((len(masks), n, n), dtype=np.uint8)
+    adj[:, rows, cols] = adj[:, cols, rows] = np.unpackbits(
+        np.frombuffer(raw, np.uint8).reshape(len(masks), -1), axis=1, count=len(rows),
+        bitorder="little")
+    return adj
 
 
 def graph_to_json(g: Graph) -> dict:

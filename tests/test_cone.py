@@ -18,6 +18,7 @@ from homcommon.gluing import (ClassVector, GluingTemplate, build_j, x_vector,
                               z_vector)
 from homcommon.graphs import (BudgetExceededError, _plan, all_labelled_graphs,
                               graph_to_json, hom_count, make_family, random_graph)
+from homcommon.gluing import _class_counts, _z_terms
 
 C5 = make_family("cycle", 5)
 
@@ -525,3 +526,173 @@ def test_check_good_charges_the_class_table_first():
     lone_edge_k9 = GluingTemplate.make(make_family("complete", 9), 1, [], {0: [0, 1]}, {})
     with pytest.raises(BudgetExceededError, match="^check_good: automorphisms: "):
         check_good(lone_edge_k9, budget=1)
+
+
+@pytest.mark.parametrize("max_g_vertices", [0, -3])
+def test_binomial_check_needs_a_candidate_graph(max_g_vertices):
+    with pytest.raises(ValueError, match="candidate graph"):
+        binomial_inequality_check(data.load_template("pentagon_square"), max_g_vertices)
+
+
+def test_binomial_check_takes_extra_graphs_alone():
+    t = data.load_template("pentagon_square")
+    cert = check_good(t)
+    extra = [random_graph(5, 40), make_family("complete", 4), random_graph(5, 41)]
+    report = binomial_inequality_check(t, 0, cert=cert, extra_graphs=extra)
+    assert report == _per_graph_binomial(t, 0, extra)
+    assert report["graphs_checked"] == 3
+    assert binomial_inequality_check(t, 0, cert=cert, extra_graphs=iter(extra)) == report
+
+
+def test_binomial_check_rejects_another_templates_certificate():
+    square = check_good(data.load_template("pentagon_square"))
+    with pytest.raises(ValueError, match="not a valid goodness certificate"):
+        binomial_inequality_check(data.load_template("lone_edge_c5"), 3, cert=square)
+
+
+def test_binomial_check_rechecks_a_passed_certificate():
+    t = data.load_template("pentagon_square")
+    cert = check_good(t)
+    (triple, coeff), *rest = cert.generators_used
+    for tampered in (dataclasses.replace(cert, j_edge_count=cert.j_edge_count + 1),
+                     dataclasses.replace(cert, generators_used=((triple, coeff + 1), *rest))):
+        assert not verify_certificate(tampered)
+        with pytest.raises(ValueError, match="not a valid goodness certificate"):
+            binomial_inequality_check(t, 3, cert=tampered)
+
+
+def _basis_x(f, r1, r2, r3):
+    """Reference x-vector: `ClassVector` arithmetic on basis vectors."""
+    r1, r2, r3 = set(r1), set(r2), set(r3)
+    basis = functools.partial(ClassVector.basis, f)
+    return basis(r1 | r2 | r3) - basis(r2 | r3) - basis(r1 | r2) + basis(r2)
+
+
+def _basis_z(t):
+    """Reference z: basis vectors of the node subsets minus those of the edge subsets."""
+    z = ClassVector(t.base, {})
+    for s in t.psi_nodes:
+        z = z + ClassVector.basis(t.base, s)
+    for _, s in t.psi_edges:
+        z = z - ClassVector.basis(t.base, s)
+    return z
+
+
+@functools.cache
+def _basis_generator_vectors(f):
+    """Every distinct nonzero reference x-vector over the assignment loop."""
+    vectors = {}
+    for triple in _all_triples(f):
+        vec = _basis_x(f, *triple)
+        if not vec.is_zero():
+            vectors.setdefault(tuple(sorted(vec.coeffs.items())), vec)
+    return tuple(vectors.values())
+
+
+def _reference_verdict(cert):
+    """Reference for `verify_certificate`, in `ClassVector` (`Fraction`) arithmetic."""
+    t, f = cert.template, cert.template.base
+    j, _ = build_j(t)
+    target = ClassVector.basis(f, range(f.vertex_count)).scaled(
+        Fraction(j.edge_count, f.edge_count))
+    if ((j.vertex_count, j.edge_count) != (cert.j_vertex_count, cert.j_edge_count)
+            or cert.target.coeffs != target.coeffs):
+        return False
+    rhs = target - _basis_z(t)
+    if cert.verdict == "good":
+        acc = ClassVector(f, {})
+        for triple, coeff in cert.generators_used:
+            if coeff < 0:
+                return False
+            acc = acc + _basis_x(f, *triple).scaled(coeff)
+        return cert.farkas_witness is None and acc.coeffs == rhs.coeffs
+    y = cert.farkas_witness
+    return (y is not None and y.inner(rhs) > 0
+            and all(y.inner(vec) <= 0 for vec in _basis_generator_vectors(f)))
+
+
+_TEMPLATE_BASES = {"C5": C5, "C7": make_family("cycle", 7), "P5": make_family("path", 5),
+                   "paw": data.load_graph("paw")}
+
+
+@st.composite
+def _random_templates(draw):
+    """Templates with 1-3 tree nodes; each node is all of V(F) or a subset."""
+    f = _TEMPLATE_BASES[draw(st.sampled_from(sorted(_TEMPLATE_BASES)))]
+    nodes = draw(st.integers(1, 3))
+    subsets = st.sets(st.integers(0, f.vertex_count - 1))
+    psi = [draw(st.one_of(st.just(set(range(f.vertex_count))), subsets)) for _ in range(nodes)]
+    edges = [(draw(st.integers(0, s - 1)), s) for s in range(1, nodes)]
+    glue = {(a, b): {v for v in sorted(psi[a] & psi[b]) if draw(st.booleans())}
+            for a, b in edges}
+    return GluingTemplate.make(f, nodes, edges, dict(enumerate(psi)), glue)
+
+
+# random templates with 1-3 nodes are never good with generators, so the
+# certificates that use generators are drawn from these as well
+_GENERATOR_TEMPLATES = [data.load_template(name) for name in
+                        ("pentagon_square", "gen_c5_tree_a", "gen_c5_tree_b")]
+
+
+def _perturbed(cert, draw):
+    """cert with one witness entry, one coefficient or one triple part
+    changed; a good certificate without generators gains one."""
+    f = cert.template.base
+    if cert.verdict == "not_good":
+        classes = sorted({k for _, coeffs in enumerate_generators(f) for k, _ in coeffs}
+                         | set(cert.farkas_witness.coeffs))
+        y = dict(cert.farkas_witness.coeffs)
+        k = draw(st.sampled_from(classes))
+        y[k] = y.get(k, 0) + draw(_rationals)
+        return dataclasses.replace(cert, farkas_witness=ClassVector(f, y))
+    used = list(cert.generators_used)
+    if not used:
+        triple, _ = draw(st.sampled_from(enumerate_generators(f)))
+        return dataclasses.replace(cert, generators_used=((triple, draw(_rationals)),))
+    i = draw(st.integers(0, len(used) - 1))
+    triple, coeff = used[i]
+    if draw(st.booleans()):
+        used[i] = triple, coeff + draw(_rationals)
+    else:
+        part = draw(st.integers(0, 2))
+        taken = set().union(*(triple[p] for p in range(3) if p != part))
+        free = [v for v in range(f.vertex_count) if v not in taken]
+        parts = list(triple)
+        parts[part] = tuple(sorted(draw(st.sets(st.sampled_from(free)))) if free else ())
+        used[i] = tuple(parts), coeff
+    return dataclasses.replace(cert, generators_used=tuple(used))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_random_templates(), st.sampled_from(_GENERATOR_TEMPLATES)), st.data())
+def test_integer_certificate_forms_match_class_vectors(t, data_):
+    f = t.base
+    j, _ = build_j(t)
+    z = _basis_z(t)
+    assert _class_counts(f, _z_terms(t)) == z.coeffs
+    assert z_vector(t) == z
+    if j.edge_count == 0:
+        return
+    rhs = ClassVector.basis(f, range(f.vertex_count)).scaled(
+        Fraction(j.edge_count, f.edge_count)) - z
+    assert (_class_counts(f, [(j.edge_count, range(f.vertex_count))]
+                          + _z_terms(t, -f.edge_count))
+            == rhs.scaled(f.edge_count).coeffs)
+    cert = check_good(t)
+    assert verify_certificate(cert) and _reference_verdict(cert)
+    tampered = _perturbed(cert, data_.draw)
+    assert verify_certificate(tampered) == _reference_verdict(tampered)
+
+
+def test_verify_certificate_rejects_a_negative_coefficient_that_balances():
+    # one generator listed twice, with c + 1 and -1: the conic sum still
+    # equals the target, so only the sign test can reject it
+    cert = check_good(data.load_template("pentagon_square"))
+    (triple, coeff), *rest = cert.generators_used
+    split = dataclasses.replace(
+        cert, generators_used=((triple, coeff + 1), (triple, Fraction(-1)), *rest))
+    assert not _reference_verdict(split)
+    assert not verify_certificate(split)
+    halves = dataclasses.replace(
+        cert, generators_used=((triple, coeff / 2), (triple, coeff / 2), *rest))
+    assert _reference_verdict(halves) and verify_certificate(halves)

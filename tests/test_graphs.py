@@ -12,6 +12,8 @@ from homcommon.graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph,
                               girth_and_cycle_count, graph_from_json,
                               graph_to_json, hom_count, make_family,
                               random_graph, subgraph_on_edges)
+from homcommon import graphs
+from homcommon.graphs import _mask_adjacency
 
 K2 = make_family("path", 2)
 K3 = make_family("complete", 3)
@@ -26,6 +28,14 @@ def brute_hom_count(h, g):
                for u, v in h.edges):
             count += 1
     return count
+
+
+def _adjacency(g):
+    """g's 0/1 adjacency matrix, filled edge by edge."""
+    adj = np.zeros((g.vertex_count, g.vertex_count), dtype=np.int64)
+    for u, v in g.edges:
+        adj[u, v] = adj[v, u] = 1
+    return adj
 
 
 def test_make_family_examples():
@@ -185,7 +195,7 @@ def _walk_count(g, length):
 def test_batched_hom_counts_are_exact_in_either_dtype(h, exact):
     # 40 graphs on 5 vertices in one batch; P30 needs 5^30 > 2^63, so Python ints
     gs = [random_graph(5, 900 + s) for s in range(40)]
-    counts = _hom_counts(h, gs, DEFAULT_WORK_BUDGET, "test")
+    counts = _hom_counts(h, np.stack([_adjacency(g) for g in gs]), DEFAULT_WORK_BUDGET, "test")
     assert all(type(c) is int for c in counts)
     assert counts == [hom_count(h, g) for g in gs]
     if exact == "object":
@@ -264,3 +274,25 @@ def test_graph_json_round_trip():
     assert g.edges == frozenset({(0, 2), (0, 1)})
     with pytest.raises(ValueError):
         graph_from_json({"edges": []})
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_mask_adjacency_matches_all_labelled_graphs(n):
+    labelled = list(all_labelled_graphs(n))
+    stack = _mask_adjacency(n, list(range(len(labelled))))
+    assert stack.shape == (len(labelled), n, n)
+    for row, g in zip(stack, labelled):
+        assert (row == _adjacency(g)).all()
+
+
+def test_hom_count_contracts_one_unbatched_matrix(monkeypatch):
+    shapes = []
+    contract = graphs._contract
+
+    def recorded(h, matrix, *rest):
+        shapes.append(matrix.shape)
+        return contract(h, matrix, *rest)
+
+    monkeypatch.setattr(graphs, "_contract", recorded)
+    assert hom_count(C5, K3) == 30
+    assert shapes == [(3, 3)]
