@@ -274,8 +274,9 @@ def binomial_inequality_check(t: GluingTemplate, max_g_vertices: int,
     to max_g_vertices vertices (plus any extra graphs), with exact
     homomorphism counts.
 
-    Needs a candidate graph, and a certificate of `t` that
-    `verify_certificate` accepts, if one is passed; ValueError otherwise.
+    Needs a candidate graph, extra graphs of at least one vertex, and a
+    certificate of `t` that `verify_certificate` accepts, if one is
+    passed; ValueError otherwise.
     The candidates are edge masks (bit i for the i-th pair of
     combinations(range(n), 2), as `all_labelled_graphs` orders them), then
     the extra graphs', in runs on one vertex count of at most _BATCH masks.
@@ -286,8 +287,11 @@ def binomial_inequality_check(t: GluingTemplate, max_g_vertices: int,
     Reports the minimum floating slack, the first graph attaining it, and
     whether the exact comparison held everywhere.
     """
-    if max_g_vertices < 1 and not (extra_graphs := list(extra_graphs)):
+    extra_graphs = list(extra_graphs)
+    if max_g_vertices < 1 and not extra_graphs:
         raise ValueError("binomial inequality check needs at least one candidate graph")
+    if any(g.vertex_count < 1 for g in extra_graphs):
+        raise ValueError("binomial inequality check needs extra graphs with at least one vertex")
     if cert is None:
         cert = check_good(t, budget)
     elif cert.template != t or not verify_certificate(cert, budget):

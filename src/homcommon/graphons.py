@@ -83,7 +83,7 @@ def densities(h: Graph, measures: np.ndarray, values: np.ndarray,
     """t(h, .) of step kernels given as float64 arrays, measures (..., q) and
     values (..., q, q); leading axes are a batch and the result has their
     shape.  No validation: callers pass arrays of kernels they built."""
-    return _contract(h, values, measures, budget, "density")
+    return _contract(h, values[None], measures, budget, "density")
 
 
 def density(h: Graph, w: StepKernel, budget: int = DEFAULT_WORK_BUDGET) -> float:

@@ -8,7 +8,9 @@ engine: variable elimination over V(h) along a greedy min-degree order,
 planned once per graph h and cached (Diaz-Serna-Thilikos, counting
 H-colourings of bounded treewidth).  Its cost is sum over elimination steps
 of q^|scope| rather than q^v(h), so graphs of treewidth 2, such as glued
-odd-cycle trees, cost O(v(h) q^3).
+odd-cycle trees, cost O(v(h) q^3).  Each edge of h reads its own matrix
+operand, so one contraction also scores products of different matrices,
+such as every edge subset of h at once.
 """
 
 from __future__ import annotations
@@ -197,14 +199,15 @@ def automorphisms(g: Graph, budget: int = DEFAULT_WORK_BUDGET) -> Iterator[tuple
 class _Plan(NamedTuple):
     """Variable elimination over V(h), fixed by h alone.
 
-    Operand 0 is the edge matrix and operand 1 the vertex-weight vector;
-    step k contracts the listed operands with `np.einsum` and appends its
-    result as operand k + 2.  A step whose output has no indices closes a
-    component of h; the contraction is the product of those scalars.  Every
-    subscript ends with `...`, so trailing batch axes pass through.  Each
-    step has two subscripts: the plain one for unbatched operands, and a
-    padded one for batched operands, which gives a step of fewer than three
-    factors extra factors `...` up to three, for `_contract` to bind to 1.
+    Operand k is the matrix of edge k of sorted(h.edges) and operand e(h)
+    the vertex-weight vector; step k contracts the listed operands with
+    `np.einsum` and appends its result as operand e(h) + 1 + k.  A step
+    whose output has no indices closes a component of h; the contraction is
+    the product of those scalars.  Every subscript ends with `...`, so
+    trailing batch axes pass through.  Each step has two subscripts: the
+    plain one for unbatched operands, and a padded one for batched
+    operands, which gives a step of fewer than three factors extra factors
+    `...` up to three, for `_contract` to bind to 1.
     """
 
     steps: tuple[tuple[str, str, tuple[int, ...]], ...]
@@ -222,7 +225,8 @@ def _plan(h: Graph) -> _Plan:
     filled in by earlier eliminations, so the plan's cost is sum q^|scope|.
     """
     adj = h.neighbor_sets()
-    factors = [(0, e) for e in sorted(h.edges)] + [(1, (v,)) for v in range(h.vertex_count)]
+    factors = list(enumerate(sorted(h.edges)))
+    factors += [(h.edge_count, (v,)) for v in range(h.vertex_count)]
     remaining = set(range(h.vertex_count))
     steps, widths, scalars = [], [], []
     while remaining:
@@ -239,7 +243,7 @@ def _plan(h: Graph) -> _Plan:
         inputs = ",".join("".join(letter[u] for u in f[1]) + "..." for f in touching)
         output = "->" + "".join(letter[u] for u in out) + "..."
         ones = ",..." * max(0, 3 - len(touching))
-        result_id = len(steps) + 2
+        result_id = h.edge_count + 1 + len(steps)
         steps.append((inputs + output, inputs + ones + output, tuple(f[0] for f in touching)))
         widths.append(len(scope))
         if out:
@@ -253,25 +257,29 @@ def _plan(h: Graph) -> _Plan:
     return _Plan(tuple(steps), tuple(widths), tuple(scalars))
 
 
-def _contract(h: Graph, matrix: np.ndarray, vector: np.ndarray, budget: int, caller: str):
-    """sum over maps phi: V(h) -> [q] of prod_v vector[phi v] * prod_uv matrix[phi u, phi v].
+def _contract(h: Graph, matrices: np.ndarray, vector: np.ndarray, budget: int, caller: str):
+    """sum over maps phi: V(h) -> [q] of prod_v vector[phi v] * prod_k matrices[k][phi u, phi v],
+    edge k = (u, v) of sorted(h.edges).
 
-    `matrix` has shape (..., q, q) and `vector` shape (..., q); leading axes
-    are a batch, broadcast against each other, and the result has their
-    shape.  The work charged against `budget` is sum over steps of
-    q^|scope|, per kernel of the batch.  Unbatched operands give a numpy
-    scalar of the operands' dtype, or a Python int for object operands.
+    `matrices` has shape (E, ..., q, q), with E either e(h), one matrix per
+    edge, or 1, one matrix shared by every edge; `vector` has shape
+    (..., q).  The axes between E and (q, q) are a batch, broadcast against
+    the vector's leading axes, and the result has their shape.  The work
+    charged against `budget` is sum over steps of q^|scope|, per kernel of
+    the batch.  Unbatched operands give a numpy scalar of the operands'
+    dtype, or a Python int for object operands.
 
-    A batch is contracted with its axes last: one contiguous copy of each
-    operand puts them there, so every einsum's inner loop runs over the
-    whole batch rather than over q <= 4 block indices.  A batch of one
-    kernel loops over a block index instead, and there numpy's one- and
-    two-operand einsum kernels are vectorised reductions that sum in
-    another order, so a kernel's bits would depend on its batch.  So the
-    batched steps are the padded ones, whose extra factors are a 0-d 1 (an
-    exact product): with three or more operands einsum multiplies and adds
-    every kernel alike, in block order, in a batch of any size.
-    Unbatched operands run the plain steps.
+    A batch is contracted with its axes last: one contiguous copy of the
+    matrices and one of the vector put them there, so every einsum's inner
+    loop runs over the whole batch rather than over q <= 4 block indices.
+    A batch of one kernel loops over a block index instead, and there
+    numpy's one- and two-operand einsum kernels are vectorised reductions
+    that sum in another order, so a kernel's bits would depend on its
+    batch.  So the batched steps are the padded ones, whose extra factors
+    are a 0-d 1 (an exact product): with three or more operands einsum
+    multiplies and adds every kernel alike, in block order, in a batch of
+    any size.  Unbatched operands run the plain steps.  A shared matrix
+    runs the same einsum calls on the same bits as e(h) copies of it.
     """
     try:
         plan = _plan(h)
@@ -283,12 +291,14 @@ def _contract(h: Graph, matrix: np.ndarray, vector: np.ndarray, budget: int, cal
         raise BudgetExceededError(
             f"{caller}: contracting a {h.vertex_count}-vertex graph over {q} values "
             f"needs {work} terms, budget {budget}")
-    batched = matrix.ndim > 2 or vector.ndim > 1
+    batched = matrices.ndim > 3 or vector.ndim > 1
     if batched:
-        matrix = matrix.transpose(matrix.ndim - 2, matrix.ndim - 1, *range(matrix.ndim - 2)).copy()
+        nd = matrices.ndim
+        matrices = matrices.transpose(0, nd - 2, nd - 1, *range(1, nd - 2)).copy()
         vector = vector.transpose(vector.ndim - 1, *range(vector.ndim - 1)).copy()
-        ones = np.array(1, dtype=matrix.dtype)
-    operands = [matrix, vector]
+        ones = np.array(1, dtype=matrices.dtype)
+    edges = [matrices[0]] * h.edge_count if len(matrices) == 1 else list(matrices)
+    operands = edges + [vector]
     for plain, padded, ids in plan.steps:
         factors = [operands[i] for i in ids]
         if batched:
@@ -315,7 +325,7 @@ def _hom_counts(h: Graph, adj: np.ndarray, budget: int, caller: str) -> list[int
     int64 is exact while n^v(h) < 2^63; larger instances use Python ints."""
     n = adj.shape[-1]
     dtype = np.int64 if n**h.vertex_count < 2**63 else object
-    counts = _contract(h, adj.astype(dtype), np.ones(n, dtype=dtype), budget, caller)
+    counts = _contract(h, adj.astype(dtype)[None], np.ones(n, dtype=dtype), budget, caller)
     return [int(c) for c in np.broadcast_to(counts, adj.shape[:-2]).flat]
 
 

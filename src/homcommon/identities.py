@@ -8,13 +8,11 @@ systematic bias rather than just magnitude.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
-from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph,
-                     make_family, subgraph_on_edges)
-from .graphons import StepKernel, densities, density, kernel_arrays, one_minus, shift
+from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _contract, _plan,
+                     make_family)
+from .graphons import StepKernel, densities, density, kernel_arrays, one_minus
 
 _K2 = make_family("path", 2)
 _P3 = make_family("path", 3)
@@ -22,6 +20,19 @@ _P4 = make_family("path", 4)
 _P5 = make_family("path", 5)
 _K3 = make_family("complete", 3)
 _C5 = make_family("cycle", 5)
+_SUBSET_CHUNK = 2**10
+_CHUNK_TERMS = 2**20
+
+
+def _subset_densities(h: Graph, measures: np.ndarray, u: np.ndarray, bits: np.ndarray,
+                      budget: int) -> np.ndarray:
+    """t(h[E_S], u) for each column S of the 0/1 array `bits`, of shape
+    (e(h), n), whose row k marks edge k of sorted(h.edges): one contraction
+    over h's own plan, in which edge k reads u where S has it and the
+    all-ones matrix, a factor 1, elsewhere."""
+    stack = np.where(bits[..., None, None] == 1, u, 1.0)
+    return np.broadcast_to(_contract(h, stack, measures, budget, "expansion_residual"),
+                           bits.shape[1:])
 
 
 def expansion_residual(h: Graph, w: StepKernel, p: float,
@@ -32,20 +43,24 @@ def expansion_residual(h: Graph, w: StepKernel, p: float,
     t(h,w) = sum over E of p^(e(h)-|E|) * t(h[E], u); the return value is
     the difference of the two sides and is zero up to rounding.  The
     2^e(h) edge subsets are charged against `budget` before any density
-    is computed, and each density is then bounded by `budget` as well.
+    is computed.  `_subset_densities` scores them in chunks, each of at most
+    `_SUBSET_CHUNK` subsets and `_CHUNK_TERMS` terms (one subset if a single
+    one needs more), which bounds the memory in e(h) and in the block count,
+    and each contraction charges every subset's work against `budget` too.
     """
-    if 2 ** h.edge_count > budget:
+    e = h.edge_count
+    if 2**e > budget:
         raise BudgetExceededError(
-            f"expansion_residual: 2^{h.edge_count} edge subsets exceed the work budget "
-            f"of {budget}")
-    u = shift(w, p)
-    lhs = density(h, w, budget)
-    edges = sorted(h.edges)
+            f"expansion_residual: 2^{e} edge subsets exceed the work budget of {budget}")
+    lhs = density(h, w, budget)  # plans h, so a too-wide step is refused as "density:"
+    measures, values = kernel_arrays(w)
+    work = max(1, sum(len(measures)**width for width in _plan(h).widths))
+    chunk = max(1, min(_SUBSET_CHUNK, _CHUNK_TERMS // work))
     total = 0.0
-    for size in range(len(edges) + 1):
-        for keep in combinations(edges, size):
-            total += p ** (h.edge_count - size) * density(subgraph_on_edges(h, keep), u, budget)
-    return lhs - total
+    for start in range(0, 2**e, chunk):
+        bits = np.arange(start, min(start + chunk, 2**e)) >> np.arange(e)[:, None] & 1
+        total += p ** (e - bits.sum(0)) @ _subset_densities(h, measures, values - p, bits, budget)
+    return lhs - float(total)
 
 
 def goodman_residual(w: StepKernel, budget: int = DEFAULT_WORK_BUDGET) -> float:

@@ -19,6 +19,7 @@ from homcommon.gluing import (ClassVector, GluingTemplate, build_j, x_vector,
 from homcommon.graphs import (BudgetExceededError, _plan, all_labelled_graphs,
                               graph_to_json, hom_count, make_family, random_graph)
 from homcommon.gluing import _class_counts, _z_terms
+from homcommon.graphs import Graph
 
 C5 = make_family("cycle", 5)
 
@@ -532,6 +533,15 @@ def test_check_good_charges_the_class_table_first():
 def test_binomial_check_needs_a_candidate_graph(max_g_vertices):
     with pytest.raises(ValueError, match="candidate graph"):
         binomial_inequality_check(data.load_template("pentagon_square"), max_g_vertices)
+
+
+@pytest.mark.parametrize("max_g_vertices", [0, 2])
+def test_binomial_check_rejects_an_empty_extra_graph(max_g_vertices):
+    # t(J, G) and t(F, G) divide by n^v, so G needs n >= 1
+    extra = iter([random_graph(4, 7), Graph(0, frozenset())])
+    with pytest.raises(ValueError, match="at least one vertex"):
+        binomial_inequality_check(data.load_template("pentagon_square"), max_g_vertices,
+                                  extra_graphs=extra)
 
 
 def test_binomial_check_takes_extra_graphs_alone():

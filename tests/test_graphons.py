@@ -11,6 +11,7 @@ from homcommon import data
 from homcommon.gluing import build_j
 from homcommon.graphs import (BudgetExceededError, disjoint_union, hom_count,
                               make_family, random_graph)
+from homcommon.graphs import DEFAULT_WORK_BUDGET, _contract
 from homcommon.graphons import (StepKernel, constant_kernel, densities,
                                 density, kernel_from_graph, kernel_from_json,
                                 kernel_to_json, one_minus, sample_graphon,
@@ -258,3 +259,41 @@ def test_densities_rows_do_not_depend_on_their_batch(h, seed, q, count, stacked,
         assert np.array_equal(np.broadcast_to(row, lead + (1,))[..., 0], full[..., k])
         alone = np.broadcast_to(densities(h, measures[k], values[..., k, :, :]), lead)
         assert np.all(np.abs(full[..., k] - alone) <= rounding * np.abs(alone))
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=small_graphs(5), seed=st.integers(0, 2**32 - 1), q=st.integers(1, 3),
+       batch=st.sampled_from([(), (2,)]))
+def test_contract_per_edge_matrices_match_brute_force(h, seed, q, batch):
+    """Edge k of sorted(h.edges) reads matrix k, in the plain and the batched
+    path: the contraction equals the sum over all q^v(h) maps, within 1e-12
+    of the sum of the terms' absolute values."""
+    rng = np.random.default_rng(seed)
+    edges = sorted(h.edges)
+    matrices = rng.uniform(-1.0, 2.0, size=(len(edges),) + batch + (q, q))
+    vector = rng.uniform(size=batch + (q,))
+    got = np.broadcast_to(_contract(h, matrices, vector, DEFAULT_WORK_BUDGET, "test"), batch)
+    for b in np.ndindex(batch):
+        total = size = 0.0
+        for phi in product(range(q), repeat=h.vertex_count):
+            term = math.prod(vector[b][phi[v]] for v in range(h.vertex_count))
+            term *= math.prod(matrices[(k,) + b][phi[u], phi[v]] for k, (u, v) in enumerate(edges))
+            total += term
+            size += abs(term)
+        assert abs(got[b] - total) <= 1e-12 * size
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=small_graphs(5), seed=st.integers(0, 2**32 - 1), q=st.integers(1, 3),
+       batch=st.sampled_from([(), (3,)]))
+def test_contract_shared_matrix_gives_densities_bits(h, seed, q, batch):
+    """One matrix for every edge, as an edge axis of length 1 or as e(h)
+    copies, gives `densities` bit for bit."""
+    rng = np.random.default_rng(seed)
+    measures = rng.dirichlet(np.ones(q), size=batch)
+    raw = rng.uniform(-1.0, 2.0, size=batch + (q, q))
+    values = np.where(np.tri(q, dtype=bool), np.swapaxes(raw, -1, -2), raw)
+    expected = np.broadcast_to(densities(h, measures, values), batch)
+    for matrices in (values[None], np.repeat(values[None], h.edge_count, axis=0)):
+        got = _contract(h, matrices, measures, DEFAULT_WORK_BUDGET, "test")
+        assert np.array_equal(np.broadcast_to(got, batch), expected)

@@ -295,4 +295,4 @@ def test_hom_count_contracts_one_unbatched_matrix(monkeypatch):
 
     monkeypatch.setattr(graphs, "_contract", recorded)
     assert hom_count(C5, K3) == 30
-    assert shapes == [(3, 3)]
+    assert shapes == [(1, 3, 3)]

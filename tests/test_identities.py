@@ -1,4 +1,13 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import small_graphs
+from homcommon import identities
+from homcommon.graphs import DEFAULT_WORK_BUDGET, random_graph, subgraph_on_edges
+from homcommon.graphons import kernel_from_graph
+from homcommon.identities import _subset_densities
 
 from homcommon.graphs import Graph, make_family
 from homcommon.graphons import (StepKernel, constant_kernel, density,
@@ -45,6 +54,62 @@ def test_expansion_residual_thirteen_edges():
                              if (u, v) not in ((0, 1), (2, 3))])
     assert h.edge_count == 13
     assert abs(expansion_residual(h, constant_kernel(0.5), 0.3)) < IDENTITY_TOL
+
+
+def test_expansion_residual_thirteen_edges_several_chunks():
+    # 2^13 subsets take several chunks of at most 2^10, each contracted on 4 blocks
+    h = Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6)
+                             if (u, v) not in ((0, 1), (2, 3))])
+    w = sample_graphon(2, 4)
+    assert w.block_count == 4
+    for p in (0.3, density(K2, w)):
+        assert abs(expansion_residual(h, w, p)) < IDENTITY_TOL
+
+
+@pytest.mark.parametrize("h", [Graph(0, frozenset()), Graph(3, frozenset())])
+def test_expansion_residual_without_edges(h):
+    # one subset, the empty one; a graph without vertices has no plan steps
+    assert abs(expansion_residual(h, sample_graphon(2, 4), 0.3)) < 1e-15
+
+
+def test_expansion_residual_bounds_terms_per_contraction(monkeypatch):
+    # K4 on 16 blocks: 16^4 + 16^3 + 16^2 + 16 = 69904 terms per subset, so
+    # at most 2^20 // 69904 = 15 of the 64 subsets per contraction
+    batches = []
+    contract = identities._contract
+
+    def recorded(h, matrices, *rest):
+        batches.append(matrices.shape[1])
+        return contract(h, matrices, *rest)
+
+    monkeypatch.setattr(identities, "_contract", recorded)
+    w = kernel_from_graph(random_graph(16, 5))
+    assert abs(expansion_residual(make_family("complete", 4), w, 0.3)) < IDENTITY_TOL
+    assert sum(batches) == 64 and max(batches) == 15
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=small_graphs(5), seed=st.integers(0, 2**32 - 1), q=st.integers(1, 3))
+def test_subset_densities_match_per_subgraph_densities(h, seed, q):
+    """t(h[E_S], u) from the one contraction over h equals `density` of the
+    spanning subgraph h[E_S] on its own plan, for every edge subset S and u
+    in [-1, 2].  The tolerance is the rounding bound of the batched density
+    test in test_graphons (at most e(h) + v(h) (q + 3) roundings per term),
+    taken relative to the sum of |terms|, t(h[E_S], |u|), as terms here may
+    cancel."""
+    rng = np.random.default_rng(seed)
+    measures = rng.dirichlet(np.ones(q))
+    raw = rng.uniform(-1.0, 2.0, size=(q, q))
+    u = np.where(np.tri(q, dtype=bool), raw.T, raw)
+    edges = sorted(h.edges)
+    bits = np.arange(2 ** len(edges)) >> np.arange(len(edges))[:, None] & 1
+    got = _subset_densities(h, measures, u, bits, DEFAULT_WORK_BUDGET)
+    kernel = StepKernel(tuple(measures), tuple(map(tuple, u)))
+    magnitude = StepKernel(tuple(measures), tuple(map(tuple, np.abs(u))))
+    rounding = (h.edge_count + h.vertex_count * (q + 3)) * np.finfo(float).eps
+    for s in range(2 ** len(edges)):
+        sub = subgraph_on_edges(h, [e for k, e in enumerate(edges) if s >> k & 1])
+        assert abs(got[s] - density(sub, kernel)) <= rounding * density(sub, magnitude)
 
 
 def test_goodman_residual():
