@@ -176,6 +176,7 @@ def _cmd_falsify(args, config: RunConfig) -> int:
               "steps": args.steps, "max_blocks": result.max_blocks,
               "threshold": args.threshold, "budget": config.work_budget,
               "best_gap": result.best_gap, "evaluations": result.evaluations,
+              "objective_calls": result.objective_calls,
               "violation_found": violation,
               "witness": kernel_to_json(result.best_kernel)}
     _emit(report, config)

@@ -12,11 +12,12 @@ public gap functions evaluate it on one kernel's arrays.  The objective
 factories return a `GapObjective`, which evaluates the same formula on one
 `StepKernel` when called and on a stack of graphons by its `batch`
 method.  `falsify` pads every restart to the largest block count drawn,
-with zero-measure blocks, and descends all of them in lockstep, one
-batched objective call per coordinate move.  Each restart still draws its
-start from its own generator and follows the path it would follow alone,
-so the result depends only on (seed, restarts, steps, max_blocks),
-whatever the padding or evaluation order.
+with zero-measure blocks, and descends all of them in lockstep by compass
+search: one batched objective call per coordinate scores both step
+directions of every restart from the same point.  Each restart still
+draws its start from its own generator and follows the path it would
+follow alone, so the result depends only on (seed, restarts, steps,
+max_blocks), whatever the padding or evaluation order.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ class SearchResult:
     best_kernel: StepKernel
     best_gap: float
     evaluations: int
+    objective_calls: int
     seed: int
     max_blocks: int
 
@@ -570,68 +572,71 @@ def pair_gap_objective(spec: CommonPairSpec, budget: int = DEFAULT_WORK_BUDGET) 
 
 def _descend(objective: GapObjective, measures: np.ndarray, values: np.ndarray,
              blocks: np.ndarray, max_sweeps: int):
-    """Coordinate descent over block values and measures, B starts in lockstep.
+    """Compass search over block values and measures, B starts in lockstep.
 
     `measures` (B, Q) and `values` (B, Q, Q) are updated in place; start k
     uses its first `blocks[k]` blocks, and its other blocks have measure 0
     and value 0, which add exact zeros to every density.  Each start
-    follows its own path, as if descended alone on its own blocks: moves in
-    a fixed order, a per-start step delta halved after a sweep without
-    improvement, and a start drops out once delta < 1e-6.  A value move on
-    entry (i, j >= i), or a measure move into block j, applies only to the
-    starts with j < blocks[k]; a move out of a padded block has amount 0.
-    A move is scored by one `objective.batch` call over the starts for
-    which it is not skipped.  Returns each start's best value and its
-    number of evaluations.
+    follows its own path, as if descended alone on its own blocks.  A
+    sweep polls each coordinate in a fixed order, in both directions from
+    the same point: first the value entries (i, j >= i), with candidates
+    min(1, v + delta) and max(0, v - delta), then the measure pairs i < j,
+    with candidates that move min(delta, m_i) from i to j and
+    min(delta, m_j) from j to i.  A coordinate applies only to the starts
+    with j < blocks[k], and a candidate equal to the current point is not
+    scored.  One `objective.batch` call scores both candidates of every
+    start; a start takes its lower candidate (the first on a tie) if it is
+    below its best by more than 1e-15, and otherwise keeps its arrays
+    untouched.  A per-start step delta is halved after a sweep without
+    improvement, and a start drops out once delta < 1e-6.  Returns each
+    start's best value and its number of evaluations.
     """
     count, q = measures.shape
     best = objective.batch(measures, values)
     evals = np.ones(count, dtype=np.int64)
     delta = np.full(count, 0.25)
     live = np.arange(count)
-    value_moves = [(i, j, sgn) for i in range(q) for j in range(i, q) for sgn in (1.0, -1.0)]
-    measure_moves = [(i, j) for i in range(q) for j in range(q) if i != j]
+    coordinates = ([(True, i, j) for i in range(q) for j in range(i, q)]
+                   + [(False, i, j) for i in range(q) for j in range(i + 1, q)])
     for _ in range(max_sweeps):
         if live.size == 0:
             break
         improved = np.zeros(count, dtype=bool)
         live_blocks = blocks[live]
-        for i, j, sgn in value_moves:
-            old = values[live, i, j]
-            cand = np.minimum(1.0, np.maximum(0.0, old + sgn * delta[live]))
-            moved = (cand != old) & (j < live_blocks)
-            rows, cand = live[moved], cand[moved]
-            if rows.size == 0:
+        for is_value, i, j in coordinates:
+            rows = live[j < live_blocks]
+            n = rows.size
+            if n == 0:
                 continue
-            trial = values[rows]
-            trial[:, i, j] = trial[:, j, i] = cand
-            val = objective.batch(measures[rows], trial)
-            evals[rows] += 1
-            better = val < best[rows] - 1e-15
-            rows = rows[better]
-            best[rows] = val[better]
-            improved[rows] = True
-            values[rows, i, j] = values[rows, j, i] = cand[better]
-        for i, j in measure_moves:
-            amount = np.minimum(delta[live], measures[live, i])
-            moved = (amount > 0.0) & (j < live_blocks)
-            rows, amount = live[moved], amount[moved]
-            if rows.size == 0:
+            # candidates [:n] step up (or i -> j), candidates [n:] step down (or j -> i)
+            both = np.concatenate((rows, rows))
+            trial_m, trial_v = measures[both], values[both]
+            step = delta[both]
+            if is_value:
+                old = trial_v[:, i, j]
+                new = np.concatenate((np.minimum(1.0, old[:n] + step[:n]),
+                                      np.maximum(0.0, old[n:] - step[n:])))
+                scored = new != old  # before the write: `old` is a view of trial_v
+                trial_v[:, i, j] = trial_v[:, j, i] = new
+            else:
+                # the signed mass moved from i to j; negation is exact
+                amount = np.concatenate((np.minimum(step[:n], trial_m[:n, i]),
+                                         -np.minimum(step[n:], trial_m[n:, j])))
+                trial_m[:, i] -= amount
+                trial_m[:, j] += amount
+                scored = amount != 0.0
+            if not scored.any():
                 continue
-            trial = measures[rows]
-            trial[:, i] -= amount
-            trial[:, j] += amount
-            val = objective.batch(trial, values[rows])
-            evals[rows] += 1
-            better = val < best[rows] - 1e-15
-            best[rows[better]] = val[better]
-            improved[rows[better]] = True
-            # undo a rejected move by the inverse update, which can leave a
-            # measure one rounding away from its old value: the search path
-            # is defined with that rounding, so restoring would change results
-            trial[~better, i] += amount[~better]
-            trial[~better, j] -= amount[~better]
-            measures[rows] = trial
+            val = np.full(2 * n, np.inf)
+            val[scored] = objective.batch(trial_m[scored], trial_v[scored])
+            evals[rows] += scored.reshape(2, n).sum(0)
+            pick = np.arange(n) + n * (val[n:] < val[:n])
+            better = val[pick] < best[rows] - 1e-15
+            moved, pick = rows[better], pick[better]
+            best[moved] = val[pick]
+            improved[moved] = True
+            measures[moved] = trial_m[pick]
+            values[moved] = trial_v[pick]
         stalled = live[~improved[live]]
         delta[stalled] *= 0.5
         live = live[delta[live] >= 1e-6]
@@ -644,12 +649,16 @@ def falsify(objective: GapObjective, seed: int, restarts: int = 50, steps: int =
     graphons with up to `max_blocks` blocks.
 
     `objective` is a `GapObjective`, such as `common_gap_objective(h)`: the
-    descent scores moves with `objective.batch`, and the returned gap is
-    `objective(best_kernel)`.  Every start is padded with zero-measure,
+    descent scores candidates with `objective.batch`, and the returned gap
+    is `objective(best_kernel)`.  Every start is padded with zero-measure,
     zero-value blocks to Q, the largest block count drawn, and all restarts
     descend in one lockstep `_descend`, each on its own path over its own
-    blocks, at most `steps` sweeps each.  The witness keeps only the blocks
-    its restart drew.  The budget is charged for Q blocks per kernel.
+    blocks, at most `steps` sweeps each.  A sweep polls the Q(Q+1)/2 value
+    entries and the Q(Q-1)/2 measure pairs, each in both directions in one
+    batched call.  `evaluations` counts the scored candidates, and
+    `objective_calls` the batched calls: one for the starts, then at most
+    Q^2 per sweep (16 on 4 blocks).  The witness keeps only the blocks its
+    restart drew.  The budget is charged for Q blocks per kernel.
 
     Deterministic in (seed, restarts, steps, max_blocks): restart r draws
     its start from its own generator derived from the seed, and ties
@@ -680,10 +689,18 @@ def falsify(objective: GapObjective, seed: int, restarts: int = 50, steps: int =
         measures[k, :q] = m
         values[k, :q, :q] = raw
     values = np.where(np.tri(top, dtype=bool), values.transpose(0, 2, 1), values)
-    best, used = _descend(objective, measures, values, blocks, steps)
+    calls = 0
+
+    def counted(measures, values):
+        nonlocal calls
+        calls += 1
+        return objective.batch(measures, values)
+
+    best, used = _descend(GapObjective(counted), measures, values, blocks, steps)
     k = int(np.argmin(best))
     q = int(blocks[k])
     best_kernel = StepKernel(tuple(float(m) for m in measures[k, :q]),
                              tuple(tuple(float(x) for x in row[:q]) for row in values[k, :q]),
                              graphon=True)
-    return SearchResult(best_kernel, objective(best_kernel), int(used.sum()), seed, max_blocks)
+    return SearchResult(best_kernel, objective(best_kernel), int(used.sum()), calls, seed,
+                        max_blocks)

@@ -171,6 +171,8 @@ def test_common_falsify_reports_every_input_of_the_search(capsys):
     again = falsify(common_gap_objective(data.load_graph("paw")), seed=2, restarts=2,
                     steps=5, max_blocks=report["max_blocks"])
     assert report["best_gap"] == again.best_gap
+    assert (report["evaluations"], report["objective_calls"]) == (
+        again.evaluations, again.objective_calls)
     assert kernel_from_json(report["witness"]) == again.best_kernel
 
 

@@ -407,20 +407,116 @@ def _restart_start(seed, r, max_blocks):
     return measures, np.triu(raw) + np.triu(raw, 1).T
 
 
-@pytest.mark.parametrize("target,seed", [("paw", 1), ("K3", 3)])
-def test_falsify_witness_has_the_block_count_its_restart_drew(target, seed):
+@pytest.mark.parametrize("target,first_seed", [("paw", 1), ("K3", 3)])
+def test_falsify_witness_has_the_block_count_its_restart_drew(target, first_seed):
+    """On the first seed in a small fixed range whose winning restart drew
+    fewer blocks than another restart, so that the winner was padded in the
+    search, the witness keeps only the blocks its restart drew."""
     objective = common_gap_objective(data.parse_graph_spec(target))
     restarts, steps, max_blocks = 6, 20, 4
-    finals = []
-    for r in range(restarts):
-        measures, values = _restart_start(seed, r, max_blocks)
-        best, _ = _descend(objective, measures[None], values[None],
-                           np.array([len(measures)]), steps)
-        finals.append((best[0], r, len(measures)))
-    _, _, drawn = min(finals)
+    for seed in range(first_seed, first_seed + 8):
+        finals = []
+        for r in range(restarts):
+            measures, values = _restart_start(seed, r, max_blocks)
+            best, _ = _descend(objective, measures[None], values[None],
+                               np.array([len(measures)]), steps)
+            finals.append((best[0], r, len(measures)))
+        _, _, drawn = min(finals)
+        if drawn < max(q for _, _, q in finals):
+            break
     assert drawn < max(q for _, _, q in finals)  # the winner was padded in the search
     result = falsify(objective, seed=seed, restarts=restarts, steps=steps, max_blocks=max_blocks)
     assert result.best_kernel.block_count == drawn
+
+
+def _descend_alone(objective, measures, values, max_sweeps):
+    """Scalar reference for `_descend`: one start on its own blocks, each
+    candidate scored by its own `objective.batch` call on a batch of one.
+    Returns the best value, the evaluation count and the final arrays."""
+    measures, values = measures.copy(), values.copy()
+    q = len(measures)
+    coordinates = ([("value", i, j) for i in range(q) for j in range(i, q)]
+                   + [("measure", i, j) for i in range(q) for j in range(i + 1, q)])
+    best, evals, delta = objective.batch(measures[None], values[None])[0], 1, 0.25
+    for _ in range(max_sweeps):
+        if delta < 1e-6:
+            break
+        improved = False
+        for kind, i, j in coordinates:
+            candidates = []
+            if kind == "value":
+                for new in (min(1.0, values[i, j] + delta), max(0.0, values[i, j] - delta)):
+                    if new != values[i, j]:
+                        trial = values.copy()
+                        trial[i, j] = trial[j, i] = new
+                        candidates.append((measures, trial))
+            else:
+                for src, dst in ((i, j), (j, i)):
+                    amount = min(delta, measures[src])
+                    if amount > 0.0:
+                        trial = measures.copy()
+                        trial[src] -= amount
+                        trial[dst] += amount
+                        candidates.append((trial, values))
+            scores = [objective.batch(m[None], v[None])[0] for m, v in candidates]
+            evals += len(scores)
+            if scores:
+                k = min(range(len(scores)), key=scores.__getitem__)  # the first on a tie
+                if scores[k] < best - 1e-15:
+                    best, (measures, values), improved = scores[k], candidates[k], True
+        if not improved:
+            delta *= 0.5
+    return best, evals, measures, values
+
+
+@pytest.mark.parametrize("label,objective", [item[:2] for item in _objectives()],
+                         ids=[item[0] for item in _objectives()])
+def test_padded_descent_matches_the_scalar_reference(label, objective):
+    """Starts on 1..4 blocks, padded to 4 and descended together, match a
+    one-start, one-candidate-per-call reference bit for bit.  One start has
+    a block of measure 0 and values at 0 and 1, whose clamped or empty
+    candidates are not scored."""
+    blocks = np.tile([1, 2, 3, 4], 2)
+    starts = [_random_graphons(400 + q, 2, q) for q in (1, 2, 3, 4)]
+    starts[2][0][1] = [0.625, 0.375, 0.0]
+    starts[2][1][1][0, 0] = 1.0
+    starts[2][1][1][1, 2] = starts[2][1][1][2, 1] = 0.0
+    measures = np.zeros((8, 4))
+    values = np.zeros((8, 4, 4))
+    for k, q in enumerate(blocks):
+        measures[k, :q] = starts[q - 1][0][k // 4]
+        values[k, :q, :q] = starts[q - 1][1][k // 4]
+    best, evals = _descend(objective, measures, values, blocks, 15)
+    for k, q in enumerate(blocks):
+        ref_best, ref_evals, ref_m, ref_v = _descend_alone(
+            objective, starts[q - 1][0][k // 4], starts[q - 1][1][k // 4], 15)
+        assert evals[k] == ref_evals, label
+        assert best[k].tobytes() == ref_best.tobytes(), label
+        assert np.array_equal(measures[k, :q], ref_m), label
+        assert np.array_equal(values[k, :q, :q], ref_v), label
+
+
+def test_rejected_measure_moves_leave_the_measures_bit_identical():
+    """On a constant-1/2 graphon the K3 gap is 0 whatever the measures, so
+    every measure move is rejected and must leave the measures untouched,
+    not one rounding away."""
+    start = np.array([[0.1, 0.2, 0.3, 0.4]])
+    measures, values = start.copy(), np.full((1, 4, 4), 0.5)
+    best, evals = _descend(common_gap_objective(K3), measures, values, np.array([4]), 40)
+    assert evals[0] > 1 and abs(best[0]) <= 1e-15
+    assert measures.tobytes() == start.tobytes()
+    assert np.array_equal(values, np.full((1, 4, 4), 0.5))
+
+
+def test_falsify_makes_one_objective_call_per_coordinate():
+    """On Q = 4 blocks with every restart live, a search makes one call for
+    the starts and then 16 per sweep: 10 value entries and 6 measure pairs."""
+    objective = common_gap_objective(data.load_graph("paw"))
+    seed, restarts, steps = 1, 4, 5
+    assert max(len(_restart_start(seed, r, 4)[0]) for r in range(restarts)) == 4
+    result = falsify(objective, seed=seed, restarts=restarts, steps=steps)
+    assert result.objective_calls == 1 + 16 * steps
+    assert result.evaluations > result.objective_calls
 
 
 @pytest.mark.parametrize("max_blocks", [0, -1])
