@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 from . import acceptance, data
 from .commonness import (CommonPairSpec, certify_pair_via_templates, common_gap_objective,
-                         dk3k2_verify, falsify, pair_gap, solve_simple_tree_p)
+                         dk3k2_verify, falsify, min_pair_gap, solve_simple_tree_p)
 from .cone import certificate_from_json, certificate_to_json, check_good, verify_certificate
 from .gluing import template_from_json
-from .graphons import density, kernel_to_json, sample_graphon
-from .graphs import (DEFAULT_WORK_BUDGET, IDENTITY_TOL, INEQUALITY_TOL, BudgetExceededError,
-                     make_family)
-from .identities import (c5_goodman_residual, expansion_residual, goodman_residual)
+from .graphons import kernel_to_json
+from .graphs import DEFAULT_WORK_BUDGET, IDENTITY_TOL, INEQUALITY_TOL, BudgetExceededError
+from .identities import IDENTITY_SUITES, max_identity_residual
 
 
 @dataclass(frozen=True)
@@ -81,19 +80,7 @@ def _load_template_arg(spec: str):
 
 def _cmd_verify(args, config: RunConfig) -> int:
     seeds = _parse_seeds(args.seeds)
-    k2 = make_family("path", 2)
-    worst = 0.0
-    for s in seeds:
-        w = sample_graphon(s, args.max_blocks)
-        if args.identity == "goodman":
-            worst = max(worst, abs(goodman_residual(w, config.work_budget)))
-        elif args.identity == "c5goodman":
-            worst = max(worst, abs(c5_goodman_residual(w, config.work_budget)))
-        else:
-            for h in (k2, make_family("path", 3), make_family("complete", 3),
-                      make_family("cycle", 5), make_family("complete_minus_edge", 4)):
-                for p in (0.0, 0.3, density(k2, w)):
-                    worst = max(worst, abs(expansion_residual(h, w, p, config.work_budget)))
+    worst = max_identity_residual(args.identity, seeds, args.max_blocks, config.work_budget)
     report = {"identity": args.identity, "seeds": len(seeds),
               "max_abs_residual": worst, "tolerance": config.tolerance_identity,
               "passed": worst < config.tolerance_identity}
@@ -126,11 +113,7 @@ def _cmd_glue_verify(args, config: RunConfig) -> int:
 def _cmd_pair_gap(args, config: RunConfig) -> int:
     spec = CommonPairSpec(data.parse_graph_spec(args.h1),
                           data.parse_graph_spec(args.h2), args.p1)
-    worst = None
-    for s in _parse_seeds(args.seeds):
-        gap = pair_gap(spec, sample_graphon(s, args.max_blocks), config.work_budget)
-        if worst is None or gap < worst:
-            worst = gap
+    worst = min_pair_gap(spec, _parse_seeds(args.seeds), args.max_blocks, config.work_budget)
     report = {"h1": args.h1, "h2": args.h2, "p1": args.p1, "min_gap": worst,
               "tolerance": config.tolerance_inequality,
               "passed": worst >= -config.tolerance_inequality}
@@ -160,7 +143,7 @@ def _cmd_solve_p(args, config: RunConfig) -> int:
 
 
 def _cmd_dk3k2(args, config: RunConfig) -> int:
-    report = dk3k2_verify(pair_gap_seeds=_parse_seeds(args.seeds))
+    report = dk3k2_verify(pair_gap_seeds=_parse_seeds(args.seeds), budget=config.work_budget)
     _emit(report, config)
     return 0 if report["passed"] else 1
 
@@ -208,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="numeric identity suites")
     vsub = verify.add_subparsers(dest="verify_what", required=True)
     ident = vsub.add_parser("identity")
-    ident.add_argument("identity", choices=("goodman", "c5goodman", "expansion"))
+    ident.add_argument("identity", choices=tuple(IDENTITY_SUITES))
     ident.add_argument("--seeds", default="0..99")
     ident.add_argument("--max-blocks", type=int, default=4)
     ident.set_defaults(handler=_cmd_verify)

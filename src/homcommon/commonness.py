@@ -8,10 +8,11 @@ verifier, and a random-restart falsifier for (un)commonness.
 
 Each gap formula is written once over arrays with leading batch axes
 (`_common_gap`, `_pair_gap`, and `identities._strongly_common_gap`); the
-public gap functions evaluate it on one kernel's arrays.  The objective
-factories return a `GapObjective`, which evaluates the same formula on one
-`StepKernel` when called and on a stack of graphons by its `batch`
-method.  `falsify` pads every restart to the largest block count drawn,
+public gap functions evaluate it on one kernel's arrays, and the objective
+factories return the formula itself, which maps B graphons given as
+measures (B, q) and values (B, q, q) to their B gaps.  `min_pair_gap` is
+the one sampled pair-gap suite, shared by `dk3k2_verify` and the CLI.
+`falsify` pads every restart to the largest block count drawn,
 with zero-measure blocks, and descends all of them in lockstep by compass
 search: one batched objective call per coordinate scores both step
 directions of every restart from the same point.  Each restart still
@@ -105,6 +106,16 @@ def pair_gap(spec: CommonPairSpec, w: StepKernel, budget: int = DEFAULT_WORK_BUD
     if not w.graphon:
         raise ValueError("pair_gap expects a graphon")
     return float(_pair_gap(spec, *kernel_arrays(w), budget))
+
+
+def min_pair_gap(spec: CommonPairSpec, seeds, max_blocks: int = 4,
+                 budget: int = DEFAULT_WORK_BUDGET) -> float:
+    """The smallest `pair_gap` of `spec` over `sample_graphon(s, max_blocks)`
+    for s in `seeds`: sampled evidence for (p1, p2)-commonness."""
+    gaps = [pair_gap(spec, sample_graphon(s, max_blocks), budget) for s in seeds]
+    if not gaps:
+        raise ValueError("the pair-gap suite needs at least one seed")
+    return min(gaps)
 
 
 def _common_gap(h: Graph, measures: np.ndarray, values: np.ndarray,
@@ -374,7 +385,8 @@ def _fit_cubic(fn, lo: float, hi: float, points: int = 7) -> list[float]:
     return [float(c) for c in np.polyfit(xs, ys, 3)]
 
 
-def dk3k2_verify(pair_gap_seeds=range(20), max_blocks: int = 4) -> dict:
+def dk3k2_verify(pair_gap_seeds=range(20), max_blocks: int = 4,
+                 budget: int = DEFAULT_WORK_BUDGET) -> dict:
     """End-to-end verification of the diamond / K3+K2 threshold argument.
 
     (a) The restrictions g0, g1 of the objective along the constraint and
@@ -384,11 +396,8 @@ def dk3k2_verify(pair_gap_seeds=range(20), max_blocks: int = 4) -> dict:
         minimum must clear the threshold p/5 + (1-p)/4 and the g1 minimum
         must equal it, attained at x = 0.
     (c) Spot-check the pair gap of (diamond, K3 u K2) at the threshold p
-        on sampled graphons.
+        on sampled graphons, each density within `budget`.
     """
-    pair_gap_seeds = list(pair_gap_seeds)
-    if not pair_gap_seeds:
-        raise ValueError("dk3k2_verify needs at least one pair-gap seed")
     p = P_DIAMOND_PAIR
     s10 = math.sqrt(10.0)
     threshold = (7.0 + 2.0 * s10) / 60.0
@@ -422,9 +431,7 @@ def dk3k2_verify(pair_gap_seeds=range(20), max_blocks: int = 4) -> dict:
 
     spec = CommonPairSpec(make_family("complete_minus_edge", 4),
                           disjoint_k3_k2(), p)
-    worst_gap = math.inf
-    for seed in pair_gap_seeds:
-        worst_gap = min(worst_gap, pair_gap(spec, sample_graphon(seed, max_blocks)))
+    worst_gap = min_pair_gap(spec, pair_gap_seeds, max_blocks, budget)
 
     report = {
         "p": p,
@@ -536,41 +543,24 @@ def appendix_convexity_verify(f: Graph, e1: int, e2: int, k1: int, k2: int,
 # Falsifier
 
 
-class GapObjective:
-    """A gap functional for `falsify` to minimise.
-
-    `objective.batch(measures, values)` evaluates the gap formula on B
-    graphons given as arrays of shape (B, q) and (B, q, q), and returns
-    shape (B,); `objective(w)` evaluates it on one `StepKernel`, as the
-    public gap function does.  A plain class: a dataclass would add ~1 ms
-    to every import.
-    """
-
-    __slots__ = ("formula",)
-
-    def __init__(self, formula: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-        self.formula = formula
-
-    def __call__(self, w: StepKernel) -> float:
-        return float(self.formula(*kernel_arrays(w)))
-
-    def batch(self, measures: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return self.formula(measures, values)
+# A gap objective maps B graphons, as measures (B, q) and values (B, q, q),
+# to their gaps, of shape (B,).
+Objective = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def common_gap_objective(h: Graph, budget: int = DEFAULT_WORK_BUDGET) -> GapObjective:
-    return GapObjective(partial(_common_gap, h, budget=budget))
+def common_gap_objective(h: Graph, budget: int = DEFAULT_WORK_BUDGET) -> Objective:
+    return partial(_common_gap, h, budget=budget)
 
 
-def strongly_common_objective(f: Graph) -> GapObjective:
-    return GapObjective(partial(_strongly_common_gap, f, budget=DEFAULT_WORK_BUDGET))
+def strongly_common_objective(f: Graph) -> Objective:
+    return partial(_strongly_common_gap, f, budget=DEFAULT_WORK_BUDGET)
 
 
-def pair_gap_objective(spec: CommonPairSpec, budget: int = DEFAULT_WORK_BUDGET) -> GapObjective:
-    return GapObjective(partial(_pair_gap, spec, budget=budget))
+def pair_gap_objective(spec: CommonPairSpec, budget: int = DEFAULT_WORK_BUDGET) -> Objective:
+    return partial(_pair_gap, spec, budget=budget)
 
 
-def _descend(objective: GapObjective, measures: np.ndarray, values: np.ndarray,
+def _descend(objective: Objective, measures: np.ndarray, values: np.ndarray,
              blocks: np.ndarray, max_sweeps: int):
     """Compass search over block values and measures, B starts in lockstep.
 
@@ -584,7 +574,7 @@ def _descend(objective: GapObjective, measures: np.ndarray, values: np.ndarray,
     with candidates that move min(delta, m_i) from i to j and
     min(delta, m_j) from j to i.  A coordinate applies only to the starts
     with j < blocks[k], and a candidate equal to the current point is not
-    scored.  One `objective.batch` call scores both candidates of every
+    scored.  One `objective` call scores both candidates of every
     start; a start takes its lower candidate (the first on a tie) if it is
     below its best by more than 1e-15, and otherwise keeps its arrays
     untouched.  A per-start step delta is halved after a sweep without
@@ -592,7 +582,7 @@ def _descend(objective: GapObjective, measures: np.ndarray, values: np.ndarray,
     start's best value and its number of evaluations.
     """
     count, q = measures.shape
-    best = objective.batch(measures, values)
+    best = objective(measures, values)
     evals = np.ones(count, dtype=np.int64)
     delta = np.full(count, 0.25)
     live = np.arange(count)
@@ -628,7 +618,7 @@ def _descend(objective: GapObjective, measures: np.ndarray, values: np.ndarray,
             if not scored.any():
                 continue
             val = np.full(2 * n, np.inf)
-            val[scored] = objective.batch(trial_m[scored], trial_v[scored])
+            val[scored] = objective(trial_m[scored], trial_v[scored])
             evals[rows] += scored.reshape(2, n).sum(0)
             pick = np.arange(n) + n * (val[n:] < val[:n])
             better = val[pick] < best[rows] - 1e-15
@@ -643,17 +633,17 @@ def _descend(objective: GapObjective, measures: np.ndarray, values: np.ndarray,
     return best, evals
 
 
-def falsify(objective: GapObjective, seed: int, restarts: int = 50, steps: int = 200,
+def falsify(objective: Objective, seed: int, restarts: int = 50, steps: int = 200,
             max_blocks: int = 4) -> SearchResult:
     """Random-restart coordinate descent minimising `objective` over step
     graphons with up to `max_blocks` blocks.
 
-    `objective` is a `GapObjective`, such as `common_gap_objective(h)`: the
-    descent scores candidates with `objective.batch`, and the returned gap
-    is `objective(best_kernel)`.  Every start is padded with zero-measure,
-    zero-value blocks to Q, the largest block count drawn, and all restarts
-    descend in one lockstep `_descend`, each on its own path over its own
-    blocks, at most `steps` sweeps each.  A sweep polls the Q(Q+1)/2 value
+    `objective` is a batched gap formula, such as `common_gap_objective(h)`:
+    the descent scores candidates with it, and the returned gap is its
+    value on the arrays of `best_kernel`.  Every start is padded with
+    zero-measure, zero-value blocks to Q, the largest block count drawn,
+    and all restarts descend in one lockstep `_descend`, each on its own
+    path over its own blocks, at most `steps` sweeps each.  A sweep polls the Q(Q+1)/2 value
     entries and the Q(Q-1)/2 measure pairs, each in both directions in one
     batched call.  `evaluations` counts the scored candidates, and
     `objective_calls` the batched calls: one for the starts, then at most
@@ -665,10 +655,6 @@ def falsify(objective: GapObjective, seed: int, restarts: int = 50, steps: int =
     between restarts are broken by restart index, so any evaluation order
     gives the same result.
     """
-    if not callable(getattr(objective, "batch", None)):
-        raise TypeError("falsify needs an objective with a batch(measures, values) method, "
-                        "such as common_gap_objective(h); got "
-                        f"{type(objective).__name__}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if steps < 0:
@@ -694,13 +680,13 @@ def falsify(objective: GapObjective, seed: int, restarts: int = 50, steps: int =
     def counted(measures, values):
         nonlocal calls
         calls += 1
-        return objective.batch(measures, values)
+        return objective(measures, values)
 
-    best, used = _descend(GapObjective(counted), measures, values, blocks, steps)
+    best, used = _descend(counted, measures, values, blocks, steps)
     k = int(np.argmin(best))
     q = int(blocks[k])
     best_kernel = StepKernel(tuple(float(m) for m in measures[k, :q]),
                              tuple(tuple(float(x) for x in row[:q]) for row in values[k, :q]),
                              graphon=True)
-    return SearchResult(best_kernel, objective(best_kernel), int(used.sum()), calls, seed,
-                        max_blocks)
+    return SearchResult(best_kernel, float(objective(*kernel_arrays(best_kernel))),
+                        int(used.sum()), calls, seed, max_blocks)

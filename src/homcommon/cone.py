@@ -350,6 +350,8 @@ def _classvec_to_json(vec: ClassVector) -> dict:
 def _classvec_from_json(base: Graph, obj: dict, canon: tuple[int, ...]) -> ClassVector:
     """Read a class vector whose keys are canonical representatives, as
     `_classvec_to_json` writes them; `canon` is the base's class table."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a class vector must be a JSON object, not {type(obj).__name__}")
     coeffs = {}
     for key, val in obj.items():
         k = tuple(int(x) for x in key.split(","))
@@ -402,5 +404,5 @@ def certificate_from_json(obj: dict, budget: int = DEFAULT_WORK_BUDGET) -> Goodn
             j_vertex_count=int(obj["j_vertex_count"]),
             j_edge_count=int(obj["j_edge_count"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"malformed certificate JSON: {exc}") from exc

@@ -3,7 +3,8 @@
 Each residual is mathematically zero (or sign-constrained) for every valid
 input, so any excess beyond rounding tolerance indicates a bug in the
 density machinery.  Residuals are returned signed so that tests can spot
-systematic bias rather than just magnitude.
+systematic bias rather than just magnitude.  `IDENTITY_SUITES` names the
+sampled identity suites, and `max_identity_residual` runs one of them.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 
 from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _contract, _plan,
                      make_family)
-from .graphons import StepKernel, densities, density, kernel_arrays, one_minus
+from .graphons import StepKernel, densities, density, kernel_arrays, one_minus, sample_graphon
 
 _K2 = make_family("path", 2)
 _P3 = make_family("path", 3)
@@ -20,6 +21,7 @@ _P4 = make_family("path", 4)
 _P5 = make_family("path", 5)
 _K3 = make_family("complete", 3)
 _C5 = make_family("cycle", 5)
+_EXPANSION_GRAPHS = (_K2, _P3, _K3, _C5, make_family("complete_minus_edge", 4))
 _SUBSET_CHUNK = 2**10
 _CHUNK_TERMS = 2**20
 
@@ -97,6 +99,30 @@ def c5_goodman_residual(w: StepKernel, budget: int = DEFAULT_WORK_BUDGET) -> flo
                 + 5.0 * edge * density(_P5, wi, budget)
                 - 5.0 * edge**2 * density(_P4, wi, budget))
     return lhs - rhs
+
+
+def _expansion_residuals(w: StepKernel, budget: int) -> list[float]:
+    """The expansion suite on w: each of `_EXPANSION_GRAPHS` at the shifts
+    0, 0.3 and t(K2, w)."""
+    shifts = (0.0, 0.3, density(_K2, w, budget))
+    return [expansion_residual(h, w, p, budget) for h in _EXPANSION_GRAPHS for p in shifts]
+
+
+# suite name -> the residuals it checks on one graphon, within a budget
+IDENTITY_SUITES = {
+    "goodman": lambda w, budget: [goodman_residual(w, budget)],
+    "c5goodman": lambda w, budget: [c5_goodman_residual(w, budget)],
+    "expansion": _expansion_residuals,
+}
+
+
+def max_identity_residual(name: str, seeds, max_blocks: int = 4,
+                          budget: int = DEFAULT_WORK_BUDGET) -> float:
+    """The largest |residual| of the suite `IDENTITY_SUITES[name]` over
+    `sample_graphon(s, max_blocks)` for s in `seeds` (0.0 for no seeds)."""
+    suite = IDENTITY_SUITES[name]
+    return max((abs(r) for s in seeds for r in suite(sample_graphon(s, max_blocks), budget)),
+               default=0.0)
 
 
 def _strongly_common_gap(f: Graph, measures: np.ndarray, values: np.ndarray,

@@ -214,6 +214,7 @@ def test_falsify_seed_global_and_subcommand(capsys):
 @pytest.mark.parametrize("command", [
     ("common", "pair-gap", "--h1", "C5", "--h2", "C5", "--p1", "0.5", "--seeds", "0"),
     ("common", "falsify", "--target", "K3", "--restarts", "1", "--steps", "2"),
+    ("common", "dk3k2-verify", "--seeds", "0..1"),
 ])
 def test_budget_reaches_common_commands(capsys, command):
     code, _, err = run_cli(capsys, "--budget", "1", *command)
@@ -356,7 +357,7 @@ def test_parse_graph_spec_variants():
         parse_graph_spec("no_such_graph.json")
 
 
-def test_malformed_certificate_json_rejected():
+def test_malformed_certificate_json_rejected(capsys, tmp_path):
     from homcommon.cone import certificate_from_json, certificate_to_json, check_good
     cert = check_good(data.load_template("simple_c5_vertex"))
     payload = certificate_to_json(cert)
@@ -366,6 +367,17 @@ def test_malformed_certificate_json_rejected():
         certificate_from_json(broken)
     with pytest.raises(ValueError):
         certificate_from_json({"verdict": "good"})
+    # a class vector that is not an object, and a coefficient that is not a rational
+    for field, value in (("target", [["0,1,2,3,4", "2/1"]]), ("farkas_witness", []),
+                         ("target", {"0,1,2,3,4": "1/0"})):
+        broken = dict(payload, **{field: value})
+        with pytest.raises(ValueError):
+            certificate_from_json(broken)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken))
+        code, out, err = run_cli(capsys, "glue", "verify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
 
 
 def test_malformed_template_json_rejected():

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from homcommon.commonness import (CommonPairSpec, P_DIAMOND_PAIR,
                                   strongly_common_objective, _balance, _descend)
 from homcommon.graphons import StepKernel, constant_kernel
 from homcommon.graphs import Graph, make_family
+from homcommon.identities import strongly_common_gap
 
 K3 = make_family("complete", 3)
 C5 = make_family("cycle", 5)
@@ -277,7 +279,7 @@ def test_falsify_paw_and_determinism():
     assert res.best_gap < -1e-4
     again = falsify(common_gap_objective(paw), seed=1, restarts=4, steps=200)
     assert res == again
-    assert res.best_gap == common_gap_objective(paw)(res.best_kernel)
+    assert res.best_gap == common_gap(paw, res.best_kernel)
     assert res.best_kernel.graphon
 
 
@@ -306,31 +308,34 @@ def _random_graphons(seed: int, count: int, q: int):
 
 
 def _objectives():
-    """(label, objective, scale): scale bounds the sum of the absolute terms
-    of the gap formula on graphons."""
+    """(label, objective, scale, gap): scale bounds the sum of the absolute
+    terms of the gap formula on graphons, and gap is its public one-kernel
+    function."""
     paw = data.load_graph("paw")
     k3k2 = disjoint_k3_k2()
     spec = CommonPairSpec(D, k3k2, P_DIAMOND_PAIR)
     p1, p2 = spec.p1, spec.p2
     pair_scale = 1 / (5 * p1**4) + 1 / (4 * p2**3) + p1 / 5 + p2 / 4
-    return [("common paw", common_gap_objective(paw), 3.0),
-            ("common K3+K2", common_gap_objective(k3k2), 3.0),
-            ("pair (diamond, K3+K2)", pair_gap_objective(spec), pair_scale),
-            ("strongly common C5", strongly_common_objective(C5), 4.0)]
+    return [("common paw", common_gap_objective(paw), 3.0, partial(common_gap, paw)),
+            ("common K3+K2", common_gap_objective(k3k2), 3.0, partial(common_gap, k3k2)),
+            ("pair (diamond, K3+K2)", pair_gap_objective(spec), pair_scale,
+             partial(pair_gap, spec)),
+            ("strongly common C5", strongly_common_objective(C5), 4.0,
+             partial(strongly_common_gap, C5))]
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6), q=st.integers(1, 4))
 def test_objective_batch_matches_one_kernel_calls(seed, count, q):
     measures, values = _random_graphons(seed, count, q)
-    for label, objective, scale in _objectives():
-        batch = objective.batch(measures, values)
+    for label, objective, scale, gap in _objectives():
+        batch = objective(measures, values)
         assert batch.shape == (count,), label
         for k in range(count):
             w = StepKernel(tuple(float(m) for m in measures[k]),
                            tuple(tuple(float(x) for x in row) for row in values[k]),
                            graphon=True)
-            assert abs(batch[k] - objective(w)) <= 1e-12 * scale, label
+            assert abs(batch[k] - gap(w)) <= 1e-12 * scale, label
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -431,13 +436,13 @@ def test_falsify_witness_has_the_block_count_its_restart_drew(target, first_seed
 
 def _descend_alone(objective, measures, values, max_sweeps):
     """Scalar reference for `_descend`: one start on its own blocks, each
-    candidate scored by its own `objective.batch` call on a batch of one.
+    candidate scored by its own `objective` call on a batch of one.
     Returns the best value, the evaluation count and the final arrays."""
     measures, values = measures.copy(), values.copy()
     q = len(measures)
     coordinates = ([("value", i, j) for i in range(q) for j in range(i, q)]
                    + [("measure", i, j) for i in range(q) for j in range(i + 1, q)])
-    best, evals, delta = objective.batch(measures[None], values[None])[0], 1, 0.25
+    best, evals, delta = objective(measures[None], values[None])[0], 1, 0.25
     for _ in range(max_sweeps):
         if delta < 1e-6:
             break
@@ -458,7 +463,7 @@ def _descend_alone(objective, measures, values, max_sweeps):
                         trial[src] -= amount
                         trial[dst] += amount
                         candidates.append((trial, values))
-            scores = [objective.batch(m[None], v[None])[0] for m, v in candidates]
+            scores = [objective(m[None], v[None])[0] for m, v in candidates]
             evals += len(scores)
             if scores:
                 k = min(range(len(scores)), key=scores.__getitem__)  # the first on a tie
@@ -535,5 +540,5 @@ def test_falsify_rejects_negative_steps(steps):
 
 def test_falsify_rejects_a_bare_callable():
     paw = data.load_graph("paw")
-    with pytest.raises(TypeError, match="batch"):
+    with pytest.raises(TypeError):
         falsify(lambda w: common_gap(paw, w), seed=1, restarts=2, steps=2)
