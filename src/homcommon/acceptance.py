@@ -177,8 +177,8 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(report=print) -> list[dict]:
-    """Run every criterion in order, emitting one pass/fail line each.
+def run_all() -> list[dict]:
+    """Run every criterion in order, printing one pass/fail line each.
 
     Returns one record per criterion: its name, passed, detail and the
     wall-clock seconds it took.
@@ -189,7 +189,7 @@ def run_all(report=print) -> list[dict]:
         result = fn()
         seconds = time.perf_counter() - start
         status = "PASS" if result["passed"] else "FAIL"
-        report(f"[{status}] criterion {result['name']}: {result['detail']}")
+        print(f"[{status}] criterion {result['name']}: {result['detail']}")
         results.append({"name": result["name"], "passed": bool(result["passed"]),
                         "detail": result["detail"], "seconds": seconds})
     return results

@@ -92,10 +92,7 @@ def _cmd_glue_check(args, config: RunConfig) -> int:
     template = _load_template_arg(args.template)
     cert = check_good(template, budget=config.work_budget)
     payload = certificate_to_json(cert)
-    if args.certificate:
-        with open(args.certificate, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_json(payload, args.certificate)
     _emit(payload, config)
     return 0 if cert.verdict == "good" else 1
 

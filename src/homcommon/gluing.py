@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, automorphisms,
-                     graph_from_json, parse_family)
+from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _json_shaped,
+                     automorphisms, graph_from_json, parse_family)
 
 _CANONICAL_TABLES: dict[Graph, tuple[int, ...]] = {}
 
@@ -202,8 +202,6 @@ class GluingTemplate:
             if uf.find(s) == uf.find(t):
                 raise ValueError("tree edges contain a cycle")
             uf.union(s, t)
-        if k > 1 and len({uf.find(a) for a in range(k)}) != 1:
-            raise ValueError("template tree is not connected")
         if len(self.psi_nodes) != k:
             raise ValueError("psi_nodes must cover every tree node")
         edge_map = dict(self.psi_edges)
@@ -320,15 +318,13 @@ def template_from_json(obj: dict) -> GluingTemplate:
             raise ValueError(f"unrecognised base graph string {raw_f!r}")
     else:
         base = graph_from_json(raw_f)
-    tree = obj["tree"]
-    psi_nodes = {int(k): v for k, v in obj.get("psi_nodes", {}).items()}
+    tree = _json_shaped(obj["tree"], dict, "template 'tree'")
+    nodes = _json_shaped(tree.get("nodes"), int, "template tree 'nodes'")
+    edges = _json_shaped(tree.get("edges"), [[int]], "template tree 'edges'")
+    psi_nodes = {int(k): _json_shaped(v, [int], f"psi_nodes[{k!r}]")
+                 for k, v in _json_shaped(obj.get("psi_nodes", {}), dict, "psi_nodes").items()}
     psi_edges = {}
-    for key, subset in obj.get("psi_edges", {}).items():
+    for key, subset in _json_shaped(obj.get("psi_edges", {}), dict, "psi_edges").items():
         s, _, u = key.partition("-")
-        psi_edges[(int(s), int(u))] = subset
-    try:
-        nodes = int(tree["nodes"])
-        edges = [tuple(e) for e in tree["edges"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed template tree: {exc}") from exc
+        psi_edges[(int(s), int(u))] = _json_shaped(subset, [int], f"psi_edges[{key!r}]")
     return GluingTemplate.make(base, nodes, edges, psi_nodes, psi_edges)

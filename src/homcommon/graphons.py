@@ -6,7 +6,7 @@ values in [0, 1].  Densities are the finite sum over block assignments,
 contracted vertex by vertex along an elimination order planned once per
 graph (see `graphs`), with float64 operands.  `densities` takes the same
 kernels as arrays with leading batch axes, so one contraction scores many
-kernels; `density` is its one-kernel form.
+kernels; `density` is its one-kernel form, with the bits of any batch row.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import DEFAULT_WORK_BUDGET, Graph, _contract
+from .graphs import DEFAULT_WORK_BUDGET, Graph, _contract, _json_shaped
 
 _MEASURE_TOL = 1e-12
 
@@ -142,8 +142,8 @@ def kernel_to_json(w: StepKernel) -> dict:
 
 
 def kernel_from_json(obj: dict) -> StepKernel:
-    if not isinstance(obj, dict) or "measures" not in obj or "values" not in obj:
-        raise ValueError("kernel JSON needs 'measures' and 'values' fields")
-    return StepKernel(tuple(float(m) for m in obj["measures"]),
-                      tuple(tuple(float(x) for x in row) for row in obj["values"]),
-                      graphon=bool(obj.get("graphon", False)))
+    obj = _json_shaped(obj, dict, "kernel JSON")
+    measures = _json_shaped(obj.get("measures"), [(int, float)], "kernel 'measures'")
+    values = _json_shaped(obj.get("values"), [[(int, float)]], "kernel 'values'")
+    return StepKernel(tuple(map(float, measures)), tuple(tuple(map(float, row)) for row in values),
+                      graphon=_json_shaped(obj.get("graphon", False), bool, "kernel 'graphon'"))

@@ -204,13 +204,12 @@ class _Plan(NamedTuple):
     `np.einsum` and appends its result as operand e(h) + 1 + k.  A step
     whose output has no indices closes a component of h; the contraction is
     the product of those scalars.  Every subscript ends with `...`, so
-    trailing batch axes pass through.  Each step has two subscripts: the
-    plain one for unbatched operands, and a padded one for batched
-    operands, which gives a step of fewer than three factors extra factors
-    `...` up to three, for `_contract` to bind to 1.
+    trailing batch axes pass through, and a step of fewer than three
+    factors is padded with factors `...` up to three, for `_contract` to
+    bind to 1.
     """
 
-    steps: tuple[tuple[str, str, tuple[int, ...]], ...]
+    steps: tuple[tuple[str, tuple[int, ...]], ...]
     widths: tuple[int, ...]      # |scope| of each step, eliminated vertex included
     scalars: tuple[int, ...]
 
@@ -244,7 +243,7 @@ def _plan(h: Graph) -> _Plan:
         output = "->" + "".join(letter[u] for u in out) + "..."
         ones = ",..." * max(0, 3 - len(touching))
         result_id = h.edge_count + 1 + len(steps)
-        steps.append((inputs + output, inputs + ones + output, tuple(f[0] for f in touching)))
+        steps.append((inputs + ones + output, tuple(f[0] for f in touching)))
         widths.append(len(scope))
         if out:
             factors.append((result_id, out))
@@ -269,17 +268,13 @@ def _contract(h: Graph, matrices: np.ndarray, vector: np.ndarray, budget: int, c
     the batch.  Unbatched operands give a numpy scalar of the operands'
     dtype, or a Python int for object operands.
 
-    A batch is contracted with its axes last: one contiguous copy of the
-    matrices and one of the vector put them there, so every einsum's inner
-    loop runs over the whole batch rather than over q <= 4 block indices.
-    A batch of one kernel loops over a block index instead, and there
-    numpy's one- and two-operand einsum kernels are vectorised reductions
-    that sum in another order, so a kernel's bits would depend on its
-    batch.  So the batched steps are the padded ones, whose extra factors
-    are a 0-d 1 (an exact product): with three or more operands einsum
-    multiplies and adds every kernel alike, in block order, in a batch of
-    any size.  Unbatched operands run the plain steps.  A shared matrix
-    runs the same einsum calls on the same bits as e(h) copies of it.
+    The operands are contracted with the batch axes last (one contiguous
+    copy of each), so every einsum's inner loop runs over the whole batch,
+    and every step has at least three factors, the missing ones a 0-d 1:
+    with three or more operands einsum multiplies and adds every kernel
+    alike, in block order, so a kernel alone (a batch with no axes) gives
+    the bits of its row in any batch.  A shared matrix runs the same einsum
+    calls on the same bits as e(h) copies of it.
     """
     try:
         plan = _plan(h)
@@ -291,19 +286,14 @@ def _contract(h: Graph, matrices: np.ndarray, vector: np.ndarray, budget: int, c
         raise BudgetExceededError(
             f"{caller}: contracting a {h.vertex_count}-vertex graph over {q} values "
             f"needs {work} terms, budget {budget}")
-    batched = matrices.ndim > 3 or vector.ndim > 1
-    if batched:
-        nd = matrices.ndim
-        matrices = matrices.transpose(0, nd - 2, nd - 1, *range(1, nd - 2)).copy()
-        vector = vector.transpose(vector.ndim - 1, *range(vector.ndim - 1)).copy()
-        ones = np.array(1, dtype=matrices.dtype)
+    nd = matrices.ndim
+    matrices = np.ascontiguousarray(matrices.transpose(0, nd - 2, nd - 1, *range(1, nd - 2)))
+    vector = np.ascontiguousarray(vector.transpose(vector.ndim - 1, *range(vector.ndim - 1)))
+    ones = (np.array(1, dtype=matrices.dtype),) * 2
     edges = [matrices[0]] * h.edge_count if len(matrices) == 1 else list(matrices)
     operands = edges + [vector]
-    for plain, padded, ids in plan.steps:
-        factors = [operands[i] for i in ids]
-        if batched:
-            factors += [ones] * (3 - len(factors))
-        operands.append(np.einsum(padded if batched else plain, *factors))
+    for subscripts, ids in plan.steps:
+        operands.append(np.einsum(subscripts, *[operands[i] for i in ids], *ones[len(ids) - 1:]))
     total = 1
     for i in plan.scalars:
         total = total * operands[i]
@@ -311,7 +301,7 @@ def _contract(h: Graph, matrices: np.ndarray, vector: np.ndarray, budget: int, c
 
 
 def hom_count(h: Graph, g: Graph, budget: int = DEFAULT_WORK_BUDGET) -> int:
-    """Exact number of edge-preserving maps V(h) -> V(g), by unbatched `_hom_counts`."""
+    """Exact number of edge-preserving maps V(h) -> V(g), by `_hom_counts` on one graph."""
     adj = np.zeros((g.vertex_count, g.vertex_count), dtype=np.uint8)
     for u, v in g.edges:
         adj[u, v] = adj[v, u] = 1
@@ -404,7 +394,21 @@ def graph_to_json(g: Graph) -> dict:
     return {"n": g.vertex_count, "edges": [list(e) for e in sorted(g.edges)]}
 
 
+def _json_shaped(x, shape, what: str):
+    """x if it has the JSON shape `shape`: a type (int, float, bool, list or dict), a
+    tuple of types, or [shape] for a list of that shape; neither true nor 1.0 is an int."""
+    if isinstance(shape, list):
+        for v in _json_shaped(x, list, what):
+            _json_shaped(v, shape[0], what)
+        return x
+    kinds = shape if isinstance(shape, tuple) else (shape,)
+    if type(x) not in kinds:
+        names = " or ".join(t.__name__ for t in kinds)
+        raise ValueError(f"{what}: expected JSON {names}, found {x!r}")
+    return x
+
+
 def graph_from_json(obj: dict) -> Graph:
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise ValueError("graph JSON needs 'n' and 'edges' fields")
-    return Graph.from_edges(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+    obj = _json_shaped(obj, dict, "graph JSON")
+    return Graph.from_edges(_json_shaped(obj.get("n"), int, "graph 'n'"),
+                            _json_shaped(obj.get("edges"), [[int]], "graph 'edges'"))

@@ -380,7 +380,41 @@ def test_malformed_certificate_json_rejected(capsys, tmp_path):
         assert err.startswith("error: ")
 
 
-def test_malformed_template_json_rejected():
+def test_malformed_template_json_rejected(capsys, tmp_path):
     from homcommon.gluing import template_from_json
     with pytest.raises(ValueError):
         template_from_json({"F": "C5", "tree": {"edges": []}})
+    good = template_to_json(data.load_template("pentagon_square"))
+    one_node = {"F": "C5", "tree": {"nodes": 1, "edges": []}, "psi_nodes": {"0": [0, 1]}}
+    # labels, counts and tree nodes must be JSON integers; psi maps objects of lists
+    for broken in (dict(good, psi_nodes=dict(good["psi_nodes"], **{"3": [0.7, 1]})),
+                   dict(good, psi_nodes=dict(good["psi_nodes"], **{"3": [0, True]})),
+                   dict(good, psi_edges=dict(good["psi_edges"], **{"0-1": [4.0]})),
+                   dict(good, tree={"nodes": 4, "edges": [[0, 1], [0, 3], [1, 2.5]]}),
+                   dict(one_node, tree={"nodes": 1.8, "edges": []}),
+                   dict(one_node, psi_nodes={"0": 5}),
+                   dict(one_node, psi_nodes=[[0, 1]]),
+                   dict(one_node, psi_edges=[]),
+                   dict(one_node, F={"n": 5.0, "edges": []})):
+        with pytest.raises(ValueError):
+            template_from_json(broken)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken))
+        code, out, err = run_cli(capsys, "glue", "check", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+
+def test_malformed_graph_json_rejected(capsys, tmp_path):
+    from homcommon.graphs import graph_from_json
+    for broken in ({"n": 3, "edges": [[0.5, 1]]}, {"n": 3.9, "edges": [[0, 1]]},
+                   {"n": 3, "edges": [[True, 2]]}, {"n": True, "edges": []},
+                   {"n": 3, "edges": [5]}):
+        with pytest.raises(ValueError):
+            graph_from_json(broken)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(broken))
+        code, out, err = run_cli(capsys, "common", "falsify", "--target", str(path),
+                                 "--restarts", "1", "--steps", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")

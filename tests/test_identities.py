@@ -93,10 +93,9 @@ def test_expansion_residual_bounds_terms_per_contraction(monkeypatch):
 def test_subset_densities_match_per_subgraph_densities(h, seed, q):
     """t(h[E_S], u) from the one contraction over h equals `density` of the
     spanning subgraph h[E_S] on its own plan, for every edge subset S and u
-    in [-1, 2].  The tolerance is the rounding bound of the batched density
-    test in test_graphons (at most e(h) + v(h) (q + 3) roundings per term),
-    taken relative to the sum of |terms|, t(h[E_S], |u|), as terms here may
-    cancel."""
+    in [-1, 2].  The two sum in different orders, so the tolerance allows
+    e(h) + v(h) (q + 3) roundings per term, taken relative to the sum of
+    |terms|, t(h[E_S], |u|), as terms here may cancel."""
     rng = np.random.default_rng(seed)
     measures = rng.dirichlet(np.ones(q))
     raw = rng.uniform(-1.0, 2.0, size=(q, q))
