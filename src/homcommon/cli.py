@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
 
 from . import acceptance, data
 from .commonness import (CommonPairSpec, certify_pair_via_templates, common_gap_objective,
@@ -21,24 +19,9 @@ from .commonness import (CommonPairSpec, certify_pair_via_templates, common_gap_
 from .cone import certificate_from_json, certificate_to_json, check_good, verify_certificate
 from .gluing import template_from_json
 from .graphons import kernel_to_json
-from .graphs import DEFAULT_WORK_BUDGET, IDENTITY_TOL, INEQUALITY_TOL, BudgetExceededError
+from .graphs import (DEFAULT_WORK_BUDGET, FALSIFY_THRESHOLD, IDENTITY_TOL, INEQUALITY_TOL,
+                     BudgetExceededError)
 from .identities import IDENTITY_SUITES, max_identity_residual
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    tolerance_identity: float = IDENTITY_TOL
-    tolerance_inequality: float = INEQUALITY_TOL
-    work_budget: int = DEFAULT_WORK_BUDGET
-    output_path: str | None = None
-
-    def __post_init__(self):
-        for tol in (self.tolerance_identity, self.tolerance_inequality):
-            if not (math.isfinite(tol) and tol > 0):
-                raise ValueError("tolerances must be positive and finite")
-        if self.work_budget <= 0:
-            raise ValueError("work budget must be positive")
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -66,9 +49,9 @@ def _write_json(report: dict, path: str | None):
             fh.write(_to_json(report) + "\n")
 
 
-def _emit(report: dict, config: RunConfig):
+def _emit(report: dict, path: str | None):
     print(_to_json(report))
-    _write_json(report, config.output_path)
+    _write_json(report, path)
 
 
 def _load_template_arg(spec: str):
@@ -78,50 +61,48 @@ def _load_template_arg(spec: str):
         return template_from_json(json.load(fh))
 
 
-def _cmd_verify(args, config: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     seeds = _parse_seeds(args.seeds)
-    worst = max_identity_residual(args.identity, seeds, args.max_blocks, config.work_budget)
-    report = {"identity": args.identity, "seeds": len(seeds),
-              "max_abs_residual": worst, "tolerance": config.tolerance_identity,
-              "passed": worst < config.tolerance_identity}
-    _emit(report, config)
+    worst = max_identity_residual(args.identity, seeds, args.max_blocks, args.budget)
+    report = {"identity": args.identity, "seeds": len(seeds), "max_abs_residual": worst,
+              "tolerance": IDENTITY_TOL, "passed": worst < IDENTITY_TOL}
+    _emit(report, args.json_out)
     return 0 if report["passed"] else 1
 
 
-def _cmd_glue_check(args, config: RunConfig) -> int:
+def _cmd_glue_check(args) -> int:
     template = _load_template_arg(args.template)
-    cert = check_good(template, budget=config.work_budget)
+    cert = check_good(template, budget=args.budget)
     payload = certificate_to_json(cert)
     _write_json(payload, args.certificate)
-    _emit(payload, config)
+    _emit(payload, args.json_out)
     return 0 if cert.verdict == "good" else 1
 
 
-def _cmd_glue_verify(args, config: RunConfig) -> int:
+def _cmd_glue_verify(args) -> int:
     with open(args.certificate) as fh:
         payload = json.load(fh)
-    cert = certificate_from_json(payload, config.work_budget)
-    verified = verify_certificate(cert, config.work_budget)
+    cert = certificate_from_json(payload, args.budget)
+    verified = verify_certificate(cert, args.budget)
     _emit({"certificate": args.certificate, "template_hash": payload["template_hash"],
-           "verdict": cert.verdict, "verified": verified}, config)
+           "verdict": cert.verdict, "verified": verified}, args.json_out)
     return 0 if verified else 1
 
 
-def _cmd_pair_gap(args, config: RunConfig) -> int:
+def _cmd_pair_gap(args) -> int:
     spec = CommonPairSpec(data.parse_graph_spec(args.h1),
                           data.parse_graph_spec(args.h2), args.p1)
-    worst = min_pair_gap(spec, _parse_seeds(args.seeds), args.max_blocks, config.work_budget)
+    worst = min_pair_gap(spec, _parse_seeds(args.seeds), args.max_blocks, args.budget)
     report = {"h1": args.h1, "h2": args.h2, "p1": args.p1, "min_gap": worst,
-              "tolerance": config.tolerance_inequality,
-              "passed": worst >= -config.tolerance_inequality}
-    _emit(report, config)
+              "tolerance": INEQUALITY_TOL, "passed": worst >= -INEQUALITY_TOL}
+    _emit(report, args.json_out)
     return 0 if report["passed"] else 1
 
 
-def _cmd_certify(args, config: RunConfig) -> int:
+def _cmd_certify(args) -> int:
     verdict = certify_pair_via_templates(_load_template_arg(args.template1), args.l1,
                                          _load_template_arg(args.template2), args.l2,
-                                         args.p1, config.work_budget)
+                                         args.p1, args.budget)
     report = {"certified": verdict.certified, "reason": verdict.reason,
               "p1": verdict.p1, "m": verdict.m,
               "h1_edge_count": verdict.h1_edge_count,
@@ -129,45 +110,43 @@ def _cmd_certify(args, config: RunConfig) -> int:
               "balance_residual": verdict.balance_residual,
               "certificate1": certificate_to_json(verdict.certificate1),
               "certificate2": certificate_to_json(verdict.certificate2)}
-    _emit(report, config)
+    _emit(report, args.json_out)
     return 0 if verdict.certified else 1
 
 
-def _cmd_solve_p(args, config: RunConfig) -> int:
+def _cmd_solve_p(args) -> int:
     p1 = solve_simple_tree_p(args.e1, args.v1, args.e2, args.v2, args.m)
-    _emit({"p1": p1, "p2": 1.0 - p1, "m": args.m}, config)
+    _emit({"p1": p1, "p2": 1.0 - p1, "m": args.m}, args.json_out)
     return 0
 
 
-def _cmd_dk3k2(args, config: RunConfig) -> int:
-    report = dk3k2_verify(pair_gap_seeds=_parse_seeds(args.seeds), budget=config.work_budget)
-    _emit(report, config)
+def _cmd_dk3k2(args) -> int:
+    report = dk3k2_verify(pair_gap_seeds=_parse_seeds(args.seeds), budget=args.budget)
+    _emit(report, args.json_out)
     return 0 if report["passed"] else 1
 
 
-def _cmd_falsify(args, config: RunConfig) -> int:
-    if not (math.isfinite(args.threshold) and args.threshold >= 0):
-        raise ValueError("threshold must be non-negative and finite")
+def _cmd_falsify(args) -> int:
     target = data.parse_graph_spec(args.target)
-    result = falsify(common_gap_objective(target, config.work_budget), seed=config.seed,
+    result = falsify(common_gap_objective(target, args.budget), seed=args.seed,
                      restarts=args.restarts, steps=args.steps)
-    violation = result.best_gap < -args.threshold
-    report = {"target": args.target, "seed": config.seed, "restarts": args.restarts,
+    violation = result.best_gap < -FALSIFY_THRESHOLD
+    report = {"target": args.target, "seed": args.seed, "restarts": args.restarts,
               "steps": args.steps, "max_blocks": result.max_blocks,
-              "threshold": args.threshold, "budget": config.work_budget,
+              "threshold": FALSIFY_THRESHOLD, "budget": args.budget,
               "best_gap": result.best_gap, "evaluations": result.evaluations,
               "objective_calls": result.objective_calls,
               "violation_found": violation,
               "witness": kernel_to_json(result.best_kernel)}
-    _emit(report, config)
+    _emit(report, args.json_out)
     return 1 if violation else 0
 
 
-def _cmd_repro_all(args, config: RunConfig) -> int:
+def _cmd_repro_all(args) -> int:
     criteria = acceptance.run_all()
     ok = all(c["passed"] for c in criteria)
     print("acceptance suite:", "ALL PASS" if ok else "FAILURES PRESENT")
-    _write_json({"passed": ok, "criteria": criteria}, config.output_path)
+    _write_json({"passed": ok, "criteria": criteria}, args.json_out)
     return 0 if ok else 1
 
 
@@ -175,13 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homcommon", allow_abbrev=False,
         description="Homomorphism densities, gluing templates, and commonness certificates")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=DEFAULT_WORK_BUDGET,
                         help="work budget: contraction terms per density or hom count; "
                              "automorphism search nodes, class-table subset images and "
                              "generator assignments per goodness check")
-    parser.add_argument("--tolerance-identity", type=float, default=IDENTITY_TOL)
-    parser.add_argument("--tolerance-inequality", type=float, default=INEQUALITY_TOL)
     parser.add_argument("--json-out", default=None, help="also write the report here")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -237,11 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     cfal = csub.add_parser("falsify")
     cfal.add_argument("--target", required=True,
                       help="graph JSON path, family string, or bundled name (paw, k3uk2, ...)")
-    # SUPPRESS keeps an absent subcommand --seed from overwriting the global one
-    cfal.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    cfal.add_argument("--seed", type=int, default=0)
     cfal.add_argument("--restarts", type=int, default=50)
     cfal.add_argument("--steps", type=int, default=200)
-    cfal.add_argument("--threshold", type=float, default=1e-4)
     cfal.set_defaults(handler=_cmd_falsify)
 
     repro = sub.add_parser("repro-all", help="run the full acceptance suite")
@@ -253,15 +227,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.budget <= 0:
+            parser.error("work budget must be positive")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = RunConfig(seed=args.seed,
-                           tolerance_identity=args.tolerance_identity,
-                           tolerance_inequality=args.tolerance_inequality,
-                           work_budget=args.budget,
-                           output_path=args.json_out)
-        return args.handler(args, config)
+        return args.handler(args)
     except BudgetExceededError as exc:
         print(f"error: work budget exceeded: {exc}", file=sys.stderr)
         return 2

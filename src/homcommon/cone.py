@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import chain, combinations, groupby, islice
 
 from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _hom_counts,
-                     _mask_adjacency, graph_to_json)
+                     _json_shaped, _mask_adjacency, graph_to_json)
 from .gluing import (ClassVector, GluingTemplate, _as_subset, _canonical_table,
                      _class_counts, _lex_submasks, _mask_vertices, _x_terms, _z_terms,
                      build_j, template_from_json, template_to_json)
@@ -354,12 +354,13 @@ def _classvec_from_json(base: Graph, obj: dict, canon: tuple[int, ...]) -> Class
         raise ValueError(f"a class vector must be a JSON object, not {type(obj).__name__}")
     coeffs = {}
     for key, val in obj.items():
-        k = tuple(int(x) for x in key.split(","))
+        k = (int(x) for x in key.split(","))
         rep = _mask_vertices(canon[sum(1 << v for v in _as_subset(base, k))])
-        if k != rep:
+        rep_key = ",".join(map(str, rep))
+        if key != rep_key:
             raise ValueError(f"class key {key!r} is not the canonical representative "
-                             f"{','.join(map(str, rep))!r} of its class")
-        coeffs[k] = Fraction(val)
+                             f"{rep_key!r} of its class")
+        coeffs[rep] = Fraction(_json_shaped(val, str, f"class vector value at {key!r}"))
     return ClassVector(base, coeffs)
 
 
@@ -391,7 +392,9 @@ def certificate_from_json(obj: dict, budget: int = DEFAULT_WORK_BUDGET) -> Goodn
     canon = _canonical_table(t.base, budget, "certificate_from_json")
     try:
         gens = tuple(
-            ((tuple(g["r1"]), tuple(g["r2"]), tuple(g["r3"])), Fraction(g["coeff"]))
+            (tuple(tuple(_json_shaped(g[r], [int], f"generator {r!r}"))
+                   for r in ("r1", "r2", "r3")),
+             Fraction(_json_shaped(g["coeff"], str, "generator 'coeff'")))
             for g in obj.get("generators_used", []))
         witness = obj.get("farkas_witness")
         return GoodnessCertificate(
@@ -401,8 +404,8 @@ def certificate_from_json(obj: dict, budget: int = DEFAULT_WORK_BUDGET) -> Goodn
             generators_used=gens,
             farkas_witness=(_classvec_from_json(t.base, witness, canon)
                             if witness is not None else None),
-            j_vertex_count=int(obj["j_vertex_count"]),
-            j_edge_count=int(obj["j_edge_count"]),
+            j_vertex_count=_json_shaped(obj["j_vertex_count"], int, "'j_vertex_count'"),
+            j_edge_count=_json_shaped(obj["j_edge_count"], int, "'j_edge_count'"),
         )
     except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"malformed certificate JSON: {exc}") from exc

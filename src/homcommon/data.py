@@ -9,8 +9,8 @@ from importlib import resources
 from .gluing import GluingTemplate, template_from_json
 from .graphs import Graph, graph_from_json, parse_family
 
-GRAPH_NAMES = ("c3", "c5", "c7", "diamond", "paw", "k3_plus_k2",
-               "pentagon_square", "gen_c5_tree_a", "gen_c5_tree_b")
+GRAPH_NAMES = ("diamond", "paw", "k3_plus_k2", "pentagon_square", "gen_c5_tree_a",
+               "gen_c5_tree_b")
 TEMPLATE_NAMES = ("pentagon_square", "gen_c5_tree_a", "gen_c5_tree_b",
                   "simple_c5_vertex", "simple_k3_edge", "lone_edge_c5")
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _json_shaped,
-                     automorphisms, graph_from_json, parse_family)
+                     automorphisms, components, graph_from_json, parse_family)
 
 _CANONICAL_TABLES: dict[Graph, tuple[int, ...]] = {}
 
@@ -149,30 +149,6 @@ class ClassVector:
         return sum((v * large[k] for k, v in small.items() if k in large), Fraction(0))
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the lexicographically smaller representative
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 @dataclass(frozen=True)
 class GluingTemplate:
     """Tree T plus subset assignments on nodes and edges of T.
@@ -193,15 +169,12 @@ class GluingTemplate:
             raise ValueError("template tree needs at least one node")
         if len(self.tree_edges) != k - 1:
             raise ValueError("template tree must have exactly n-1 edges")
-        uf = _UnionFind()
-        for a in range(k):
-            uf.add(a)
         for s, t in self.tree_edges:
             if not (0 <= s < t < k):
                 raise ValueError(f"tree edge ({s},{t}) out of range")
-            if uf.find(s) == uf.find(t):
-                raise ValueError("tree edges contain a cycle")
-            uf.union(s, t)
+        # k - 1 distinct edges form a tree exactly when they connect all k nodes
+        if len(components(Graph(k, self.tree_edges))) != 1:
+            raise ValueError("tree edges contain a cycle")
         if len(self.psi_nodes) != k:
             raise ValueError("psi_nodes must cover every tree node")
         edge_map = dict(self.psi_edges)
@@ -217,6 +190,8 @@ class GluingTemplate:
              psi_nodes: dict, psi_edges: dict) -> "GluingTemplate":
         """Build from mappings; missing psi entries default to the empty set."""
         edges = frozenset(tuple(sorted((int(s), int(t)))) for s, t in tree_edges)
+        if len(edges) != tree_nodes - 1:
+            raise ValueError("template tree must have exactly n-1 edges")
         nodes = tuple(_as_subset(base, psi_nodes.get(i, ())) for i in range(tree_nodes))
         unknown = set(psi_nodes) - set(range(tree_nodes))
         if unknown:
@@ -234,22 +209,19 @@ class GluingTemplate:
 def build_j(t: GluingTemplate):
     """Glue the copies F[psi(s)] along the tree into the generalized F-tree.
 
-    Identification is the transitive closure (union-find) of the per-edge
-    label matchings; coincident edges merge.  Returns the glued graph and,
-    per tree node, the map from original F-labels to glued vertex ids.
+    Identification is the transitive closure of the per-edge label
+    matchings: the components of the graph on the (node, label) pairs, in
+    lexicographic order, that links (s, v) to (u, v) for each v in
+    psi(s, u).  Glued vertex ids follow the components' least pairs, and
+    coincident edges merge.  Returns the glued graph and, per tree node,
+    the map from original F-labels to glued vertex ids.
     """
-    uf = _UnionFind()
-    for s in range(t.tree_nodes):
-        for v in t.psi_nodes[s]:
-            uf.add((s, v))
-    for (s, u), subset in t.psi_edges:
-        for v in subset:
-            uf.union((s, v), (u, v))
-    roots = sorted({uf.find(x) for x in uf.parent})
-    index = {root: i for i, root in enumerate(roots)}
-    node_vertex_maps: list[dict[int, int]] = []
-    for s in range(t.tree_nodes):
-        node_vertex_maps.append({v: index[uf.find((s, v))] for v in t.psi_nodes[s]})
+    pairs = sorted((s, v) for s in range(t.tree_nodes) for v in t.psi_nodes[s])
+    index = {pair: i for i, pair in enumerate(pairs)}
+    links = [(index[(s, v)], index[(u, v)]) for (s, u), subset in t.psi_edges for v in subset]
+    comps = components(Graph(len(pairs), frozenset(links)))
+    glued = {pairs[i]: c for c, comp in enumerate(comps) for i in comp}
+    node_vertex_maps = [{v: glued[(s, v)] for v in t.psi_nodes[s]} for s in range(t.tree_nodes)]
     edges = set()
     for s in range(t.tree_nodes):
         mapping = node_vertex_maps[s]
@@ -257,7 +229,7 @@ def build_j(t: GluingTemplate):
             if (u, v) in t.base.edges:
                 a, b = mapping[u], mapping[v]
                 edges.add((a, b) if a < b else (b, a))
-    return Graph(len(roots), frozenset(edges)), node_vertex_maps
+    return Graph(len(comps), frozenset(edges)), node_vertex_maps
 
 
 def _class_counts(f: Graph, terms) -> dict[tuple[int, ...], int]:
@@ -306,6 +278,14 @@ def template_to_json(t: GluingTemplate) -> dict:
     }
 
 
+def _node_label(key: str, what: str) -> int:
+    """The tree node a psi map key names; only str(n), as template_to_json
+    writes it, names node n."""
+    if not (key.isascii() and key.isdigit() and key == str(int(key))):
+        raise ValueError(f"{what}: {key!r} is not a tree node label")
+    return int(key)
+
+
 def template_from_json(obj: dict) -> GluingTemplate:
     """Parse the template JSON format; the base graph may be a family
     string such as "C5" or an inline graph object."""
@@ -321,10 +301,11 @@ def template_from_json(obj: dict) -> GluingTemplate:
     tree = _json_shaped(obj["tree"], dict, "template 'tree'")
     nodes = _json_shaped(tree.get("nodes"), int, "template tree 'nodes'")
     edges = _json_shaped(tree.get("edges"), [[int]], "template tree 'edges'")
-    psi_nodes = {int(k): _json_shaped(v, [int], f"psi_nodes[{k!r}]")
+    psi_nodes = {_node_label(k, "psi_nodes"): _json_shaped(v, [int], f"psi_nodes[{k!r}]")
                  for k, v in _json_shaped(obj.get("psi_nodes", {}), dict, "psi_nodes").items()}
     psi_edges = {}
     for key, subset in _json_shaped(obj.get("psi_edges", {}), dict, "psi_edges").items():
         s, _, u = key.partition("-")
-        psi_edges[(int(s), int(u))] = _json_shaped(subset, [int], f"psi_edges[{key!r}]")
+        what = f"psi_edges[{key!r}]"
+        psi_edges[(_node_label(s, what), _node_label(u, what))] = _json_shaped(subset, [int], what)
     return GluingTemplate.make(base, nodes, edges, psi_nodes, psi_edges)

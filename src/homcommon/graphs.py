@@ -32,6 +32,8 @@ DEFAULT_WORK_BUDGET = 10**8
 IDENTITY_TOL = 1e-10
 INEQUALITY_TOL = 1e-9
 BALANCE_TOL = 1e-12
+# a falsifier gap below -FALSIFY_THRESHOLD is reported as a violation
+FALSIFY_THRESHOLD = 1e-4
 _EINSUM_LETTERS = string.ascii_letters
 
 

@@ -20,3 +20,10 @@ def test_acceptance_criterion(criterion):
     status = "PASS" if result["passed"] else "FAIL"
     print(f"[{status}] criterion {result['name']}: {result['detail']}")
     assert result["passed"], f"criterion {result['name']}: {result['detail']}"
+
+
+def test_criterion_8_requires_the_cubic_fit(monkeypatch):
+    from homcommon import commonness
+    monkeypatch.setattr(commonness, "_fit_cubic", lambda fn, lo, hi, points=7: [0.0] * 4)
+    assert not commonness.dk3k2_verify(pair_gap_seeds=range(2))["passed"]
+    assert not acceptance.criterion_8_dk3k2()["passed"]

@@ -1,16 +1,19 @@
 import dataclasses
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from homcommon import data
-from homcommon.cli import RunConfig, _parse_seeds, build_parser, main
+from homcommon import cli, data
+from homcommon.cli import _parse_seeds, build_parser, main
 from homcommon.commonness import common_gap, common_gap_objective, falsify
 from homcommon.cone import (certificate_from_json, certificate_to_json, enumerate_generators,
                             verify_certificate)
 from homcommon.gluing import ClassVector, template_to_json, x_vector, z_vector
 from homcommon.graphons import kernel_from_json
-from homcommon.graphs import DEFAULT_WORK_BUDGET, IDENTITY_TOL, INEQUALITY_TOL
+from homcommon.graphs import (DEFAULT_WORK_BUDGET, FALSIFY_THRESHOLD, IDENTITY_TOL,
+                              INEQUALITY_TOL)
 
 
 def run_cli(capsys, *argv):
@@ -19,11 +22,12 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(tolerance_identity=0.0)
-    with pytest.raises(ValueError):
-        RunConfig(work_budget=-1)
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_non_positive_budget_is_a_usage_error(capsys, budget):
+    code, out, err = run_cli(capsys, "--budget", budget, "verify", "identity", "goodman",
+                             "--seeds", "0")
+    assert code == 2 and out == ""
+    assert "work budget must be positive" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -33,18 +37,23 @@ def test_run_config_validation():
      "--p1", "0.5", "--seeds", "0..2"),
 ], ids=["identity", "inequality"])
 def test_non_finite_tolerance_is_a_usage_error(capsys, command, value):
+    # tolerances are package constants: any tolerance flag is a usage error
     code, out, err = run_cli(capsys, command[0], value, *command[1:])
     assert code == 2 and out == ""
-    assert "tolerances must be positive and finite" in err
+    assert "usage:" in err and "Traceback" not in err
 
 
-def test_defaults_are_the_library_constants():
-    args = build_parser().parse_args(["repro-all"])
-    config = RunConfig()
-    expected = (DEFAULT_WORK_BUDGET, IDENTITY_TOL, INEQUALITY_TOL)
-    assert (args.budget, args.tolerance_identity, args.tolerance_inequality) == expected
-    assert (config.work_budget, config.tolerance_identity,
-            config.tolerance_inequality) == expected
+def test_defaults_are_the_library_constants(capsys):
+    assert build_parser().parse_args(["repro-all"]).budget == DEFAULT_WORK_BUDGET
+    # each verdict is decided against the package constant its report names
+    for command, field, constant in (
+            (("verify", "identity", "goodman", "--seeds", "0"), "tolerance", IDENTITY_TOL),
+            (("common", "pair-gap", "--h1", "K3", "--h2", "K3", "--p1", "0.5", "--seeds", "0"),
+             "tolerance", INEQUALITY_TOL),
+            (("common", "falsify", "--target", "K3", "--restarts", "1", "--steps", "2"),
+             "threshold", FALSIFY_THRESHOLD)):
+        _, out, _ = run_cli(capsys, *command)
+        assert json.loads(out)[field] == constant
 
 
 def test_parse_seeds():
@@ -67,7 +76,7 @@ def test_empty_seed_range_is_a_usage_error(capsys, command):
     assert out == "" and "empty" in err
 
 
-def test_verify_identity_commands(capsys):
+def test_verify_identity_commands(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "identity", "goodman", "--seeds", "0..9")
     assert code == 0
     assert json.loads(out)["passed"] is True
@@ -75,11 +84,12 @@ def test_verify_identity_commands(capsys):
     assert code == 0
     code, out, _ = run_cli(capsys, "verify", "identity", "expansion", "--seeds", "0..2")
     assert code == 0
-    # absurdly tight tolerance forces a reported failure
-    code, out, _ = run_cli(capsys, "--tolerance-identity", "1e-18",
-                           "verify", "identity", "goodman", "--seeds", "0..9")
+    # a residual at the tolerance is a reported failure
+    monkeypatch.setattr(cli, "max_identity_residual", lambda *args: IDENTITY_TOL)
+    code, out, _ = run_cli(capsys, "verify", "identity", "goodman", "--seeds", "0..9")
     assert code == 1
-    assert json.loads(out)["tolerance"] == 1e-18
+    report = json.loads(out)
+    assert (report["passed"], report["tolerance"]) == (False, IDENTITY_TOL)
 
 
 def test_glue_check_good_and_bad(capsys, tmp_path):
@@ -185,10 +195,11 @@ def test_common_falsify_rejects_negative_steps(capsys):
 
 @pytest.mark.parametrize("threshold", ["-1", "nan", "inf", "-inf"])
 def test_common_falsify_rejects_a_bad_threshold(capsys, threshold):
+    # the violation threshold is FALSIFY_THRESHOLD: any --threshold is a usage error
     code, out, err = run_cli(capsys, "common", "falsify", "--target", "K3",
                              "--restarts", "2", "--steps", "2", f"--threshold={threshold}")
     assert code == 2 and out == ""
-    assert "threshold must be non-negative and finite" in err
+    assert "unrecognized arguments: --threshold" in err and "Traceback" not in err
 
 
 def test_common_falsify_witness_reloads_to_its_gap(capsys):
@@ -201,14 +212,17 @@ def test_common_falsify_witness_reloads_to_its_gap(capsys):
 
 
 def test_falsify_seed_global_and_subcommand(capsys):
+    # --seed is an option of `common falsify` only
     code, out, _ = run_cli(capsys, "--seed", "3", "common", "falsify", "--target", "K3",
                            "--restarts", "1", "--steps", "2")
-    assert code == 0
-    assert json.loads(out)["seed"] == 3
-    code, out, _ = run_cli(capsys, "--seed", "3", "common", "falsify", "--target", "K3",
+    assert code == 2 and out == ""
+    code, out, _ = run_cli(capsys, "common", "falsify", "--target", "K3",
                            "--seed", "5", "--restarts", "1", "--steps", "2")
     assert code == 0
     assert json.loads(out)["seed"] == 5
+    code, out, _ = run_cli(capsys, "common", "falsify", "--target", "K3",
+                           "--restarts", "1", "--steps", "2")
+    assert json.loads(out)["seed"] == 0
 
 
 @pytest.mark.parametrize("command", [
@@ -367,10 +381,24 @@ def test_malformed_certificate_json_rejected(capsys, tmp_path):
         certificate_from_json(broken)
     with pytest.raises(ValueError):
         certificate_from_json({"verdict": "good"})
-    # a class vector that is not an object, and a coefficient that is not a rational
-    for field, value in (("target", [["0,1,2,3,4", "2/1"]]), ("farkas_witness", []),
-                         ("target", {"0,1,2,3,4": "1/0"})):
-        broken = dict(payload, **{field: value})
+    with_gens = certificate_to_json(check_good(data.load_template("pentagon_square")))
+    not_good = certificate_to_json(check_good(data.load_template("lone_edge_c5")))
+    gen = with_gens["generators_used"][0]
+    witness, psi_nodes = dict(not_good["farkas_witness"]), dict(payload["template"]["psi_nodes"])
+    witness[" 0"], psi_nodes[" 0"] = witness.pop("0"), psi_nodes.pop("0")
+    # a class vector that is not an object, and a coefficient that is not a rational;
+    # labels and counts that are not JSON integers, rationals that are not strings,
+    # class keys and template psi keys other than the form the writer emits
+    for broken in (dict(payload, target=[["0,1,2,3,4", "2/1"]]),
+                   dict(payload, farkas_witness=[]),
+                   dict(payload, target={"0,1,2,3,4": "1/0"}),
+                   dict(payload, target={"0,1,2,3,4": 2}),
+                   dict(payload, j_vertex_count=payload["j_vertex_count"] + 0.9),
+                   dict(payload, j_vertex_count=True, j_edge_count=True),
+                   dict(with_gens, generators_used=[dict(gen, r1=[0.5])]),
+                   dict(with_gens, generators_used=[dict(gen, coeff=0.5)]),
+                   dict(not_good, farkas_witness=witness),
+                   dict(payload, template=dict(payload["template"], psi_nodes=psi_nodes))):
         with pytest.raises(ValueError):
             certificate_from_json(broken)
         path = tmp_path / "broken.json"
@@ -385,6 +413,8 @@ def test_malformed_template_json_rejected(capsys, tmp_path):
     with pytest.raises(ValueError):
         template_from_json({"F": "C5", "tree": {"edges": []}})
     good = template_to_json(data.load_template("pentagon_square"))
+    psi_edges = dict(good["psi_edges"])
+    psi_edges[" 0- 1"] = psi_edges.pop("0-1")
     one_node = {"F": "C5", "tree": {"nodes": 1, "edges": []}, "psi_nodes": {"0": [0, 1]}}
     # labels, counts and tree nodes must be JSON integers; psi maps objects of lists
     for broken in (dict(good, psi_nodes=dict(good["psi_nodes"], **{"3": [0.7, 1]})),
@@ -395,7 +425,14 @@ def test_malformed_template_json_rejected(capsys, tmp_path):
                    dict(one_node, psi_nodes={"0": 5}),
                    dict(one_node, psi_nodes=[[0, 1]]),
                    dict(one_node, psi_edges=[]),
-                   dict(one_node, F={"n": 5.0, "edges": []})):
+                   dict(one_node, F={"n": 5.0, "edges": []}),
+                   # a psi key names node n only as str(n)
+                   dict(one_node, psi_nodes={" 0": [0, 1]}),
+                   dict(one_node, psi_nodes={"+0": [0, 1]}),
+                   dict(one_node, psi_nodes={"0_0": [0, 1]}),
+                   dict(one_node, psi_nodes={"00": [0, 1]}),
+                   dict(one_node, psi_nodes={"\u0660": [0, 1]}),
+                   dict(good, psi_edges=psi_edges)):
         with pytest.raises(ValueError):
             template_from_json(broken)
         path = tmp_path / "broken.json"
@@ -418,3 +455,26 @@ def test_malformed_graph_json_rejected(capsys, tmp_path):
                                  "--restarts", "1", "--steps", "1")
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of each `homcommon` line of README.md's "Command line" sh block,
+    with backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv and argv[0] == "homcommon":
+            commands.append(argv[1:])
+    return commands
+
+
+def test_readme_command_block_runs(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # `glue check --certificate cert.json` feeds `glue verify`
+    commands = [argv for argv in _readme_commands()
+                if not any(a.startswith("path/to/") for a in argv)]
+    assert commands
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 1), (argv, err)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homcommon import gluing
 from homcommon.gluing import (_CANONICAL_TABLES, ClassVector, GluingTemplate, build_j,
                               canonical_class, class_count, template_from_json,
                               template_to_json, x_vector, z_vector)
@@ -115,6 +116,15 @@ def test_template_invariants():
                             {(0, 2): [0]})
 
 
+def test_make_checks_the_edge_count_before_any_psi_subset(monkeypatch):
+    calls = []
+    as_subset = gluing._as_subset
+    monkeypatch.setattr(gluing, "_as_subset", lambda *a: calls.append(a) or as_subset(*a))
+    with pytest.raises(ValueError, match="n-1 edges"):
+        template_from_json({"F": "C5", "tree": {"nodes": 1000, "edges": []}})
+    assert calls == []
+
+
 def test_build_j_single_and_disjoint():
     single = GluingTemplate.make(C5, 1, [], {0: range(5)}, {})
     j, maps = build_j(single)
@@ -152,6 +162,48 @@ def _random_template(f, rng):
         common = sorted(set(psi_nodes[a]) & set(psi_nodes[b]))
         psi_edges[(a, b)] = [v for v in common if rng.random() < 0.5]
     return GluingTemplate.make(f, nodes, edges, psi_nodes, psi_edges)
+
+
+def _union_find_build_j(t):
+    """Reference glue: union-find over (node, label) pairs, each class
+    represented by its least pair, classes numbered in order of that pair."""
+    parent = {(s, v): (s, v) for s in range(t.tree_nodes) for v in t.psi_nodes[s]}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for (s, u), subset in t.psi_edges:
+        for v in subset:
+            a, b = sorted((find((s, v)), find((u, v))))
+            parent[b] = a
+    index = {root: i for i, root in enumerate(sorted({find(x) for x in parent}))}
+    maps = [{v: index[find((s, v))] for v in t.psi_nodes[s]} for s in range(t.tree_nodes)]
+    edges = {tuple(sorted((maps[s][u], maps[s][v])))
+             for s in range(t.tree_nodes)
+             for u, v in combinations(sorted(t.psi_nodes[s]), 2) if (u, v) in t.base.edges}
+    return Graph(len(index), frozenset(edges)), maps
+
+
+@st.composite
+def _templates(draw):
+    f = draw(st.sampled_from((C3, C5, make_family("cycle", 7))))
+    n = f.vertex_count
+    nodes = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(nodes)))
+    edges = [(order[draw(st.integers(0, i - 1))], order[i]) for i in range(1, nodes)]
+    psi_nodes = {s: draw(st.sets(st.integers(0, n - 1))) for s in range(nodes)}
+    psi_edges = {(a, b): draw(st.sets(st.sampled_from(sorted(psi_nodes[a] & psi_nodes[b]))))
+                 if psi_nodes[a] & psi_nodes[b] else set() for a, b in edges}
+    return GluingTemplate.make(f, nodes, edges, psi_nodes, psi_edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_templates())
+def test_build_j_matches_union_find_reference(t):
+    j, maps = build_j(t)
+    assert (j, maps) == _union_find_build_j(t)
 
 
 def test_build_j_vertex_count_formula():
