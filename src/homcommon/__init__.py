@@ -7,10 +7,9 @@ commonness inequalities the certificates rest on.
 """
 
 from .graphs import (BudgetExceededError, Graph, automorphisms, disjoint_union,
-                     girth_and_cycle_count, hom_count, make_family, subgraph_on_edges)
-from .graphons import StepKernel, density, sample_graphon, shift
-from .gluing import (ClassVector, GluingTemplate, build_j, canonical_class,
-                     class_count, x_vector, z_vector)
+                     girth_and_cycle_count, hom_count, make_family)
+from .graphons import StepKernel, density, sample_graphon
+from .gluing import ClassVector, GluingTemplate, build_j, canonical_class, x_vector
 from .cone import (GoodnessCertificate, binomial_inequality_check, check_good,
                    verify_certificate)
 from .commonness import (CommonPairSpec, SearchResult, appendix_convexity_verify,
@@ -19,7 +18,6 @@ from .commonness import (CommonPairSpec, SearchResult, appendix_convexity_verify
                          dk3k2_verify, falsify, girth_obstruction, pair_gap,
                          solve_simple_tree_p)
 from .identities import (c5_goodman_residual, expansion_residual,
-                         goodman_residual, strongly_common_gap,
-                         supersaturation_gap)
+                         goodman_residual, strongly_common_gap)
 
 __version__ = "0.1.0"

@@ -45,7 +45,7 @@ def criterion_3_strongly_common() -> dict:
         cm = make_family("cycle", m)
         for s in range(100):
             worst = min(worst, strongly_common_gap(cm, sample_graphon(s, 4)))
-            worst = min(worst, strongly_common_gap(cm, sample_kernel(s, 4, -1.0, 2.0)))
+            worst = min(worst, strongly_common_gap(cm, sample_kernel(s, 4)))
     return {"name": "3 strongly-common odd cycles (sampled evidence, graphons + kernels)",
             "passed": worst >= -INEQUALITY_TOL,
             "detail": f"min gap = {worst:.3e} >= -{INEQUALITY_TOL}"}

@@ -3,8 +3,8 @@ commonness certification, falsification, and the acceptance suite.
 
 Reports go to stdout as JSON (or a table for repro-all).  Exit codes:
 0 pass / good / verified, 1 violation found / not good / rejected, 2 usage
-or data error, including a malformed certificate or a template hash that
-does not match.
+or data error, including a malformed certificate, a template hash that
+does not match, and an input whose arithmetic overflows or divides by zero.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import json
 import sys
 
 from . import acceptance, data
-from .commonness import (CommonPairSpec, certify_pair_via_templates, common_gap_objective,
-                         dk3k2_verify, falsify, min_pair_gap, solve_simple_tree_p)
+from .commonness import (FALSIFY_MAX_BLOCKS, CommonPairSpec, certify_pair_via_templates,
+                         common_gap_objective, dk3k2_verify, falsify, min_pair_gap,
+                         solve_simple_tree_p)
 from .cone import certificate_from_json, certificate_to_json, check_good, verify_certificate
 from .gluing import template_from_json
 from .graphons import kernel_to_json
@@ -132,7 +133,7 @@ def _cmd_falsify(args) -> int:
                      restarts=args.restarts, steps=args.steps)
     violation = result.best_gap < -FALSIFY_THRESHOLD
     report = {"target": args.target, "seed": args.seed, "restarts": args.restarts,
-              "steps": args.steps, "max_blocks": result.max_blocks,
+              "steps": args.steps, "max_blocks": FALSIFY_MAX_BLOCKS,
               "threshold": FALSIFY_THRESHOLD, "budget": args.budget,
               "best_gap": result.best_gap, "evaluations": result.evaluations,
               "objective_calls": result.objective_calls,
@@ -236,7 +237,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: work budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,8 +17,8 @@ with zero-measure blocks, and descends all of them in lockstep by compass
 search: one batched objective call per coordinate scores both step
 directions of every restart from the same point.  Each restart still
 draws its start from its own generator and follows the path it would
-follow alone, so the result depends only on (seed, restarts, steps,
-max_blocks), whatever the padding or evaluation order.
+follow alone, so the result depends only on (seed, restarts, steps),
+whatever the padding or evaluation order.
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ from .gluing import GluingTemplate, build_j
 from .graphs import (BALANCE_TOL, DEFAULT_WORK_BUDGET, INEQUALITY_TOL, Graph, components,
                      girth_and_cycle_count, make_family)
 from .graphons import StepKernel, densities, density, kernel_arrays, sample_graphon
-from .identities import _strongly_common_gap
 
 _K2 = make_family("path", 2)
+# restarts of `falsify` draw 2 to FALSIFY_MAX_BLOCKS blocks
+FALSIFY_MAX_BLOCKS = 4
 
 # exact threshold probability for the diamond / K3+K2 pair
 P_DIAMOND_PAIR = (8.0 - 2.0 * math.sqrt(10.0)) / 3.0
@@ -84,7 +85,6 @@ class SearchResult:
     evaluations: int
     objective_calls: int
     seed: int
-    max_blocks: int
 
 
 def _pair_gap(spec: CommonPairSpec, measures: np.ndarray, values: np.ndarray,
@@ -385,8 +385,7 @@ def _fit_cubic(fn, lo: float, hi: float, points: int = 7) -> list[float]:
     return [float(c) for c in np.polyfit(xs, ys, 3)]
 
 
-def dk3k2_verify(pair_gap_seeds=range(20), max_blocks: int = 4,
-                 budget: int = DEFAULT_WORK_BUDGET) -> dict:
+def dk3k2_verify(pair_gap_seeds=range(20), budget: int = DEFAULT_WORK_BUDGET) -> dict:
     """End-to-end verification of the diamond / K3+K2 threshold argument.
 
     (a) The restrictions g0, g1 of the objective along the constraint and
@@ -431,7 +430,7 @@ def dk3k2_verify(pair_gap_seeds=range(20), max_blocks: int = 4,
 
     spec = CommonPairSpec(make_family("complete_minus_edge", 4),
                           disjoint_k3_k2(), p)
-    worst_gap = min_pair_gap(spec, pair_gap_seeds, max_blocks, budget)
+    worst_gap = min_pair_gap(spec, pair_gap_seeds, budget=budget)
 
     report = {
         "p": p,
@@ -472,8 +471,7 @@ def disjoint_k3_k2() -> Graph:
 
 
 def appendix_convexity_verify(f: Graph, e1: int, e2: int, k1: int, k2: int,
-                              l1: int, l2: int, p1: float,
-                              grid: int = 401) -> dict:
+                              l1: int, l2: int, p1: float) -> dict:
     """Numerically minimise the two-sided correlation objective
     ((p1+x)^ef - y)^k1 / ((p1+x)^l1 e1 p1^(e1-1)) + mirrored term
     over -p1 < x < p2 and -(p2-x)^ef <= y <= (p1+x)^ef, checking that the
@@ -519,7 +517,7 @@ def appendix_convexity_verify(f: Graph, e1: int, e2: int, k1: int, k2: int,
 
     margin = 1e-9
     x_min, value = _grid_then_golden(lambda x: min_over_y(x)[1], -p1 + margin, p2 - margin,
-                                     grid, tol=1e-9)
+                                     grid=401, tol=1e-9)
     y_min = min_over_y(x_min)[0]
     expected = p1 / e1 + p2 / e2
     # Bernoulli boundary values where one colour class saturates
@@ -550,10 +548,6 @@ Objective = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 def common_gap_objective(h: Graph, budget: int = DEFAULT_WORK_BUDGET) -> Objective:
     return partial(_common_gap, h, budget=budget)
-
-
-def strongly_common_objective(f: Graph) -> Objective:
-    return partial(_strongly_common_gap, f, budget=DEFAULT_WORK_BUDGET)
 
 
 def pair_gap_objective(spec: CommonPairSpec, budget: int = DEFAULT_WORK_BUDGET) -> Objective:
@@ -633,10 +627,10 @@ def _descend(objective: Objective, measures: np.ndarray, values: np.ndarray,
     return best, evals
 
 
-def falsify(objective: Objective, seed: int, restarts: int = 50, steps: int = 200,
-            max_blocks: int = 4) -> SearchResult:
+def falsify(objective: Objective, seed: int, restarts: int = 50,
+            steps: int = 200) -> SearchResult:
     """Random-restart coordinate descent minimising `objective` over step
-    graphons with up to `max_blocks` blocks.
+    graphons with 2 to `FALSIFY_MAX_BLOCKS` blocks.
 
     `objective` is a batched gap formula, such as `common_gap_objective(h)`:
     the descent scores candidates with it, and the returned gap is its
@@ -650,7 +644,7 @@ def falsify(objective: Objective, seed: int, restarts: int = 50, steps: int = 20
     Q^2 per sweep (16 on 4 blocks).  The witness keeps only the blocks its
     restart drew.  The budget is charged for Q blocks per kernel.
 
-    Deterministic in (seed, restarts, steps, max_blocks): restart r draws
+    Deterministic in (seed, restarts, steps): restart r draws
     its start from its own generator derived from the seed, and ties
     between restarts are broken by restart index, so any evaluation order
     gives the same result.
@@ -659,12 +653,10 @@ def falsify(objective: Objective, seed: int, restarts: int = 50, steps: int = 20
         raise ValueError("restarts must be at least 1")
     if steps < 0:
         raise ValueError("steps must be at least 0")
-    if max_blocks < 1:
-        raise ValueError("max_blocks must be at least 1")
     drawn = []
     for r in range(restarts):
         rng = np.random.default_rng((int(seed) * 0x9E3779B97F4A7C15 + r) % 2**64)
-        q = int(rng.integers(2, max_blocks + 1)) if max_blocks > 1 else 1
+        q = int(rng.integers(2, FALSIFY_MAX_BLOCKS + 1))
         drawn.append((rng.dirichlet(np.ones(q)), rng.uniform(size=(q, q))))
     blocks = np.array([len(m) for m, _ in drawn])
     top = int(blocks.max())
@@ -689,4 +681,4 @@ def falsify(objective: Objective, seed: int, restarts: int = 50, steps: int = 20
                              tuple(tuple(float(x) for x in row[:q]) for row in values[k, :q]),
                              graphon=True)
     return SearchResult(best_kernel, float(objective(*kernel_arrays(best_kernel))),
-                        int(used.sum()), calls, seed, max_blocks)
+                        int(used.sum()), calls, seed)

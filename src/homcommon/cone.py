@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -106,8 +107,8 @@ def _integer(v) -> int:
 def _phase_one(columns, b: list[Fraction]):
     """Solve A c = b, c >= 0 exactly, for integer columns and rational b.
 
-    Each column is a dense sequence or a {row: value} dict of integers
-    (ints or integral `Fraction`s); any other value raises ValueError.
+    Each column is a {row: value} dict of integers (ints or integral
+    `Fraction`s); any other value raises ValueError.
     Returns ("feasible", coefficients) or ("infeasible", y) where y
     satisfies y.A_j <= 0 for every column and y.b > 0.
 
@@ -127,9 +128,7 @@ def _phase_one(columns, b: list[Fraction]):
     b = [Fraction(v) for v in b]
     sign = [1 if v >= 0 else -1 for v in b]
     scale = math.lcm(*(v.denominator for v in b))
-    cols = [[(i, sign[i] * _integer(v))
-             for i, v in (col.items() if isinstance(col, dict) else enumerate(col)) if v]
-            for col in columns]
+    cols = [[(i, sign[i] * _integer(v)) for i, v in col.items() if v] for col in columns]
     basis = [n + i for i in range(m)]
     inv = [[int(i == k) for k in range(m)] for i in range(m)]
     x = [sign[i] * v.numerator * (scale // v.denominator) for i, v in enumerate(b)]
@@ -338,6 +337,16 @@ def _fraction_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _fraction_from_str(text, what: str) -> Fraction:
+    """The rational that `_fraction_to_str` writes as `text`; ValueError for
+    any other string (spaces, decimals, exponents, underscores, a non-reduced
+    or zero denominator, "-0") and for any other JSON value."""
+    m = re.fullmatch(r"(-?[1-9][0-9]*|0)/([1-9][0-9]*)", _json_shaped(text, str, what))
+    if m is None or math.gcd(int(m[1]), int(m[2])) != 1:
+        raise ValueError(f'{what}: {text!r} is not a reduced "numerator/denominator"')
+    return Fraction(int(m[1]), int(m[2]))
+
+
 def template_hash(t: GluingTemplate) -> str:
     payload = json.dumps(template_to_json(t), sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(payload.encode()).hexdigest()
@@ -360,7 +369,7 @@ def _classvec_from_json(base: Graph, obj: dict, canon: tuple[int, ...]) -> Class
         if key != rep_key:
             raise ValueError(f"class key {key!r} is not the canonical representative "
                              f"{rep_key!r} of its class")
-        coeffs[rep] = Fraction(_json_shaped(val, str, f"class vector value at {key!r}"))
+        coeffs[rep] = _fraction_from_str(val, f"class vector value at {key!r}")
     return ClassVector(base, coeffs)
 
 
@@ -394,7 +403,7 @@ def certificate_from_json(obj: dict, budget: int = DEFAULT_WORK_BUDGET) -> Goodn
         gens = tuple(
             (tuple(tuple(_json_shaped(g[r], [int], f"generator {r!r}"))
                    for r in ("r1", "r2", "r3")),
-             Fraction(_json_shaped(g["coeff"], str, "generator 'coeff'")))
+             _fraction_from_str(g["coeff"], "generator 'coeff'"))
             for g in obj.get("generators_used", []))
         witness = obj.get("farkas_witness")
         return GoodnessCertificate(
@@ -407,5 +416,5 @@ def certificate_from_json(obj: dict, budget: int = DEFAULT_WORK_BUDGET) -> Goodn
             j_vertex_count=_json_shaped(obj["j_vertex_count"], int, "'j_vertex_count'"),
             j_edge_count=_json_shaped(obj["j_edge_count"], int, "'j_edge_count'"),
         )
-    except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed certificate JSON: {exc}") from exc

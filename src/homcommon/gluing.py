@@ -56,8 +56,9 @@ def _canonical_table(f: Graph, budget: int, caller: str) -> tuple[int, ...]:
     Built once per base graph and process.  The automorphism search charges
     its nodes against `budget`, and each automorphism it yields charges
     2^v(f) subset images; the table is refused as soon as the images exceed
-    `budget`, before any is built.  Errors name `caller`.  The table is one
-    running minimum, by rank, over the subset images of each automorphism.
+    `budget` (before the search, for the identity's), and before any is
+    built.  Errors name `caller`.  The table is one running minimum, by rank,
+    over the subset images of each automorphism.
     """
     table = _CANONICAL_TABLES.get(f)
     if table is not None:
@@ -65,12 +66,17 @@ def _canonical_table(f: Graph, budget: int, caller: str) -> tuple[int, ...]:
     n = f.vertex_count
     perms = []
     try:
-        for perm in automorphisms(f, budget):
-            perms.append(perm)
-            if len(perms) << n > budget:
-                raise BudgetExceededError(
-                    f"canonicalising subsets of a {n}-vertex base takes at least "
-                    f"{len(perms) << n} subset images, budget {budget}")
+        images = 1 << n
+        if images <= budget:
+            for perm in automorphisms(f, budget):
+                perms.append(perm)
+                images = len(perms) << n
+                if images > budget:
+                    break
+        if images > budget:
+            raise BudgetExceededError(
+                f"canonicalising subsets of a {n}-vertex base takes at least "
+                f"{images} subset images, budget {budget}")
     except BudgetExceededError as exc:
         raise BudgetExceededError(f"{caller}: {exc}") from None
     lex, rank = _lex_submasks(n)
@@ -94,11 +100,6 @@ def canonical_class(f: Graph, s, budget: int = DEFAULT_WORK_BUDGET) -> frozenset
     return frozenset(_mask_vertices(_canonical_table(f, budget, "canonical_class")[mask]))
 
 
-def class_count(f: Graph, budget: int = DEFAULT_WORK_BUDGET) -> int:
-    """Number of Aut(f)-orbits of subsets of V(f), the empty class included."""
-    return len(set(_canonical_table(f, budget, "class_count")))
-
-
 @dataclass
 class ClassVector:
     """Exact rational vector indexed by canonical nonempty subset classes.
@@ -115,38 +116,6 @@ class ClassVector:
         for key in self.coeffs:
             if len(key) == 0:
                 raise ValueError("the empty class cannot carry a coefficient")
-
-    @classmethod
-    def basis(cls, base: Graph, s) -> "ClassVector":
-        """The unit vector of the class of s (the zero vector for s empty)."""
-        rep = tuple(sorted(canonical_class(base, s)))
-        return cls(base, {rep: Fraction(1)} if rep else {})
-
-    def _check_base(self, other: "ClassVector"):
-        if self.base != other.base:
-            raise ValueError("class vectors over different base graphs")
-
-    def __add__(self, other: "ClassVector") -> "ClassVector":
-        self._check_base(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return ClassVector(self.base, out)
-
-    def __sub__(self, other: "ClassVector") -> "ClassVector":
-        return self + other.scaled(Fraction(-1))
-
-    def scaled(self, r) -> "ClassVector":
-        r = Fraction(r)
-        return ClassVector(self.base, {k: v * r for k, v in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def inner(self, other: "ClassVector") -> Fraction:
-        self._check_base(other)
-        small, large = sorted((self.coeffs, other.coeffs), key=len)
-        return sum((v * large[k] for k, v in small.items() if k in large), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -246,11 +215,6 @@ def _class_counts(f: Graph, terms) -> dict[tuple[int, ...], int]:
 def _z_terms(t: GluingTemplate, w: int = 1) -> list[tuple[int, frozenset[int]]]:
     """w times z as terms: w per tree node's subset, -w per tree edge's."""
     return [(w, s) for s in t.psi_nodes] + [(-w, s) for _, s in t.psi_edges]
-
-
-def z_vector(t: GluingTemplate) -> ClassVector:
-    """Sum of node-class units minus edge-class units, canonicalised."""
-    return ClassVector(t.base, _class_counts(t.base, _z_terms(t)))
 
 
 def _x_terms(f: Graph, r1, r2, r3) -> tuple[tuple[int, frozenset[int]], ...]:

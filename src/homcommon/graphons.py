@@ -1,4 +1,4 @@
-"""Step kernels and graphons: homomorphism densities, 1 - w, shifts, sampling.
+"""Step kernels and graphons: homomorphism densities, 1 - w, sampling.
 
 A step kernel is a symmetric q x q block matrix together with block
 measures summing to 1.  Graphons are the kernels flagged as having all
@@ -102,14 +102,6 @@ def one_minus(w: StepKernel) -> StepKernel:
     return StepKernel(w.measures, vals, graphon=w.graphon)
 
 
-def shift(w: StepKernel, c: float) -> StepKernel:
-    """Kernel w - c.  Clears the graphon flag (no-op when c == 0)."""
-    if c == 0:
-        return w
-    vals = tuple(tuple(x - c for x in row) for row in w.values)
-    return StepKernel(w.measures, vals, graphon=False)
-
-
 def sample_graphon(seed: int, max_blocks: int = 4) -> StepKernel:
     """Seeded random step graphon: uniform block count, Dirichlet(1) measures,
     i.i.d. uniform values mirrored across the diagonal."""
@@ -125,14 +117,12 @@ def sample_graphon(seed: int, max_blocks: int = 4) -> StepKernel:
                       graphon=True)
 
 
-def sample_kernel(seed: int, max_blocks: int = 4,
-                  low: float = -1.0, high: float = 2.0) -> StepKernel:
-    """Seeded random kernel with values in [low, high] (not a graphon in general)."""
+def sample_kernel(seed: int, max_blocks: int = 4) -> StepKernel:
+    """Seeded random kernel, not a graphon: `sample_graphon(seed, max_blocks)`
+    with each value x mapped to 3x - 1, in [-1, 2]."""
     base = sample_graphon(seed, max_blocks)
-    span = high - low
-    vals = tuple(tuple(low + span * x for x in row) for row in base.values)
-    graphon = low >= 0.0 and high <= 1.0
-    return replace(base, values=vals, graphon=graphon)
+    vals = tuple(tuple(-1.0 + 3.0 * x for x in row) for row in base.values)
+    return replace(base, values=vals, graphon=False)
 
 
 def kernel_to_json(w: StepKernel) -> dict:

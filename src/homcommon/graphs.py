@@ -123,18 +123,10 @@ def parse_family(spec: str) -> Graph | None:
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     """Disjoint union with b's labels shifted past a's."""
-    shift = a.vertex_count
+    offset = a.vertex_count
     edges = set(a.edges)
-    edges.update((u + shift, v + shift) for u, v in b.edges)
+    edges.update((u + offset, v + offset) for u, v in b.edges)
     return Graph.from_edges(a.vertex_count + b.vertex_count, edges)
-
-
-def subgraph_on_edges(h: Graph, keep) -> Graph:
-    """Spanning subgraph of h with edge set `keep`; isolated vertices stay."""
-    keep = frozenset(_sorted_edge(u, v) for u, v in keep)
-    if not keep <= h.edges:
-        raise ValueError("keep contains edges not present in h")
-    return Graph(h.vertex_count, keep)
 
 
 def components(g: Graph) -> list[list[int]]:
@@ -267,8 +259,9 @@ def _contract(h: Graph, matrices: np.ndarray, vector: np.ndarray, budget: int, c
     (..., q).  The axes between E and (q, q) are a batch, broadcast against
     the vector's leading axes, and the result has their shape.  The work
     charged against `budget` is sum over steps of q^|scope|, per kernel of
-    the batch.  Unbatched operands give a numpy scalar of the operands'
-    dtype, or a Python int for object operands.
+    the batch, and v(h) q > `budget` is refused before planning (each step
+    has q or more terms).  Unbatched operands give a numpy scalar of the
+    operands' dtype, or a Python int for object operands.
 
     The operands are contracted with the batch axes last (one contiguous
     copy of each), so every einsum's inner loop runs over the whole batch,
@@ -278,16 +271,18 @@ def _contract(h: Graph, matrices: np.ndarray, vector: np.ndarray, budget: int, c
     the bits of its row in any batch.  A shared matrix runs the same einsum
     calls on the same bits as e(h) copies of it.
     """
-    try:
-        plan = _plan(h)
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(f"{caller}: {exc}") from None
     q = vector.shape[-1]
-    work = sum(q**width for width in plan.widths)
+    work = h.vertex_count * q
+    if work <= budget:
+        try:
+            plan = _plan(h)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(f"{caller}: {exc}") from None
+        work = sum(q**width for width in plan.widths)
     if work > budget:
         raise BudgetExceededError(
             f"{caller}: contracting a {h.vertex_count}-vertex graph over {q} values "
-            f"needs {work} terms, budget {budget}")
+            f"needs at least {work} terms, budget {budget}")
     nd = matrices.ndim
     matrices = np.ascontiguousarray(matrices.transpose(0, nd - 2, nd - 1, *range(1, nd - 2)))
     vector = np.ascontiguousarray(vector.transpose(vector.ndim - 1, *range(vector.ndim - 1)))

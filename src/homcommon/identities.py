@@ -146,9 +146,3 @@ def strongly_common_gap(f: Graph, w: StepKernel,
     cycles it is non-negative for every kernel).
     """
     return float(_strongly_common_gap(f, *kernel_arrays(w), budget))
-
-
-def supersaturation_gap(w: StepKernel, budget: int = DEFAULT_WORK_BUDGET) -> float:
-    """t(K3,w) - t(K2,w)(2 t(K2,w) - 1); non-negative for every graphon."""
-    edge = density(_K2, w, budget)
-    return density(_K3, w, budget) - edge * (2.0 * edge - 1.0)

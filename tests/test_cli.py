@@ -1,16 +1,18 @@
 import dataclasses
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
+from conftest import combination, dot, reference_x, reference_z
 from homcommon import cli, data
 from homcommon.cli import _parse_seeds, build_parser, main
 from homcommon.commonness import common_gap, common_gap_objective, falsify
-from homcommon.cone import (certificate_from_json, certificate_to_json, enumerate_generators,
-                            verify_certificate)
-from homcommon.gluing import ClassVector, template_to_json, x_vector, z_vector
+from homcommon.cone import (certificate_from_json, certificate_to_json, check_good,
+                            enumerate_generators, template_hash, verify_certificate)
+from homcommon.gluing import ClassVector, template_from_json, template_to_json
 from homcommon.graphons import kernel_from_json
 from homcommon.graphs import (DEFAULT_WORK_BUDGET, FALSIFY_THRESHOLD, IDENTITY_TOL,
                               INEQUALITY_TOL)
@@ -172,14 +174,13 @@ def test_common_falsify(capsys):
 
 
 def test_common_falsify_reports_every_input_of_the_search(capsys):
-    # the search depends only on (seed, restarts, steps, max_blocks)
+    # the search depends only on (seed, restarts, steps); max_blocks is fixed at 4
     code, out, _ = run_cli(capsys, "common", "falsify", "--target", "paw",
                            "--seed", "2", "--restarts", "2", "--steps", "5")
     report = json.loads(out)
     assert (report["seed"], report["restarts"], report["steps"], report["max_blocks"]) == (
         2, 2, 5, 4)
-    again = falsify(common_gap_objective(data.load_graph("paw")), seed=2, restarts=2,
-                    steps=5, max_blocks=report["max_blocks"])
+    again = falsify(common_gap_objective(data.load_graph("paw")), seed=2, restarts=2, steps=5)
     assert report["best_gap"] == again.best_gap
     assert (report["evaluations"], report["objective_calls"]) == (
         again.evaluations, again.objective_calls)
@@ -279,15 +280,14 @@ def test_glue_verify_rejects_a_raised_farkas_coefficient(capsys, tmp_path):
     assert run_cli(capsys, "glue", "check", "lone_edge_c5", "--certificate", str(path))[0] == 1
     cert = certificate_from_json(json.loads(path.read_text()))
     base, y = cert.template.base, dict(cert.farkas_witness.coeffs)
-    xs = [x_vector(base, *triple) for triple, _ in enumerate_generators(base)]
+    xs = [reference_x(base, *triple) for triple, _ in enumerate_generators(base)]
     # raise the coefficient of the full class, which target - z weights
     # positively, until some generator has a positive product with it
     full = tuple(range(base.vertex_count))
-    while all(ClassVector(base, y).inner(x) <= 0 for x in xs):
+    while all(dot(y, x) <= 0 for x in xs):
         y[full] += 1
-    witness = ClassVector(base, y)
-    assert witness.inner(cert.target - z_vector(cert.template)) > 0
-    tampered = dataclasses.replace(cert, farkas_witness=witness)
+    assert dot(y, combination([(1, cert.target.coeffs), (-1, reference_z(cert.template))])) > 0
+    tampered = dataclasses.replace(cert, farkas_witness=ClassVector(base, y))
     assert not verify_certificate(tampered)
     path.write_text(json.dumps(certificate_to_json(tampered)))
     code, out, _ = run_cli(capsys, "glue", "verify", str(path))
@@ -406,6 +406,77 @@ def test_malformed_certificate_json_rejected(capsys, tmp_path):
         code, out, err = run_cli(capsys, "glue", "verify", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", [" 1/1", "1.0", "1e0", "1_0/1_0", "2/4", "-0/1", "1/0"])
+@pytest.mark.parametrize("field", ["coeff", "witness"])
+def test_glue_verify_reads_only_reduced_fractions(capsys, tmp_path, field, text):
+    # rationals load only in the "n/d" form certificate_to_json writes
+    name = "pentagon_square" if field == "coeff" else "lone_edge_c5"
+    payload = certificate_to_json(check_good(data.load_template(name)))
+    if field == "coeff":
+        payload["generators_used"][0]["coeff"] = text
+    else:
+        payload["farkas_witness"]["0"] = text
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "glue", "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "numerator/denominator" in err
+
+
+def test_glue_verify_refuses_a_huge_exponent_at_once(capsys, tmp_path):
+    payload = certificate_to_json(check_good(data.load_template("pentagon_square")))
+    payload["generators_used"][0]["coeff"] = "1e10000000"
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "glue", "verify", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("budget", [(), ("--budget", "1000")])
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_goodness_commands_refuse_a_1000_vertex_base_at_once(capsys, tmp_path, command, budget):
+    # the class table needs at least 2^1000 subset images, refused before the
+    # automorphism search, which would recurse once per vertex
+    template = {"F": {"n": 1000, "edges": [[v, v + 1] for v in range(999)]},
+                "tree": {"nodes": 1, "edges": []}, "psi_nodes": {"0": [0, 1]}}
+    path = tmp_path / "input.json"
+    if command == "check":
+        path.write_text(json.dumps(template))
+    else:
+        path.write_text(json.dumps({
+            "template": template, "template_hash": template_hash(template_from_json(template)),
+            "verdict": "good", "j_vertex_count": 2, "j_edge_count": 1,
+            "target": {}, "generators_used": [], "farkas_witness": None}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *budget, "glue", command, str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "1000-vertex base takes at least" in err and "Traceback" not in err
+
+
+def test_falsify_refuses_a_long_path_before_planning_it(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "--budget", "1", "common", "falsify", "--target", "P10000",
+                             "--restarts", "1", "--steps", "0")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: work budget exceeded: density: contracting a 10000-vertex")
+
+
+@pytest.mark.parametrize("command", [
+    ("common", "solve-p", "--e1", str(10**400), "--v1", str(10**400),
+     "--e2", "1", "--v2", "1", "--m", "3"),
+    ("common", "certify", "--template1", "pentagon_square", "--l1", "1",
+     "--template2", "simple_c5_vertex", "--l2", "0", "--p1", "1e-320"),
+], ids=["overflow", "zero-division"])
+def test_arithmetic_errors_are_data_errors(capsys, command):
+    code, out, err = run_cli(capsys, *command)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_malformed_template_json_rejected(capsys, tmp_path):

@@ -8,17 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homcommon import data
-from homcommon.commonness import (CommonPairSpec, P_DIAMOND_PAIR,
+from homcommon.commonness import (FALSIFY_MAX_BLOCKS, CommonPairSpec, P_DIAMOND_PAIR,
                                   appendix_convexity_verify,
                                   certify_pair_via_templates, common_gap,
                                   common_gap_objective, convexity_conditions,
                                   dk3k2_f, dk3k2_functions, dk3k2_verify,
                                   disjoint_k3_k2, falsify, girth_obstruction,
                                   pair_gap, pair_gap_objective, solve_simple_tree_p,
-                                  strongly_common_objective, _balance, _descend)
+                                  _balance, _descend)
 from homcommon.graphons import StepKernel, constant_kernel
-from homcommon.graphs import Graph, make_family
-from homcommon.identities import strongly_common_gap
+from homcommon.graphs import DEFAULT_WORK_BUDGET, Graph, make_family
+from homcommon.identities import _strongly_common_gap, strongly_common_gap
 
 K3 = make_family("complete", 3)
 C5 = make_family("cycle", 5)
@@ -289,13 +289,17 @@ def test_falsify_k3_stays_nonnegative():
 
 
 def test_falsify_other_objectives_stay_nonnegative():
-    from homcommon.commonness import (pair_gap_objective,
-                                      strongly_common_objective)
+    from homcommon.commonness import pair_gap_objective
     res = falsify(strongly_common_objective(C5), seed=2, restarts=3, steps=120)
     assert res.best_gap >= -1e-9
     spec = CommonPairSpec(D, disjoint_k3_k2(), P_DIAMOND_PAIR)
     res2 = falsify(pair_gap_objective(spec), seed=2, restarts=3, steps=120)
     assert res2.best_gap >= -1e-9
+
+
+def strongly_common_objective(f):
+    """The batched strongly-common gap formula of f, as a falsifier objective."""
+    return partial(_strongly_common_gap, f, budget=DEFAULT_WORK_BUDGET)
 
 
 def _random_graphons(seed: int, count: int, q: int):
@@ -403,10 +407,10 @@ def test_padded_descent_at_falsify_batch_size_matches_each_start_alone(label, ob
         assert np.array_equal(values[k, :q, :q], alone_v[0]), label
 
 
-def _restart_start(seed, r, max_blocks):
+def _restart_start(seed, r):
     """Restart r's start in `falsify`, drawn by its documented seeding."""
     rng = np.random.default_rng((seed * 0x9E3779B97F4A7C15 + r) % 2**64)
-    q = int(rng.integers(2, max_blocks + 1))
+    q = int(rng.integers(2, FALSIFY_MAX_BLOCKS + 1))
     measures = rng.dirichlet(np.ones(q))
     raw = rng.uniform(size=(q, q))
     return measures, np.triu(raw) + np.triu(raw, 1).T
@@ -418,11 +422,11 @@ def test_falsify_witness_has_the_block_count_its_restart_drew(target, first_seed
     fewer blocks than another restart, so that the winner was padded in the
     search, the witness keeps only the blocks its restart drew."""
     objective = common_gap_objective(data.parse_graph_spec(target))
-    restarts, steps, max_blocks = 6, 20, 4
+    restarts, steps = 6, 20
     for seed in range(first_seed, first_seed + 8):
         finals = []
         for r in range(restarts):
-            measures, values = _restart_start(seed, r, max_blocks)
+            measures, values = _restart_start(seed, r)
             best, _ = _descend(objective, measures[None], values[None],
                                np.array([len(measures)]), steps)
             finals.append((best[0], r, len(measures)))
@@ -430,7 +434,7 @@ def test_falsify_witness_has_the_block_count_its_restart_drew(target, first_seed
         if drawn < max(q for _, _, q in finals):
             break
     assert drawn < max(q for _, _, q in finals)  # the winner was padded in the search
-    result = falsify(objective, seed=seed, restarts=restarts, steps=steps, max_blocks=max_blocks)
+    result = falsify(objective, seed=seed, restarts=restarts, steps=steps)
     assert result.best_kernel.block_count == drawn
 
 
@@ -518,17 +522,10 @@ def test_falsify_makes_one_objective_call_per_coordinate():
     the starts and then 16 per sweep: 10 value entries and 6 measure pairs."""
     objective = common_gap_objective(data.load_graph("paw"))
     seed, restarts, steps = 1, 4, 5
-    assert max(len(_restart_start(seed, r, 4)[0]) for r in range(restarts)) == 4
+    assert max(len(_restart_start(seed, r)[0]) for r in range(restarts)) == 4
     result = falsify(objective, seed=seed, restarts=restarts, steps=steps)
     assert result.objective_calls == 1 + 16 * steps
     assert result.evaluations > result.objective_calls
-
-
-@pytest.mark.parametrize("max_blocks", [0, -1])
-def test_falsify_rejects_fewer_than_one_block(max_blocks):
-    with pytest.raises(ValueError, match="max_blocks"):
-        falsify(common_gap_objective(K3), seed=1, restarts=2, steps=2, max_blocks=max_blocks)
-    falsify(common_gap_objective(K3), seed=1, restarts=2, steps=2, max_blocks=1)
 
 
 @pytest.mark.parametrize("steps", [-1, -3])

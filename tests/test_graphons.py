@@ -15,7 +15,7 @@ from homcommon.graphs import DEFAULT_WORK_BUDGET, _contract
 from homcommon.graphons import (StepKernel, constant_kernel, densities,
                                 density, kernel_from_graph, kernel_from_json,
                                 kernel_to_json, one_minus, sample_graphon,
-                                sample_kernel, shift)
+                                sample_kernel)
 
 K2 = make_family("path", 2)
 K3 = make_family("complete", 3)
@@ -147,16 +147,6 @@ def test_complement():
     assert one_minus(one_minus(g)) == g
 
 
-def test_shift():
-    w = sample_graphon(3, 3)
-    zero = shift(constant_kernel(0.4), 0.4)
-    assert all(abs(v) < 1e-15 for row in zero.values for v in row)
-    assert not zero.graphon
-    assert shift(w, 0.0) == w
-    u = shift(w, density(K2, w))
-    assert density(K2, u) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_sample_graphon_deterministic_and_valid():
     for seed in range(100):
         w = sample_graphon(seed, 4)
@@ -169,10 +159,10 @@ def test_sample_graphon_deterministic_and_valid():
 
 def test_sample_kernel_range():
     for seed in range(20):
-        w = sample_kernel(seed, 4, -1.0, 2.0)
+        w = sample_kernel(seed, 4)
         assert not w.graphon
         assert all(-1.0 <= v <= 2.0 for row in w.values for v in row)
-        assert w == sample_kernel(seed, 4, -1.0, 2.0)
+        assert w == sample_kernel(seed, 4)
 
 
 def test_path_inequalities(graphon_suite):
@@ -188,7 +178,7 @@ def test_path_inequalities(graphon_suite):
 
 
 def test_one_minus_on_kernels():
-    w = sample_kernel(7, 3, -1.0, 2.0)
+    w = sample_kernel(7, 3)
     v = one_minus(w)
     assert v.values[0][0] == pytest.approx(1.0 - w.values[0][0])
     assert not v.graphon

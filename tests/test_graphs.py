@@ -11,7 +11,7 @@ from homcommon.graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph,
                               components, disjoint_union,
                               girth_and_cycle_count, graph_from_json,
                               graph_to_json, hom_count, make_family,
-                              random_graph, subgraph_on_edges)
+                              random_graph)
 from homcommon import graphs
 from homcommon.graphs import _mask_adjacency
 
@@ -76,25 +76,6 @@ def test_disjoint_union_counts():
     assert disjoint_union(C5, empty) == C5
     kk = disjoint_union(K2, K2)
     assert kk.vertex_count == 4 and kk.edge_count == 2
-
-
-def test_subgraph_on_edges():
-    assert subgraph_on_edges(K3, K3.edges) == K3
-    bare = subgraph_on_edges(K3, [])
-    assert bare.vertex_count == 3 and bare.edge_count == 0
-    partial = subgraph_on_edges(C5, [(0, 1), (1, 2)])
-    assert partial.vertex_count == 5
-    assert partial.edges == frozenset({(0, 1), (1, 2)})
-    with pytest.raises(ValueError):
-        subgraph_on_edges(K3, [(0, 3)])
-
-
-def test_subgraph_monotone():
-    edges = sorted(C5.edges)
-    for r in range(len(edges)):
-        small = subgraph_on_edges(C5, edges[:r])
-        big = subgraph_on_edges(C5, edges[: r + 1])
-        assert small.edges <= big.edges
 
 
 def brute_automorphisms(g):
@@ -207,6 +188,23 @@ def test_batched_hom_counts_are_exact_in_either_dtype(h, exact):
 def test_hom_count_budget():
     with pytest.raises(BudgetExceededError):
         hom_count(make_family("path", 8), make_family("complete", 5), budget=10)
+
+
+def test_contract_refuses_v_times_q_terms_before_planning(monkeypatch):
+    # every vertex is summed out in a step of at least q terms
+    planned = []
+    plan = graphs._plan
+    monkeypatch.setattr(graphs, "_plan", lambda h: planned.append(h) or plan(h))
+    p8, k5 = make_family("path", 8), make_family("complete", 5)
+    with pytest.raises(BudgetExceededError, match="^hom_count: contracting a 8-vertex graph "
+                       "over 5 values needs at least 40 terms, budget 39$"):
+        hom_count(p8, k5, budget=39)
+    assert planned == []
+    # at 40 the plan is made, and its 7 steps of 25 terms and one of 5 need more
+    with pytest.raises(BudgetExceededError, match="^hom_count: .* 180 terms, budget 40$"):
+        hom_count(p8, k5, budget=40)
+    assert planned == [p8]
+    assert hom_count(p8, k5, budget=180) == 5 * 4**7
 
 
 def test_hom_count_elimination_width_limit():

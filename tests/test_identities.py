@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import small_graphs
 from homcommon import identities
-from homcommon.graphs import DEFAULT_WORK_BUDGET, random_graph, subgraph_on_edges
+from homcommon.graphs import DEFAULT_WORK_BUDGET, random_graph
 from homcommon.graphons import kernel_from_graph
 from homcommon.identities import _subset_densities
 
@@ -14,7 +14,7 @@ from homcommon.graphons import (StepKernel, constant_kernel, density,
                                 one_minus, sample_graphon, sample_kernel)
 from homcommon.identities import (BudgetExceededError, c5_goodman_residual,
                                   expansion_residual, goodman_residual,
-                                  strongly_common_gap, supersaturation_gap)
+                                  strongly_common_gap)
 
 K2 = make_family("path", 2)
 P3 = make_family("path", 3)
@@ -107,7 +107,7 @@ def test_subset_densities_match_per_subgraph_densities(h, seed, q):
     magnitude = StepKernel(tuple(measures), tuple(map(tuple, np.abs(u))))
     rounding = (h.edge_count + h.vertex_count * (q + 3)) * np.finfo(float).eps
     for s in range(2 ** len(edges)):
-        sub = subgraph_on_edges(h, [e for k, e in enumerate(edges) if s >> k & 1])
+        sub = Graph(h.vertex_count, frozenset(e for k, e in enumerate(edges) if s >> k & 1))
         assert abs(got[s] - density(sub, kernel)) <= rounding * density(sub, magnitude)
 
 
@@ -150,7 +150,7 @@ def test_strongly_common_odd_cycles(graphon_suite):
 
 
 def test_strongly_common_odd_cycles_kernel_form():
-    kernels = [sample_kernel(s, 4, -1.0, 2.0) for s in range(100)]
+    kernels = [sample_kernel(s, 4) for s in range(100)]
     for m in (3, 5, 7):
         cm = make_family("cycle", m)
         assert min(strongly_common_gap(cm, w) for w in kernels) >= -1e-9
@@ -164,7 +164,13 @@ def test_k3_gap_matches_rearranged_identity(graphon_suite):
         assert strongly_common_gap(K3, w) == pytest.approx(expect, abs=IDENTITY_TOL)
 
 
+def _supersaturation_gap(w):
+    """t(K3,w) - t(K2,w)(2 t(K2,w) - 1); non-negative for every graphon."""
+    edge = density(K2, w)
+    return density(K3, w) - edge * (2.0 * edge - 1.0)
+
+
 def test_supersaturation_gap(graphon_suite):
-    assert supersaturation_gap(constant_kernel(0.5)) == pytest.approx(0.125, abs=1e-15)
-    assert supersaturation_gap(constant_kernel(1.0)) == pytest.approx(0.0, abs=1e-15)
-    assert min(supersaturation_gap(w) for w in graphon_suite) >= -1e-9
+    assert _supersaturation_gap(constant_kernel(0.5)) == pytest.approx(0.125, abs=1e-15)
+    assert _supersaturation_gap(constant_kernel(1.0)) == pytest.approx(0.0, abs=1e-15)
+    assert min(_supersaturation_gap(w) for w in graphon_suite) >= -1e-9
