@@ -9,7 +9,7 @@ commonness inequalities the certificates rest on.
 from .graphs import (BudgetExceededError, Graph, automorphisms, disjoint_union,
                      girth_and_cycle_count, hom_count, make_family)
 from .graphons import StepKernel, density, sample_graphon
-from .gluing import ClassVector, GluingTemplate, build_j, canonical_class, x_vector
+from .gluing import GluingTemplate, build_j, canonical_class, x_vector
 from .cone import (GoodnessCertificate, binomial_inequality_check, check_good,
                    verify_certificate)
 from .commonness import (CommonPairSpec, SearchResult, appendix_convexity_verify,

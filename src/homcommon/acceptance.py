@@ -44,8 +44,8 @@ def criterion_3_strongly_common() -> dict:
     for m in (3, 5, 7):
         cm = make_family("cycle", m)
         for s in range(100):
-            worst = min(worst, strongly_common_gap(cm, sample_graphon(s, 4)))
-            worst = min(worst, strongly_common_gap(cm, sample_kernel(s, 4)))
+            worst = min(worst, strongly_common_gap(cm, sample_graphon(s)))
+            worst = min(worst, strongly_common_gap(cm, sample_kernel(s)))
     return {"name": "3 strongly-common odd cycles (sampled evidence, graphons + kernels)",
             "passed": worst >= -INEQUALITY_TOL,
             "detail": f"min gap = {worst:.3e} >= -{INEQUALITY_TOL}"}
@@ -54,7 +54,7 @@ def criterion_3_strongly_common() -> dict:
 def criterion_4_path_inequalities() -> dict:
     worst = math.inf
     for s in range(100):
-        w = sample_graphon(s, 4)
+        w = sample_graphon(s)
         t = {k: density(make_family("path", k), w) for k in (1, 2, 3, 4, 5)}
         worst = min(worst,
                     t[1] ** 3 * t[5] - t[2] ** 4,
@@ -90,9 +90,8 @@ def criterion_5_goodness() -> dict:
 
 def criterion_6_binomial() -> dict:
     t = data.load_template("pentagon_square")
-    cert = check_good(t)
     extra = [random_graph(5, 10_000 + i) for i in range(200)]
-    report = binomial_inequality_check(t, 4, cert=cert, extra_graphs=extra)
+    report = binomial_inequality_check(t, 4, extra_graphs=extra)
     return {"name": "6 binomial inequality t(J,G) >= t(C5,G)^2 (exact, 75 + 200 graphs)",
             "passed": report["all_hold_exact"],
             "detail": f"min slack = {report['min_slack']:.3e} over {report['graphs_checked']} graphs"}

@@ -64,7 +64,7 @@ def _load_template_arg(spec: str):
 
 def _cmd_verify(args) -> int:
     seeds = _parse_seeds(args.seeds)
-    worst = max_identity_residual(args.identity, seeds, args.max_blocks, args.budget)
+    worst = max_identity_residual(args.identity, seeds, args.budget)
     report = {"identity": args.identity, "seeds": len(seeds), "max_abs_residual": worst,
               "tolerance": IDENTITY_TOL, "passed": worst < IDENTITY_TOL}
     _emit(report, args.json_out)
@@ -93,7 +93,7 @@ def _cmd_glue_verify(args) -> int:
 def _cmd_pair_gap(args) -> int:
     spec = CommonPairSpec(data.parse_graph_spec(args.h1),
                           data.parse_graph_spec(args.h2), args.p1)
-    worst = min_pair_gap(spec, _parse_seeds(args.seeds), args.max_blocks, args.budget)
+    worst = min_pair_gap(spec, _parse_seeds(args.seeds), args.budget)
     report = {"h1": args.h1, "h2": args.h2, "p1": args.p1, "min_gap": worst,
               "tolerance": INEQUALITY_TOL, "passed": worst >= -INEQUALITY_TOL}
     _emit(report, args.json_out)
@@ -167,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     ident = vsub.add_parser("identity")
     ident.add_argument("identity", choices=tuple(IDENTITY_SUITES))
     ident.add_argument("--seeds", default="0..99")
-    ident.add_argument("--max-blocks", type=int, default=4)
     ident.set_defaults(handler=_cmd_verify)
 
     glue = sub.add_parser("glue", help="gluing template goodness")
@@ -188,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     cgap.add_argument("--h2", required=True)
     cgap.add_argument("--p1", type=float, required=True)
     cgap.add_argument("--seeds", default="0..99")
-    cgap.add_argument("--max-blocks", type=int, default=4)
     cgap.set_defaults(handler=_cmd_pair_gap)
 
     ccert = csub.add_parser("certify")

@@ -24,6 +24,7 @@ whatever the padding or evaluation order.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +33,7 @@ from functools import partial
 import numpy as np
 
 from .cone import GoodnessCertificate, check_good
+from .data import load_graph
 from .gluing import GluingTemplate, build_j
 from .graphs import (BALANCE_TOL, DEFAULT_WORK_BUDGET, INEQUALITY_TOL, Graph, components,
                      girth_and_cycle_count, make_family)
@@ -64,6 +66,10 @@ class CommonPairSpec:
             raise ValueError("h1 and h2 must be non-empty")
         if not 0.0 < self.p1 < 1.0:
             raise ValueError("p1 must lie in (0, 1)")
+        # the gap divides t(h_i, .) <= 1 by e_i p_i^(e_i-1): a finite float only if normal
+        for i, h, p in ((1, self.h1, self.p1), (2, self.h2, self.p2)):
+            if h.edge_count * p ** (h.edge_count - 1) < sys.float_info.min:
+                raise ValueError(f"e{i} p{i}^(e{i}-1) underflows at p{i} = {p!r}")
         if self.f is not None:
             if None in (self.k1, self.k2, self.l1, self.l2):
                 raise ValueError("k1, k2, l1, l2 are required alongside f")
@@ -108,11 +114,10 @@ def pair_gap(spec: CommonPairSpec, w: StepKernel, budget: int = DEFAULT_WORK_BUD
     return float(_pair_gap(spec, *kernel_arrays(w), budget))
 
 
-def min_pair_gap(spec: CommonPairSpec, seeds, max_blocks: int = 4,
-                 budget: int = DEFAULT_WORK_BUDGET) -> float:
-    """The smallest `pair_gap` of `spec` over `sample_graphon(s, max_blocks)`
-    for s in `seeds`: sampled evidence for (p1, p2)-commonness."""
-    gaps = [pair_gap(spec, sample_graphon(s, max_blocks), budget) for s in seeds]
+def min_pair_gap(spec: CommonPairSpec, seeds, budget: int = DEFAULT_WORK_BUDGET) -> float:
+    """The smallest `pair_gap` of `spec` over `sample_graphon(s)` for s in
+    `seeds`: sampled evidence for (p1, p2)-commonness."""
+    gaps = [pair_gap(spec, sample_graphon(s), budget) for s in seeds]
     if not gaps:
         raise ValueError("the pair-gap suite needs at least one seed")
     return min(gaps)
@@ -202,17 +207,6 @@ def _is_odd_cycle(g: Graph) -> bool:
     return len(components(g)) == 1
 
 
-def _two_vertex_component_count(g: Graph) -> int:
-    comps = components(g)
-    count = 0
-    for comp in comps:
-        if len(comp) == 2:
-            u, v = comp
-            if (u, v) in g.edges:
-                count += 1
-    return count
-
-
 @dataclass(frozen=True)
 class PairTemplateVerdict:
     certified: bool
@@ -254,7 +248,8 @@ def certify_pair_via_templates(t1: GluingTemplate, l1: int,
     sides = []
     for t, l, cert in ((t1, l1, cert1), (t2, l2, cert2)):
         j, _ = build_j(t)
-        if _two_vertex_component_count(j) < l:
+        # in a simple graph a two-vertex component is one edge
+        if sum(len(c) == 2 for c in components(j)) < l:
             raise ValueError(f"J has fewer than {l} two-vertex components")
         e_h = j.edge_count - l
         if e_h < m:
@@ -428,8 +423,7 @@ def dk3k2_verify(pair_gap_seeds=range(20), budget: int = DEFAULT_WORK_BUDGET) ->
     g1_at_zero = g1(0.0)
     crossover = (-425.0 + 140.0 * s10) / 246.0
 
-    spec = CommonPairSpec(make_family("complete_minus_edge", 4),
-                          disjoint_k3_k2(), p)
+    spec = CommonPairSpec(make_family("complete_minus_edge", 4), load_graph("k3_plus_k2"), p)
     worst_gap = min_pair_gap(spec, pair_gap_seeds, budget=budget)
 
     report = {
@@ -458,12 +452,6 @@ def dk3k2_verify(pair_gap_seeds=range(20), budget: int = DEFAULT_WORK_BUDGET) ->
                         and report["g1_min_at_zero"]
                         and report["pair_gap_ok"])
     return report
-
-
-def disjoint_k3_k2() -> Graph:
-    """The disjoint union of a triangle and a single edge."""
-    from .graphs import disjoint_union
-    return disjoint_union(make_family("complete", 3), make_family("path", 2))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from itertools import chain, combinations, groupby, islice
 
 from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _hom_counts,
                      _json_shaped, _mask_adjacency, graph_to_json)
-from .gluing import (ClassVector, GluingTemplate, _as_subset, _canonical_table,
+from .gluing import (GluingTemplate, _as_subset, _canonical_table,
                      _class_counts, _lex_submasks, _mask_vertices, _x_terms, _z_terms,
                      build_j, template_from_json, template_to_json)
 
@@ -43,9 +43,9 @@ class GoodnessCertificate:
 
     template: GluingTemplate
     verdict: str  # "good" | "not_good"
-    target: ClassVector
+    target: dict[tuple[int, ...], Fraction]
     generators_used: tuple[tuple[GeneratorTriple, Fraction], ...]
-    farkas_witness: ClassVector | None
+    farkas_witness: dict[tuple[int, ...], Fraction] | None
     j_vertex_count: int
     j_edge_count: int
 
@@ -188,7 +188,7 @@ def check_good(t: GluingTemplate, budget: int = DEFAULT_WORK_BUDGET) -> Goodness
         raise ValueError("goodness requires e(J) > 0")
     _canonical_table(f, budget, "check_good")
     rhs = _class_counts(f, [(j.edge_count, range(f.vertex_count))] + _z_terms(t, -f.edge_count))
-    target = ClassVector(f, {tuple(range(f.vertex_count)): Fraction(j.edge_count, f.edge_count)})
+    target = {tuple(range(f.vertex_count)): Fraction(j.edge_count, f.edge_count)}
     used, witness = (), None
     # a zero right-hand side is good with no generators and no 4^v(F) charge
     if rhs:
@@ -203,7 +203,7 @@ def check_good(t: GluingTemplate, budget: int = DEFAULT_WORK_BUDGET) -> Goodness
             used = tuple((generators[idx][0], coeff / f.edge_count)
                          for idx, coeff in enumerate(payload) if coeff != 0)
         else:
-            witness = ClassVector(f, {k: y for k, y in zip(class_keys, payload) if y != 0})
+            witness = {k: y for k, y in zip(class_keys, payload) if y != 0}
     cert = GoodnessCertificate(t, "good" if witness is None else "not_good", target, used,
                                witness, j.vertex_count, j.edge_count)
     if not verify_certificate(cert, budget):
@@ -241,7 +241,7 @@ def verify_certificate(cert: GoodnessCertificate,
     if j.edge_count == 0 or f.edge_count == 0:
         return False
     _canonical_table(f, budget, "verify_certificate")
-    if cert.target.coeffs != {tuple(range(f.vertex_count)): Fraction(j.edge_count, f.edge_count)}:
+    if cert.target != {tuple(range(f.vertex_count)): Fraction(j.edge_count, f.edge_count)}:
         return False
     rhs = [(j.edge_count, range(f.vertex_count))] + _z_terms(t, -f.edge_count)
     if cert.verdict == "good":
@@ -257,8 +257,8 @@ def verify_certificate(cert: GoodnessCertificate,
     if witness is None:
         return False
     # the witness times the lcm of its denominators (> 0, so signs hold)
-    scale = math.lcm(*(v.denominator for v in witness.coeffs.values()))
-    y = {k: v.numerator * (scale // v.denominator) for k, v in witness.coeffs.items()}
+    scale = math.lcm(*(v.denominator for v in witness.values()))
+    y = {k: v.numerator * (scale // v.denominator) for k, v in witness.items()}
     if sum(y.get(k, 0) * v for k, v in _class_counts(f, rhs).items()) <= 0:
         return False
     _charge_generators("verify_certificate", f, budget)
@@ -266,16 +266,14 @@ def verify_certificate(cert: GoodnessCertificate,
                for _, coeffs in enumerate_generators(f))
 
 
-def binomial_inequality_check(t: GluingTemplate, max_g_vertices: int,
-                              cert: GoodnessCertificate | None = None,
-                              extra_graphs=(), budget: int = DEFAULT_WORK_BUDGET) -> dict:
+def binomial_inequality_check(t: GluingTemplate, max_g_vertices: int, extra_graphs=(),
+                              budget: int = DEFAULT_WORK_BUDGET) -> dict:
     """Check t(J,G) >= t(F,G)^(e(J)/e(F)) over all labelled graphs G on up
     to max_g_vertices vertices (plus any extra graphs), with exact
     homomorphism counts.
 
     Needs a candidate graph, extra graphs of at least one vertex, and a
-    certificate of `t` that `verify_certificate` accepts, if one is
-    passed; ValueError otherwise.
+    good `t`, decided by `check_good` within `budget`; ValueError otherwise.
     The candidates are edge masks (bit i for the i-th pair of
     combinations(range(n), 2), as `all_labelled_graphs` orders them), then
     the extra graphs', in runs on one vertex count of at most _BATCH masks.
@@ -291,11 +289,7 @@ def binomial_inequality_check(t: GluingTemplate, max_g_vertices: int,
         raise ValueError("binomial inequality check needs at least one candidate graph")
     if any(g.vertex_count < 1 for g in extra_graphs):
         raise ValueError("binomial inequality check needs extra graphs with at least one vertex")
-    if cert is None:
-        cert = check_good(t, budget)
-    elif cert.template != t or not verify_certificate(cert, budget):
-        raise ValueError("cert is not a valid goodness certificate of this template")
-    if cert.verdict != "good":
+    if check_good(t, budget).verdict != "good":
         raise ValueError("binomial inequality applies to certified-good templates")
     j, _ = build_j(t)
     f = t.base
@@ -352,13 +346,14 @@ def template_hash(t: GluingTemplate) -> str:
     return "sha256:" + hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _classvec_to_json(vec: ClassVector) -> dict:
-    return {",".join(map(str, k)): _fraction_to_str(v) for k, v in sorted(vec.coeffs.items())}
+def _classvec_to_json(vec: dict[tuple[int, ...], Fraction]) -> dict:
+    return {",".join(map(str, k)): _fraction_to_str(v) for k, v in sorted(vec.items())}
 
 
-def _classvec_from_json(base: Graph, obj: dict, canon: tuple[int, ...]) -> ClassVector:
+def _classvec_from_json(base: Graph, obj: dict, canon: tuple[int, ...]) -> dict:
     """Read a class vector whose keys are canonical representatives, as
-    `_classvec_to_json` writes them; `canon` is the base's class table."""
+    `_classvec_to_json` writes them; `canon` is the base's class table.
+    Zero ("0/1") entries are dropped, as the writer never emits them."""
     if not isinstance(obj, dict):
         raise ValueError(f"a class vector must be a JSON object, not {type(obj).__name__}")
     coeffs = {}
@@ -370,7 +365,7 @@ def _classvec_from_json(base: Graph, obj: dict, canon: tuple[int, ...]) -> Class
             raise ValueError(f"class key {key!r} is not the canonical representative "
                              f"{rep_key!r} of its class")
         coeffs[rep] = _fraction_from_str(val, f"class vector value at {key!r}")
-    return ClassVector(base, coeffs)
+    return {k: v for k, v in coeffs.items() if v}
 
 
 def certificate_to_json(cert: GoodnessCertificate) -> dict:

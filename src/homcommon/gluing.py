@@ -4,14 +4,13 @@ A template is a tree T with subsets of V(F) attached to its nodes and
 edges (edge sets contained in both endpoint sets).  Gluing the induced
 subgraphs F[psi(s)] along shared labels yields the generalized F-tree.
 Subset classes are orbits of 2^V(F) under Aut(F), looked up in a table
-indexed by subset bitmask; class vectors carry exact rational
-coefficients on canonical class representatives.
+indexed by subset bitmask; a class vector is a dict from canonical class
+representatives (sorted vertex tuples) to nonzero coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _json_shaped,
@@ -98,24 +97,6 @@ def canonical_class(f: Graph, s, budget: int = DEFAULT_WORK_BUDGET) -> frozenset
     under the automorphism group of f."""
     mask = sum(1 << v for v in _as_subset(f, s))
     return frozenset(_mask_vertices(_canonical_table(f, budget, "canonical_class")[mask]))
-
-
-@dataclass
-class ClassVector:
-    """Exact rational vector indexed by canonical nonempty subset classes.
-
-    Keys are canonical representatives stored as sorted tuples; zero
-    coefficients and the empty class are never kept.
-    """
-
-    base: Graph
-    coeffs: dict[tuple[int, ...], Fraction]
-
-    def __post_init__(self):
-        self.coeffs = {k: Fraction(v) for k, v in self.coeffs.items() if v != 0}
-        for key in self.coeffs:
-            if len(key) == 0:
-                raise ValueError("the empty class cannot carry a coefficient")
 
 
 @dataclass(frozen=True)
@@ -225,12 +206,13 @@ def _x_terms(f: Graph, r1, r2, r3) -> tuple[tuple[int, frozenset[int]], ...]:
     return (1, r1 | r2 | r3), (-1, r2 | r3), (-1, r1 | r2), (1, r2)
 
 
-def x_vector(f: Graph, r1, r2, r3) -> ClassVector:
-    """e(r1|r2|r3) - e(r2|r3) - e(r1|r2) + e(r2) for pairwise disjoint parts.
+def x_vector(f: Graph, r1, r2, r3) -> dict[tuple[int, ...], int]:
+    """e(r1|r2|r3) - e(r2|r3) - e(r1|r2) + e(r2) for pairwise disjoint parts,
+    as nonzero integer coefficients keyed by canonical class.
 
-    May be the zero vector (always when r1 or r3 is empty).
+    May be the zero vector, {} (always when r1 or r3 is empty).
     """
-    return ClassVector(f, _class_counts(f, _x_terms(f, r1, r2, r3)))
+    return _class_counts(f, _x_terms(f, r1, r2, r3))
 
 
 def template_to_json(t: GluingTemplate) -> dict:

@@ -116,13 +116,11 @@ IDENTITY_SUITES = {
 }
 
 
-def max_identity_residual(name: str, seeds, max_blocks: int = 4,
-                          budget: int = DEFAULT_WORK_BUDGET) -> float:
+def max_identity_residual(name: str, seeds, budget: int = DEFAULT_WORK_BUDGET) -> float:
     """The largest |residual| of the suite `IDENTITY_SUITES[name]` over
-    `sample_graphon(s, max_blocks)` for s in `seeds` (0.0 for no seeds)."""
+    `sample_graphon(s)` for s in `seeds` (0.0 for no seeds)."""
     suite = IDENTITY_SUITES[name]
-    return max((abs(r) for s in seeds for r in suite(sample_graphon(s, max_blocks), budget)),
-               default=0.0)
+    return max((abs(r) for s in seeds for r in suite(sample_graphon(s), budget)), default=0.0)
 
 
 def _strongly_common_gap(f: Graph, measures: np.ndarray, values: np.ndarray,

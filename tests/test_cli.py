@@ -12,7 +12,7 @@ from homcommon.cli import _parse_seeds, build_parser, main
 from homcommon.commonness import common_gap, common_gap_objective, falsify
 from homcommon.cone import (certificate_from_json, certificate_to_json, check_good,
                             enumerate_generators, template_hash, verify_certificate)
-from homcommon.gluing import ClassVector, template_from_json, template_to_json
+from homcommon.gluing import template_from_json, template_to_json
 from homcommon.graphons import kernel_from_json
 from homcommon.graphs import (DEFAULT_WORK_BUDGET, FALSIFY_THRESHOLD, IDENTITY_TOL,
                               INEQUALITY_TOL)
@@ -43,6 +43,17 @@ def test_non_finite_tolerance_is_a_usage_error(capsys, command, value):
     code, out, err = run_cli(capsys, command[0], value, *command[1:])
     assert code == 2 and out == ""
     assert "usage:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "identity", "goodman", "--seeds", "0..2"),
+    ("common", "pair-gap", "--h1", "K3", "--h2", "K3", "--p1", "0.5", "--seeds", "0..2"),
+], ids=["verify-identity", "pair-gap"])
+def test_max_blocks_is_a_usage_error(capsys, command):
+    # the sampled suites draw sample_graphon's default of 4 blocks
+    code, out, err = run_cli(capsys, *command, "--max-blocks", "4")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --max-blocks" in err and "Traceback" not in err
 
 
 def test_defaults_are_the_library_constants(capsys):
@@ -279,20 +290,38 @@ def test_glue_verify_rejects_a_raised_farkas_coefficient(capsys, tmp_path):
     path = tmp_path / "lone_edge.json"
     assert run_cli(capsys, "glue", "check", "lone_edge_c5", "--certificate", str(path))[0] == 1
     cert = certificate_from_json(json.loads(path.read_text()))
-    base, y = cert.template.base, dict(cert.farkas_witness.coeffs)
+    base, y = cert.template.base, dict(cert.farkas_witness)
     xs = [reference_x(base, *triple) for triple, _ in enumerate_generators(base)]
     # raise the coefficient of the full class, which target - z weights
     # positively, until some generator has a positive product with it
     full = tuple(range(base.vertex_count))
     while all(dot(y, x) <= 0 for x in xs):
         y[full] += 1
-    assert dot(y, combination([(1, cert.target.coeffs), (-1, reference_z(cert.template))])) > 0
-    tampered = dataclasses.replace(cert, farkas_witness=ClassVector(base, y))
+    assert dot(y, combination([(1, cert.target), (-1, reference_z(cert.template))])) > 0
+    tampered = dataclasses.replace(cert, farkas_witness=y)
     assert not verify_certificate(tampered)
     path.write_text(json.dumps(certificate_to_json(tampered)))
     code, out, _ = run_cli(capsys, "glue", "verify", str(path))
     assert code == 1
     assert json.loads(out)["verified"] is False
+
+
+def test_glue_verify_drops_explicit_zero_class_entries(capsys, tmp_path):
+    # the lone edge over P5 has a witness without the class of {0}
+    lone_edge_p5 = {"F": "P5", "tree": {"nodes": 1, "edges": []}, "psi_nodes": {"0": [0, 1]}}
+    template, path = tmp_path / "template.json", tmp_path / "cert.json"
+    template.write_text(json.dumps(lone_edge_p5))
+    assert run_cli(capsys, "glue", "check", str(template), "--certificate", str(path))[0] == 1
+    payload = json.loads(path.read_text())
+    assert "0" not in payload["target"] and "0" not in payload["farkas_witness"]
+    padded = json.loads(path.read_text())
+    padded["target"]["0"] = padded["farkas_witness"]["0"] = "0/1"
+    path.write_text(json.dumps(padded))
+    cert = certificate_from_json(padded)
+    assert cert == certificate_from_json(payload)
+    assert (0,) not in cert.target and (0,) not in cert.farkas_witness
+    code, out, _ = run_cli(capsys, "glue", "verify", str(path))
+    assert code == 0 and json.loads(out)["verified"] is True
 
 
 def test_glue_verify_rejects_non_canonical_class_keys(capsys, tmp_path):
@@ -472,8 +501,12 @@ def test_falsify_refuses_a_long_path_before_planning_it(capsys):
      "--e2", "1", "--v2", "1", "--m", "3"),
     ("common", "certify", "--template1", "pentagon_square", "--l1", "1",
      "--template2", "simple_c5_vertex", "--l2", "0", "--p1", "1e-320"),
-], ids=["overflow", "zero-division"])
+    # e1 p1^(e1-1) is 0 in floats, so the gap's weight 1/(e1 p1^(e1-1)) is undefined
+    ("common", "pair-gap", "--h1", "K3", "--h2", "K3", "--p1", "1e-320", "--seeds", "0"),
+    ("common", "pair-gap", "--h1", "K3", "--h2", "K3", "--p1", "1e-200", "--seeds", "0"),
+], ids=["overflow", "zero-division", "pair-gap-1e-320", "pair-gap-1e-200"])
 def test_arithmetic_errors_are_data_errors(capsys, command):
+    # a RuntimeWarning on the way is an error too (pytest's filterwarnings)
     code, out, err = run_cli(capsys, *command)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err

@@ -13,7 +13,7 @@ from homcommon.commonness import (FALSIFY_MAX_BLOCKS, CommonPairSpec, P_DIAMOND_
                                   certify_pair_via_templates, common_gap,
                                   common_gap_objective, convexity_conditions,
                                   dk3k2_f, dk3k2_functions, dk3k2_verify,
-                                  disjoint_k3_k2, falsify, girth_obstruction,
+                                  falsify, girth_obstruction,
                                   pair_gap, pair_gap_objective, solve_simple_tree_p,
                                   _balance, _descend)
 from homcommon.graphons import StepKernel, constant_kernel
@@ -33,11 +33,18 @@ def test_pair_spec_validation():
         CommonPairSpec(K3, K3, 0.5, f=K3, k1=2, k2=1, l1=0, l2=0)
     spec = CommonPairSpec(K3, K3, 0.25)
     assert spec.p2 == 0.75
+    # the gap weights 1/(e_i p_i^(e_i-1)) must be finite floats
+    for p1 in (1e-320, 1e-200, 1e-161):
+        with pytest.raises(ValueError, match=r"^e1 p1\^\(e1-1\) underflows"):
+            CommonPairSpec(K3, K3, p1)
+    with pytest.raises(ValueError, match=r"^e2 p2\^\(e2-1\) underflows"):
+        CommonPairSpec(K3, make_family("path", 1101), 0.5)
+    assert CommonPairSpec(K3, make_family("path", 1000), 1e-150).p1 == 1e-150
 
 
 def test_pair_gap_constant_graphon_is_tight():
     for p1 in (0.3, 0.5, P_DIAMOND_PAIR):
-        spec = CommonPairSpec(D, disjoint_k3_k2(), p1)
+        spec = CommonPairSpec(D, data.load_graph("k3_plus_k2"), p1)
         assert pair_gap(spec, constant_kernel(p1)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -50,7 +57,7 @@ def test_pair_gap_recovers_common_gap(graphon_suite):
 
 
 def test_pair_gap_diamond_k3k2_suite(graphon_suite):
-    spec = CommonPairSpec(D, disjoint_k3_k2(), P_DIAMOND_PAIR)
+    spec = CommonPairSpec(D, data.load_graph("k3_plus_k2"), P_DIAMOND_PAIR)
     assert min(pair_gap(spec, w) for w in graphon_suite) >= -1e-9
 
 
@@ -292,7 +299,7 @@ def test_falsify_other_objectives_stay_nonnegative():
     from homcommon.commonness import pair_gap_objective
     res = falsify(strongly_common_objective(C5), seed=2, restarts=3, steps=120)
     assert res.best_gap >= -1e-9
-    spec = CommonPairSpec(D, disjoint_k3_k2(), P_DIAMOND_PAIR)
+    spec = CommonPairSpec(D, data.load_graph("k3_plus_k2"), P_DIAMOND_PAIR)
     res2 = falsify(pair_gap_objective(spec), seed=2, restarts=3, steps=120)
     assert res2.best_gap >= -1e-9
 
@@ -316,7 +323,7 @@ def _objectives():
     terms of the gap formula on graphons, and gap is its public one-kernel
     function."""
     paw = data.load_graph("paw")
-    k3k2 = disjoint_k3_k2()
+    k3k2 = data.load_graph("k3_plus_k2")
     spec = CommonPairSpec(D, k3k2, P_DIAMOND_PAIR)
     p1, p2 = spec.p1, spec.p2
     pair_scale = 1 / (5 * p1**4) + 1 / (4 * p2**3) + p1 / 5 + p2 / 4

@@ -14,7 +14,7 @@ from homcommon.cone import (_phase_one, binomial_inequality_check, certificate_f
                             certificate_to_json, check_good,
                             enumerate_generators, template_hash,
                             verify_certificate)
-from homcommon.gluing import ClassVector, GluingTemplate, build_j
+from homcommon.gluing import GluingTemplate, build_j
 from homcommon.graphs import (BudgetExceededError, _plan, all_labelled_graphs,
                               graph_to_json, hom_count, make_family, random_graph)
 from homcommon.gluing import _class_counts, _z_terms
@@ -73,9 +73,9 @@ def test_lone_edge_not_good_with_farkas_witness():
     y = cert.farkas_witness
     assert y is not None
     t = cert.template
-    assert dot(y.coeffs, combination([(1, _target(t)), (-1, reference_z(t))])) > 0
+    assert dot(y, combination([(1, _target(t)), (-1, reference_z(t))])) > 0
     for r1, r2, r3 in _all_triples(C5):
-        assert dot(y.coeffs, reference_x(C5, r1, r2, r3)) <= 0
+        assert dot(y, reference_x(C5, r1, r2, r3)) <= 0
     assert verify_certificate(cert)
 
 
@@ -164,8 +164,7 @@ def test_certificate_without_template_hash_rejected():
 
 def test_binomial_inequality_square_attachment():
     t = data.load_template("pentagon_square")
-    cert = check_good(t)
-    report = binomial_inequality_check(t, 3, cert=cert)
+    report = binomial_inequality_check(t, 3)
     assert report["all_hold_exact"]
     assert report["min_slack"] >= -1e-9
     assert report["exponent"] == "2/1"
@@ -174,9 +173,8 @@ def test_binomial_inequality_square_attachment():
 def test_binomial_inequality_disjoint_union_equality_on_cliques():
     two = GluingTemplate.make(C5, 2, [(0, 1)], {0: range(5), 1: range(5)},
                               {(0, 1): []})
-    cert = check_good(two)
     cliques = [make_family("complete", n) for n in range(2, 6)]
-    report = binomial_inequality_check(two, 1, cert=cert, extra_graphs=cliques)
+    report = binomial_inequality_check(two, 1, extra_graphs=cliques)
     assert report["all_hold_exact"]
     # multiplicativity makes J = F + F exact equality on every graph
     assert report["min_slack"] == pytest.approx(0.0, abs=1e-12)
@@ -189,9 +187,8 @@ def test_binomial_inequality_requires_good_template():
 
 def test_binomial_inequality_random_five_vertex():
     t = data.load_template("pentagon_square")
-    cert = check_good(t)
     extra = [random_graph(5, 10_000 + i) for i in range(25)]
-    report = binomial_inequality_check(t, 1, cert=cert, extra_graphs=extra)
+    report = binomial_inequality_check(t, 1, extra_graphs=extra)
     assert report["all_hold_exact"]
 
 
@@ -388,13 +385,12 @@ def test_batched_binomial_matches_per_graph_loop(batch, monkeypatch):
     # batch 5 splits the runs of same-size graphs into several contractions
     monkeypatch.setattr(cone, "_BATCH", batch)
     t = data.load_template("pentagon_square")
-    cert = check_good(t)
     k3 = make_family("complete", 3)
     # mixed sizes out of order, a repeated graph and a graph whose size
     # continues the last all-graphs run
     extra = [random_graph(6, 1), random_graph(2, 2), k3, random_graph(7, 3), k3,
              random_graph(4, 4), make_family("complete", 5), random_graph(6, 5)]
-    report = binomial_inequality_check(t, 4, cert=cert, extra_graphs=extra)
+    report = binomial_inequality_check(t, 4, extra_graphs=extra)
     assert report == _per_graph_binomial(t, 4, extra)
     assert report["graphs_checked"] == 1 + 2 + 8 + 64 + len(extra)
 
@@ -404,21 +400,22 @@ def test_batched_binomial_object_counts():
     t = data.load_template("gen_c5_tree_a")
     j, _ = build_j(t)
     assert j.vertex_count == 15 and 19**15 >= 2**63
-    cert = check_good(t)
     extra = [random_graph(19, 6), random_graph(3, 7), random_graph(19, 8, 0.8)]
-    report = binomial_inequality_check(t, 2, cert=cert, extra_graphs=extra)
+    report = binomial_inequality_check(t, 2, extra_graphs=extra)
     assert report == _per_graph_binomial(t, 2, extra)
 
 
 def test_binomial_check_charges_each_graph():
     t = data.load_template("pentagon_square")
-    cert = check_good(t)
     j, _ = build_j(t)
-    # the dearest single contraction: J or F over a 4-vertex graph
-    work = max(sum(4**w for w in _plan(h).widths) for h in (j, t.base))
-    assert binomial_inequality_check(t, 4, cert=cert, budget=work)["all_hold_exact"]
+    extra = [random_graph(6, 9)]
+    # the dearest single contraction: J or F over the 6-vertex graph; it
+    # exceeds the 4^5 assignments that the goodness check of C5 charges
+    work = max(sum(6**w for w in _plan(h).widths) for h in (j, t.base))
+    assert work == 1200 > 4**5
+    assert binomial_inequality_check(t, 0, extra_graphs=extra, budget=work)["all_hold_exact"]
     with pytest.raises(BudgetExceededError, match="^binomial_inequality_check: "):
-        binomial_inequality_check(t, 4, cert=cert, budget=work - 1)
+        binomial_inequality_check(t, 0, extra_graphs=extra, budget=work - 1)
 
 
 C7 = make_family("cycle", 7)
@@ -455,10 +452,10 @@ def test_integer_farkas_check_matches_fraction_reference(base_name, multiple, da
     cert = _lone_edge(base_name)
     classes = sorted({k for _, coeffs in enumerate_generators(cert.template.base)
                       for k, _ in coeffs})
-    y = {k: multiple * v for k, v in cert.farkas_witness.coeffs.items()}
+    y = {k: multiple * v for k, v in cert.farkas_witness.items()}
     for k in data_.draw(st.lists(st.sampled_from(classes), max_size=3, unique=True)):
         y[k] = y.get(k, 0) + data_.draw(_rationals)
-    tampered = dataclasses.replace(cert, farkas_witness=ClassVector(cert.template.base, y))
+    tampered = dataclasses.replace(cert, farkas_witness=y)
     assert verify_certificate(tampered) == _reference_verdict(tampered)
 
 
@@ -546,29 +543,11 @@ def test_binomial_check_rejects_an_empty_extra_graph(max_g_vertices):
 
 def test_binomial_check_takes_extra_graphs_alone():
     t = data.load_template("pentagon_square")
-    cert = check_good(t)
     extra = [random_graph(5, 40), make_family("complete", 4), random_graph(5, 41)]
-    report = binomial_inequality_check(t, 0, cert=cert, extra_graphs=extra)
+    report = binomial_inequality_check(t, 0, extra_graphs=extra)
     assert report == _per_graph_binomial(t, 0, extra)
     assert report["graphs_checked"] == 3
-    assert binomial_inequality_check(t, 0, cert=cert, extra_graphs=iter(extra)) == report
-
-
-def test_binomial_check_rejects_another_templates_certificate():
-    square = check_good(data.load_template("pentagon_square"))
-    with pytest.raises(ValueError, match="not a valid goodness certificate"):
-        binomial_inequality_check(data.load_template("lone_edge_c5"), 3, cert=square)
-
-
-def test_binomial_check_rechecks_a_passed_certificate():
-    t = data.load_template("pentagon_square")
-    cert = check_good(t)
-    (triple, coeff), *rest = cert.generators_used
-    for tampered in (dataclasses.replace(cert, j_edge_count=cert.j_edge_count + 1),
-                     dataclasses.replace(cert, generators_used=((triple, coeff + 1), *rest))):
-        assert not verify_certificate(tampered)
-        with pytest.raises(ValueError, match="not a valid goodness certificate"):
-            binomial_inequality_check(t, 3, cert=tampered)
+    assert binomial_inequality_check(t, 0, extra_graphs=iter(extra)) == report
 
 
 def _reference_verdict(cert):
@@ -578,7 +557,7 @@ def _reference_verdict(cert):
     j, _ = build_j(t)
     target = _target(t)
     if ((j.vertex_count, j.edge_count) != (cert.j_vertex_count, cert.j_edge_count)
-            or cert.target.coeffs != target):
+            or cert.target != target):
         return False
     rhs = combination([(1, target), (-1, reference_z(t))])
     if cert.verdict == "good":
@@ -588,8 +567,8 @@ def _reference_verdict(cert):
                            for triple, coeff in cert.generators_used])
         return cert.farkas_witness is None and acc == rhs
     y = cert.farkas_witness
-    return (y is not None and dot(y.coeffs, rhs) > 0
-            and all(dot(y.coeffs, vec) <= 0 for _, vec in _reference_generators(f)))
+    return (y is not None and dot(y, rhs) > 0
+            and all(dot(y, vec) <= 0 for _, vec in _reference_generators(f)))
 
 
 _TEMPLATE_BASES = {"C5": C5, "C7": make_family("cycle", 7), "P5": make_family("path", 5),
@@ -621,11 +600,11 @@ def _perturbed(cert, draw):
     f = cert.template.base
     if cert.verdict == "not_good":
         classes = sorted({k for _, coeffs in enumerate_generators(f) for k, _ in coeffs}
-                         | set(cert.farkas_witness.coeffs))
-        y = dict(cert.farkas_witness.coeffs)
+                         | set(cert.farkas_witness))
+        y = dict(cert.farkas_witness)
         k = draw(st.sampled_from(classes))
         y[k] = y.get(k, 0) + draw(_rationals)
-        return dataclasses.replace(cert, farkas_witness=ClassVector(f, y))
+        return dataclasses.replace(cert, farkas_witness=y)
     used = list(cert.generators_used)
     if not used:
         triple, _ = draw(st.sampled_from(enumerate_generators(f)))

@@ -20,10 +20,6 @@ P3 = make_family("path", 3)
 P4 = make_family("path", 4)
 
 
-def coeffs(vec):
-    return {k: v for k, v in vec.coeffs.items()}
-
-
 def class_count(f, budget=DEFAULT_WORK_BUDGET):
     """Number of Aut(f)-orbits of subsets of V(f), the empty class included."""
     return len(set(_canonical_table(f, budget, "class_count")))
@@ -226,12 +222,9 @@ def test_z_vector_examples():
 
 
 def test_x_vector_examples():
-    assert coeffs(x_vector(C5, (), {1}, {2})) == {}
-    v1 = x_vector(C5, {0}, {1}, {2})
-    assert coeffs(v1) == {(0, 1, 2): Fraction(1), (0, 1): Fraction(-2), (0,): Fraction(1)}
-    v2 = x_vector(C5, {0}, {1, 2}, {3})
-    assert coeffs(v2) == {(0, 1, 2, 3): Fraction(1), (0, 1, 2): Fraction(-2),
-                          (0, 1): Fraction(1)}
+    assert x_vector(C5, (), {1}, {2}) == {}
+    assert x_vector(C5, {0}, {1}, {2}) == {(0, 1, 2): 1, (0, 1): -2, (0,): 1}
+    assert x_vector(C5, {0}, {1, 2}, {3}) == {(0, 1, 2, 3): 1, (0, 1, 2): -2, (0, 1): 1}
     with pytest.raises(ValueError):
         x_vector(C5, {0}, {0, 1}, {2})
 
@@ -246,7 +239,7 @@ def test_x_vector_symmetric_in_outer_parts():
                 parts[slot].append(v)
         a = x_vector(C5, parts[0], parts[1], parts[2])
         b = x_vector(C5, parts[2], parts[1], parts[0])
-        assert coeffs(a) == coeffs(b)
+        assert a == b
 
 
 def test_template_json_round_trip():
