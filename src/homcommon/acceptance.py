@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
+from functools import partial
 
 from . import data
 from .commonness import (appendix_convexity_verify, common_gap_objective,
@@ -20,8 +21,9 @@ from .commonness import (appendix_convexity_verify, common_gap_objective,
 from .cone import binomial_inequality_check, check_good, verify_certificate
 from .graphs import (BALANCE_TOL, FALSIFY_THRESHOLD, IDENTITY_TOL, INEQUALITY_TOL,
                      make_family, random_graph)
-from .graphons import density, sample_graphon, sample_kernel
-from .identities import max_identity_residual, strongly_common_gap
+from .graphons import sample_graphon, sample_kernel
+from .identities import (_float_densities, _strongly_common_gap, max_identity_residual,
+                         score_kernels)
 
 
 def criterion_1_identities() -> dict:
@@ -39,28 +41,45 @@ def criterion_2_expansion() -> dict:
             "detail": f"max |residual| = {worst:.3e} < {IDENTITY_TOL}"}
 
 
-def criterion_3_strongly_common() -> dict:
-    worst = math.inf
+def _strongly_common_min(kernels) -> float:
+    """The least strongly-common gap of C3, C5 and C7 over the kernels, one
+    `score_kernels` batch per cycle."""
+    k2 = make_family("path", 2)
+    gaps = []
     for m in (3, 5, 7):
         cm = make_family("cycle", m)
-        for s in range(100):
-            worst = min(worst, strongly_common_gap(cm, sample_graphon(s)))
-            worst = min(worst, strongly_common_gap(cm, sample_kernel(s)))
+        gaps += score_kernels(partial(_strongly_common_gap, cm), (cm, k2) * 2, kernels)
+    return min(gaps)
+
+
+def criterion_3_strongly_common() -> dict:
+    worst = _strongly_common_min([sample_graphon(s) for s in range(100)]
+                                 + [sample_kernel(s) for s in range(100)])
     return {"name": "3 strongly-common odd cycles (sampled evidence, graphons + kernels)",
             "passed": worst >= -INEQUALITY_TOL,
             "detail": f"min gap = {worst:.3e} >= -{INEQUALITY_TOL}"}
 
 
+_PATHS = {k: make_family("path", k) for k in (1, 2, 3, 4, 5)}
+
+
+def _path_slacks(measures, values, budget):
+    """The four path-inequality slacks of kernels given as arrays with
+    leading batch axes, on Python floats (`identities._float_densities`)."""
+    t = dict(zip(_PATHS, _float_densities(_PATHS.values(), measures, values, budget)))
+    return (t[1] ** 3 * t[5] - t[2] ** 4,
+            t[1] * t[5] ** 3 - t[4] ** 4,
+            t[3] * t[5] - t[4] ** 2,
+            t[5] - t[2] * t[4])
+
+
+def _path_slack_min(kernels) -> float:
+    """The least path-inequality slack over the kernels, one `score_kernels` batch."""
+    return min(score_kernels(_path_slacks, tuple(_PATHS.values()), kernels))
+
+
 def criterion_4_path_inequalities() -> dict:
-    worst = math.inf
-    for s in range(100):
-        w = sample_graphon(s)
-        t = {k: density(make_family("path", k), w) for k in (1, 2, 3, 4, 5)}
-        worst = min(worst,
-                    t[1] ** 3 * t[5] - t[2] ** 4,
-                    t[1] * t[5] ** 3 - t[4] ** 4,
-                    t[3] * t[5] - t[4] ** 2,
-                    t[5] - t[2] * t[4])
+    worst = _path_slack_min([sample_graphon(s) for s in range(100)])
     return {"name": "4 path inequalities (three odd-end triples + corollary)",
             "passed": worst >= -INEQUALITY_TOL,
             "detail": f"min slack = {worst:.3e} >= -{INEQUALITY_TOL}"}

@@ -37,7 +37,8 @@ from .data import load_graph
 from .gluing import GluingTemplate, build_j
 from .graphs import (BALANCE_TOL, DEFAULT_WORK_BUDGET, INEQUALITY_TOL, Graph, components,
                      girth_and_cycle_count, make_family)
-from .graphons import StepKernel, densities, density, kernel_arrays, sample_graphon
+from .graphons import StepKernel, densities, kernel_arrays, sample_graphon, stack_kernels
+from .identities import _float_densities, score_kernels
 
 _K2 = make_family("path", 2)
 # restarts of `falsify` draw 2 to FALSIFY_MAX_BLOCKS blocks
@@ -116,11 +117,13 @@ def pair_gap(spec: CommonPairSpec, w: StepKernel, budget: int = DEFAULT_WORK_BUD
 
 def min_pair_gap(spec: CommonPairSpec, seeds, budget: int = DEFAULT_WORK_BUDGET) -> float:
     """The smallest `pair_gap` of `spec` over `sample_graphon(s)` for s in
-    `seeds`: sampled evidence for (p1, p2)-commonness."""
-    gaps = [pair_gap(spec, sample_graphon(s), budget) for s in seeds]
-    if not gaps:
+    `seeds`: sampled evidence for (p1, p2)-commonness, scored by
+    `score_kernels`, one contraction of h1 and one of h2 per chunk."""
+    worst = min(score_kernels(partial(_pair_gap, spec), (spec.h1, spec.h2),
+                              map(sample_graphon, seeds), budget), default=None)
+    if worst is None:
         raise ValueError("the pair-gap suite needs at least one seed")
-    return min(gaps)
+    return worst
 
 
 def _common_gap(h: Graph, measures: np.ndarray, values: np.ndarray,
@@ -155,6 +158,14 @@ def _balance(a1: tuple[int, int], a2: tuple[int, int], n: int,
     return lhs - rhs, abs(lhs - rhs) <= BALANCE_TOL * max(1.0, abs(lhs), abs(rhs))
 
 
+def _correlation_slacks(spec: CommonPairSpec, measures: np.ndarray, values: np.ndarray,
+                        budget: int) -> list:
+    """t(h_i,W) t(K2,W)^l_i - t(f,W)^k_i for i = 1, 2, of graphons given as
+    arrays with leading batch axes, on Python floats (`_float_densities`)."""
+    edge, tf, t1, t2 = _float_densities((_K2, spec.f, spec.h1, spec.h2), measures, values, budget)
+    return [t1 * edge**spec.l1 - tf**spec.k1, t2 * edge**spec.l2 - tf**spec.k2]
+
+
 def convexity_conditions(spec: CommonPairSpec, sample_seeds, max_blocks: int = 4) -> dict:
     """Check the four sufficient conditions tying (h1, h2) to a strongly
     common base graph f via (k_i, l_i).
@@ -162,8 +173,10 @@ def convexity_conditions(spec: CommonPairSpec, sample_seeds, max_blocks: int = 4
     Conditions 1-3 are decided, condition 3 exactly for a `Fraction` p1;
     condition 4 (the correlation inequality t(h_i,W) t(K2,W)^l_i >=
     t(f,W)^k_i) is universally quantified, so sampling it only yields the
-    "numerically_supported" assurance.  A certified verdict comes from
-    `certify_pair_via_templates`, which builds each H_i from its template.
+    "numerically_supported" assurance.  The sampled graphons are scored by
+    `identities.score_kernels`: one contraction each of K2, f, h1 and h2.
+    A certified verdict comes from `certify_pair_via_templates`, which
+    builds each H_i from its template.
     """
     if spec.f is None:
         raise ValueError("convexity_conditions needs the (f, k, l) data")
@@ -177,13 +190,9 @@ def convexity_conditions(spec: CommonPairSpec, sample_seeds, max_blocks: int = 4
              and spec.h2.edge_count == spec.k2 * ef - spec.l2)
     residual, cond3 = _balance((spec.k1, spec.h1.edge_count), (spec.k2, spec.h2.edge_count),
                                ef - 1, spec.p1)
-    worst = math.inf
-    for seed in sample_seeds:
-        w = sample_graphon(seed, max_blocks)
-        tk2 = density(_K2, w)
-        tf = density(f, w)
-        for h, k, l in ((spec.h1, spec.k1, spec.l1), (spec.h2, spec.k2, spec.l2)):
-            worst = min(worst, density(h, w) * tk2**l - tf**k)
+    kernels = (sample_graphon(seed, max_blocks) for seed in sample_seeds)
+    worst = min(score_kernels(partial(_correlation_slacks, spec), (_K2, f, spec.h1, spec.h2),
+                              kernels))
     cond4 = worst >= -INEQUALITY_TOL
     return {
         "edge_floor": cond1,
@@ -647,14 +656,8 @@ def falsify(objective: Objective, seed: int, restarts: int = 50,
         q = int(rng.integers(2, FALSIFY_MAX_BLOCKS + 1))
         drawn.append((rng.dirichlet(np.ones(q)), rng.uniform(size=(q, q))))
     blocks = np.array([len(m) for m, _ in drawn])
-    top = int(blocks.max())
-    measures = np.zeros((restarts, top))
-    values = np.zeros((restarts, top, top))
-    for k, (m, raw) in enumerate(drawn):
-        q = len(m)
-        measures[k, :q] = m
-        values[k, :q, :q] = raw
-    values = np.where(np.tri(top, dtype=bool), values.transpose(0, 2, 1), values)
+    measures, raw = stack_kernels(drawn)
+    values = np.where(np.tri(raw.shape[-1], dtype=bool), raw.transpose(0, 2, 1), raw)
     calls = 0
 
     def counted(measures, values):

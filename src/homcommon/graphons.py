@@ -7,6 +7,7 @@ contracted vertex by vertex along an elimination order planned once per
 graph (see `graphs`), with float64 operands.  `densities` takes the same
 kernels as arrays with leading batch axes, so one contraction scores many
 kernels; `density` is its one-kernel form, with the bits of any batch row.
+`stack_kernels` pads kernels of different block counts into one batch.
 """
 
 from __future__ import annotations
@@ -76,6 +77,23 @@ def kernel_from_graph(g: Graph) -> StepKernel:
 def kernel_arrays(w: StepKernel) -> tuple[np.ndarray, np.ndarray]:
     """The measures (q,) and values (q, q) of w as float64 arrays."""
     return np.asarray(w.measures, dtype=np.float64), np.asarray(w.values, dtype=np.float64)
+
+
+def stack_kernels(arrays) -> tuple[np.ndarray, np.ndarray]:
+    """Stack kernels given as (measures (q,), values (q, q)) array pairs, such
+    as `kernel_arrays` gives, into measures (B, Q) and values (B, Q, Q), Q
+    the largest q: each kernel is padded with blocks of measure 0 and value
+    0, which add exact zeros to every density, so a row's densities have
+    its kernel's bits (of 1 - w too, whose padded values 1 meet measure 0)."""
+    arrays = list(arrays)
+    top = max(len(m) for m, _ in arrays)
+    measures = np.zeros((len(arrays), top))
+    values = np.zeros((len(arrays), top, top))
+    for k, (m, v) in enumerate(arrays):
+        q = len(m)
+        measures[k, :q] = m
+        values[k, :q, :q] = v
+    return measures, values
 
 
 def densities(h: Graph, measures: np.ndarray, values: np.ndarray,

@@ -15,6 +15,7 @@ such as every edge subset of h at once.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import re
@@ -216,62 +217,73 @@ def _plan(h: Graph) -> _Plan:
     eliminating v sums out v from the product of the factors that mention
     it.  The scope of that step is v plus its neighbours in the graph
     filled in by earlier eliminations, so the plan's cost is sum q^|scope|.
+    The next vertex is popped from a heap of (degree, vertex) entries, one
+    pushed whenever a degree may have changed (stale ones are skipped), and
+    each vertex indexes the factors that mention it, so planning costs the
+    steps' scopes and factors, not v(h) per step.
     """
+    n, e = h.vertex_count, h.edge_count
     adj = h.neighbor_sets()
-    factors = list(enumerate(sorted(h.edges)))
-    factors += [(h.edge_count, (v,)) for v in range(h.vertex_count)]
-    remaining = set(range(h.vertex_count))
+    # factor positions: edge k at k, the weight of vertex v at e + v, then
+    # step results in order; a step reads its factors in position order
+    scopes: list[tuple[int, ...]] = sorted(h.edges) + [(v,) for v in range(n)]
+    ids = list(range(e)) + [e] * n
+    at = [{e + v} for v in range(n)]
+    for k in range(e):
+        u, v = scopes[k]
+        at[u].add(k)
+        at[v].add(k)
+    heap = [(len(adj[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    done = [False] * n
     steps, widths, scalars = [], [], []
-    while remaining:
-        v = min(remaining, key=lambda u: (len(adj[u]), u))
-        scope = sorted(adj[v] | {v})
+    while heap:
+        degree, v = heapq.heappop(heap)
+        nbrs = adj[v]
+        if done[v] or degree != len(nbrs):
+            continue
+        done[v] = True
+        out = sorted(nbrs)
+        scope = sorted(out + [v])
         if len(scope) > len(_EINSUM_LETTERS):
             raise BudgetExceededError(
                 f"elimination step over {len(scope)} vertices exceeds einsum's "
                 f"{len(_EINSUM_LETTERS)} indices")
-        letter = dict(zip(scope, _EINSUM_LETTERS))
-        touching = [f for f in factors if v in f[1]]
-        factors = [f for f in factors if v not in f[1]]
-        out = tuple(u for u in scope if u != v)
-        inputs = ",".join("".join(letter[u] for u in f[1]) + "..." for f in touching)
-        output = "->" + "".join(letter[u] for u in out) + "..."
+        letter = dict(zip(scope, _EINSUM_LETTERS)).__getitem__
+        touching = sorted(at[v])
+        terms = []
+        for pos in touching:
+            vertices = scopes[pos]
+            terms.append("".join(map(letter, vertices)) + "...")
+            for u in vertices:
+                if u != v:
+                    at[u].discard(pos)
         ones = ",..." * max(0, 3 - len(touching))
-        result_id = h.edge_count + 1 + len(steps)
-        steps.append((inputs + ones + output, tuple(f[0] for f in touching)))
+        result_id = e + 1 + len(steps)
+        steps.append((",".join(terms) + ones + "->" + "".join(map(letter, out)) + "...",
+                      tuple([ids[pos] for pos in touching])))
         widths.append(len(scope))
         if out:
-            factors.append((result_id, out))
+            for u in out:
+                at[u].add(len(scopes))
+            scopes.append(tuple(out))
+            ids.append(result_id)
         else:
             scalars.append(result_id)
-        for a in adj[v]:
-            adj[a] |= adj[v] - {a}
-            adj[a].discard(v)
-        remaining.discard(v)
+        for a in out:
+            fill = adj[a]
+            fill |= nbrs
+            fill.discard(a)
+            fill.discard(v)
+            heapq.heappush(heap, (len(fill), a))
     return _Plan(tuple(steps), tuple(widths), tuple(scalars))
 
 
-def _contract(h: Graph, matrices: np.ndarray, vector: np.ndarray, budget: int, caller: str):
-    """sum over maps phi: V(h) -> [q] of prod_v vector[phi v] * prod_k matrices[k][phi u, phi v],
-    edge k = (u, v) of sorted(h.edges).
-
-    `matrices` has shape (E, ..., q, q), with E either e(h), one matrix per
-    edge, or 1, one matrix shared by every edge; `vector` has shape
-    (..., q).  The axes between E and (q, q) are a batch, broadcast against
-    the vector's leading axes, and the result has their shape.  The work
-    charged against `budget` is sum over steps of q^|scope|, per kernel of
-    the batch, and v(h) q > `budget` is refused before planning (each step
-    has q or more terms).  Unbatched operands give a numpy scalar of the
-    operands' dtype, or a Python int for object operands.
-
-    The operands are contracted with the batch axes last (one contiguous
-    copy of each), so every einsum's inner loop runs over the whole batch,
-    and every step has at least three factors, the missing ones a 0-d 1:
-    with three or more operands einsum multiplies and adds every kernel
-    alike, in block order, so a kernel alone (a batch with no axes) gives
-    the bits of its row in any batch.  A shared matrix runs the same einsum
-    calls on the same bits as e(h) copies of it.
-    """
-    q = vector.shape[-1]
+def _charge(h: Graph, q: int, budget: int, caller: str) -> int:
+    """The terms of contracting h over q values, sum over steps of q^|scope|,
+    per kernel; raises `BudgetExceededError`, naming `caller`, when they
+    exceed `budget`.  v(h) q > `budget` is refused before planning (each
+    step has q or more terms)."""
     work = h.vertex_count * q
     if work <= budget:
         try:
@@ -283,6 +295,31 @@ def _contract(h: Graph, matrices: np.ndarray, vector: np.ndarray, budget: int, c
         raise BudgetExceededError(
             f"{caller}: contracting a {h.vertex_count}-vertex graph over {q} values "
             f"needs at least {work} terms, budget {budget}")
+    return work
+
+
+def _contract(h: Graph, matrices: np.ndarray, vector: np.ndarray, budget: int, caller: str):
+    """sum over maps phi: V(h) -> [q] of prod_v vector[phi v] * prod_k matrices[k][phi u, phi v],
+    edge k = (u, v) of sorted(h.edges).
+
+    `matrices` has shape (E, ..., q, q), with E either e(h), one matrix per
+    edge, or 1, one matrix shared by every edge; `vector` has shape
+    (..., q).  The axes between E and (q, q) are a batch, broadcast against
+    the vector's leading axes, and the result has their shape.  `_charge`
+    charges each kernel of the batch against `budget`.  Unbatched operands
+    give a numpy scalar of the operands' dtype, or a Python int for object
+    operands.
+
+    The operands are contracted with the batch axes last (one contiguous
+    copy of each), so every einsum's inner loop runs over the whole batch,
+    and every step has at least three factors, the missing ones a 0-d 1:
+    with three or more operands einsum multiplies and adds every kernel
+    alike, in block order, so a kernel alone (a batch with no axes) gives
+    the bits of its row in any batch.  A shared matrix runs the same einsum
+    calls on the same bits as e(h) copies of it.
+    """
+    _charge(h, vector.shape[-1], budget, caller)
+    plan = _plan(h)
     nd = matrices.ndim
     matrices = np.ascontiguousarray(matrices.transpose(0, nd - 2, nd - 1, *range(1, nd - 2)))
     vector = np.ascontiguousarray(vector.transpose(vector.ndim - 1, *range(vector.ndim - 1)))

@@ -496,6 +496,16 @@ def test_falsify_refuses_a_long_path_before_planning_it(capsys):
     assert err.startswith("error: work budget exceeded: density: contracting a 10000-vertex")
 
 
+def test_falsify_plans_a_long_path_at_the_default_budget(capsys):
+    # planning P10000 took ~17 s while each step scanned every remaining vertex
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "common", "falsify", "--target", "P10000",
+                             "--restarts", "1", "--steps", "0")
+    assert time.perf_counter() - start < 2.0
+    assert code in (0, 1) and err == ""
+    assert json.loads(out)["restarts"] == 1
+
+
 @pytest.mark.parametrize("command", [
     ("common", "solve-p", "--e1", str(10**400), "--v1", str(10**400),
      "--e2", "1", "--v2", "1", "--m", "3"),

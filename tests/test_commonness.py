@@ -14,11 +14,14 @@ from homcommon.commonness import (FALSIFY_MAX_BLOCKS, CommonPairSpec, P_DIAMOND_
                                   common_gap_objective, convexity_conditions,
                                   dk3k2_f, dk3k2_functions, dk3k2_verify,
                                   falsify, girth_obstruction,
-                                  pair_gap, pair_gap_objective, solve_simple_tree_p,
-                                  _balance, _descend)
-from homcommon.graphons import StepKernel, constant_kernel
-from homcommon.graphs import DEFAULT_WORK_BUDGET, Graph, make_family
-from homcommon.identities import _strongly_common_gap, strongly_common_gap
+                                  min_pair_gap, pair_gap, pair_gap_objective,
+                                  solve_simple_tree_p, _balance, _correlation_slacks,
+                                  _descend, _pair_gap)
+from homcommon.graphons import (StepKernel, constant_kernel, density, kernel_arrays,
+                                sample_graphon, sample_kernel)
+from homcommon.gluing import build_j
+from homcommon.graphs import DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _plan, make_family
+from homcommon.identities import _strongly_common_gap, score_kernels, strongly_common_gap
 
 K3 = make_family("complete", 3)
 C5 = make_family("cycle", 5)
@@ -104,6 +107,67 @@ def test_convexity_conditions_rejects_empty_seed_list():
             convexity_conditions(spec, seeds)
 
 
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+def _glued_pair_spec():
+    ja = build_j(data.load_template("gen_c5_tree_a"))[0]
+    jb = build_j(data.load_template("gen_c5_tree_b"))[0]
+    return CommonPairSpec(ja, jb, 0.5, f=C5, k1=3, k2=3, l1=0, l2=0)
+
+
+def _slack_loop(spec, w):
+    """Condition 4's two slacks on one kernel, one `density` call per graph."""
+    tk2 = density(make_family("path", 2), w)
+    tf = density(spec.f, w)
+    return [density(h, w) * tk2**l - tf**k
+            for h, k, l in ((spec.h1, spec.k1, spec.l1), (spec.h2, spec.k2, spec.l2))]
+
+
+@pytest.mark.parametrize("spec", [
+    _glued_pair_spec(),
+    CommonPairSpec(data.load_graph("pentagon_square"), data.load_graph("pentagon_square"), 0.5,
+                   f=C5, k1=2, k2=2, l1=1, l2=1),
+], ids=["glued J pair", "pentagon_square"])
+def test_batched_convexity_slack_matches_the_per_graphon_loop(spec):
+    seeds = range(40)
+    for sample in (sample_graphon, sample_kernel):
+        kernels = [sample(s) for s in seeds]
+        batched = score_kernels(partial(_correlation_slacks, spec),
+                                (make_family("path", 2), spec.f, spec.h1, spec.h2), kernels)
+        loop = [_slack_loop(spec, w) for w in kernels]
+        # the batched list holds side 1 of every kernel, then side 2
+        assert _bits(batched) == _bits([s[0] for s in loop] + [s[1] for s in loop])
+    rep = convexity_conditions(spec, seeds, max_blocks=3)
+    loop = [x for s in seeds for x in _slack_loop(spec, sample_graphon(s, 3))]
+    assert rep["correlation_min_slack"].hex() == min(loop).hex()
+
+
+def test_batched_pair_gap_suite_matches_the_per_graphon_loop():
+    spec = CommonPairSpec(D, data.load_graph("k3_plus_k2"), P_DIAMOND_PAIR)
+    seeds = range(80)
+    assert min_pair_gap(spec, seeds).hex() == min(
+        pair_gap(spec, sample_graphon(s)) for s in seeds).hex()
+    kernels = [sample_kernel(s) for s in seeds]
+    batched = score_kernels(partial(_pair_gap, spec), (spec.h1, spec.h2), kernels)
+    assert _bits(batched) == _bits(_pair_gap(spec, *kernel_arrays(w), DEFAULT_WORK_BUDGET)
+                                   for w in kernels)
+
+
+def test_pair_gap_suite_budget_is_its_largest_graphons_charge():
+    spec = CommonPairSpec(D, data.load_graph("k3_plus_k2"), P_DIAMOND_PAIR)
+    seeds = range(10)
+    q = max(sample_graphon(s).block_count for s in seeds)
+    charge = max(sum(q**width for width in _plan(h).widths) for h in (spec.h1, spec.h2))
+    min_pair_gap(spec, seeds, budget=charge)
+    with pytest.raises(BudgetExceededError, match="^density: "):
+        min_pair_gap(spec, seeds, budget=charge - 1)
+    with pytest.raises(BudgetExceededError, match="^density: "):
+        for s in seeds:
+            pair_gap(spec, sample_graphon(s), charge - 1)
+
+
 def test_certify_pair_square_attachment_vs_c5():
     t_sq = data.load_template("pentagon_square")
     t_single = data.load_template("simple_c5_vertex")
@@ -178,8 +242,7 @@ def test_certify_pair_rejects_bad_inputs():
 
 
 def test_certified_pairs_have_nonnegative_gap(graphon_suite):
-    from homcommon.gluing import build_j
-    from homcommon.graphs import Graph, components
+    from homcommon.graphs import components
 
     t_sq = data.load_template("pentagon_square")
     t_single = data.load_template("simple_c5_vertex")

@@ -13,9 +13,9 @@ from homcommon.graphs import (BudgetExceededError, disjoint_union, hom_count,
                               make_family, random_graph)
 from homcommon.graphs import DEFAULT_WORK_BUDGET, _contract
 from homcommon.graphons import (StepKernel, constant_kernel, densities,
-                                density, kernel_from_graph, kernel_from_json,
-                                kernel_to_json, one_minus, sample_graphon,
-                                sample_kernel)
+                                density, kernel_arrays, kernel_from_graph,
+                                kernel_from_json, kernel_to_json, one_minus,
+                                sample_graphon, sample_kernel, stack_kernels)
 
 K2 = make_family("path", 2)
 K3 = make_family("complete", 3)
@@ -219,6 +219,22 @@ def test_zero_measure_padding_keeps_densities(h, seed, q, pad):
     plain = densities(h, measures, values)
     padded = densities(h, padded_m, padded_v)
     assert np.all(np.abs(padded - plain) <= 1e-15 * np.abs(plain))
+
+
+def test_stack_kernels_pads_to_the_largest_block_count():
+    kernels = [sample_kernel(s) for s in range(12)]
+    measures, values = stack_kernels(kernel_arrays(w) for w in kernels)
+    top = max(w.block_count for w in kernels)
+    assert measures.shape == (12, top) and values.shape == (12, top, top)
+    both = densities(C5, measures, np.stack((values, 1.0 - values)))
+    for k, w in enumerate(kernels):
+        q = w.block_count
+        m, v = kernel_arrays(w)
+        assert np.array_equal(measures[k, :q], m) and np.array_equal(values[k, :q, :q], v)
+        assert not measures[k, q:].any()
+        assert not values[k, q:].any() and not values[k, :, q:].any()
+        # padded rows keep the bits of w and of 1 - w, alone
+        assert both[0, k] == density(C5, w) and both[1, k] == density(C5, one_minus(w))
 
 
 @settings(max_examples=60, deadline=None)

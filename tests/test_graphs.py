@@ -1,9 +1,11 @@
 import math
+import time
 from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_graphs
 from homcommon.graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph,
@@ -205,6 +207,63 @@ def test_contract_refuses_v_times_q_terms_before_planning(monkeypatch):
         hom_count(p8, k5, budget=40)
     assert planned == [p8]
     assert hom_count(p8, k5, budget=180) == 5 * 4**7
+
+
+def _quadratic_plan(h):
+    """The planner as it was before its heap: each step scans every remaining
+    vertex for the least (degree, label) and every factor for the ones that
+    mention it."""
+    letters = graphs._EINSUM_LETTERS
+    adj = h.neighbor_sets()
+    factors = list(enumerate(sorted(h.edges)))
+    factors += [(h.edge_count, (v,)) for v in range(h.vertex_count)]
+    remaining = set(range(h.vertex_count))
+    steps, widths, scalars = [], [], []
+    while remaining:
+        v = min(remaining, key=lambda u: (len(adj[u]), u))
+        scope = sorted(adj[v] | {v})
+        letter = dict(zip(scope, letters))
+        touching = [f for f in factors if v in f[1]]
+        factors = [f for f in factors if v not in f[1]]
+        out = tuple(u for u in scope if u != v)
+        inputs = ",".join("".join(letter[u] for u in f[1]) + "..." for f in touching)
+        output = "->" + "".join(letter[u] for u in out) + "..."
+        ones = ",..." * max(0, 3 - len(touching))
+        result_id = h.edge_count + 1 + len(steps)
+        steps.append((inputs + ones + output, tuple(f[0] for f in touching)))
+        widths.append(len(scope))
+        if out:
+            factors.append((result_id, out))
+        else:
+            scalars.append(result_id)
+        for a in adj[v]:
+            adj[a] |= adj[v] - {a}
+            adj[a].discard(v)
+        remaining.discard(v)
+    return graphs._Plan(tuple(steps), tuple(widths), tuple(scalars))
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=small_graphs(9))
+def test_plan_matches_the_quadratic_planner(h):
+    # the same steps, operand order and widths
+    assert graphs._plan.__wrapped__(h) == _quadratic_plan(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(10, 40), seed=st.integers(0, 2**32 - 1),
+       p=st.sampled_from([0.05, 0.1, 0.2, 0.5]))
+def test_plan_matches_the_quadratic_planner_on_larger_graphs(n, seed, p):
+    h = random_graph(n, seed, p)
+    assert graphs._plan.__wrapped__(h) == _quadratic_plan(h)
+
+
+def test_plan_of_a_long_path_is_linear():
+    # the quadratic planner took ~17 s on P10000
+    start = time.perf_counter()
+    plan = graphs._plan.__wrapped__(make_family("path", 10_000))
+    assert time.perf_counter() - start < 2.0
+    assert plan.widths == (2,) * 9_999 + (1,)
 
 
 def test_hom_count_elimination_width_limit():

@@ -12,9 +12,11 @@ from homcommon.identities import _subset_densities
 from homcommon.graphs import Graph, make_family
 from homcommon.graphons import (StepKernel, constant_kernel, density,
                                 one_minus, sample_graphon, sample_kernel)
-from homcommon.identities import (BudgetExceededError, c5_goodman_residual,
-                                  expansion_residual, goodman_residual,
-                                  strongly_common_gap)
+from homcommon.identities import (IDENTITY_SUITES, BudgetExceededError,
+                                  c5_goodman_residual, expansion_residual,
+                                  goodman_residual, max_identity_residual,
+                                  score_kernels, strongly_common_gap)
+from homcommon.graphs import _plan
 
 K2 = make_family("path", 2)
 P3 = make_family("path", 3)
@@ -174,3 +176,102 @@ def test_supersaturation_gap(graphon_suite):
     assert _supersaturation_gap(constant_kernel(0.5)) == pytest.approx(0.125, abs=1e-15)
     assert _supersaturation_gap(constant_kernel(1.0)) == pytest.approx(0.0, abs=1e-15)
     assert min(_supersaturation_gap(w) for w in graphon_suite) >= -1e-9
+
+
+P4 = make_family("path", 4)
+P5 = make_family("path", 5)
+
+
+def _goodman_loop(w):
+    """The goodman residual of one kernel, one `density` call per graph and
+    colour, summed over w and 1 - w in Python floats."""
+    lhs = rhs = 0.0
+    for wi in (w, one_minus(w)):
+        lhs += density(K3, wi)
+        edge = density(K2, wi)
+        rhs += edge**3 + 1.5 * (density(P3, wi) - edge**2)
+    return lhs - rhs
+
+
+def _c5_goodman_loop(w):
+    lhs = rhs = 0.0
+    for wi in (w, one_minus(w)):
+        lhs += density(C5, wi)
+        edge = density(K2, wi)
+        rhs += edge**5 + 5.0 * edge * density(P5, wi) - 5.0 * edge**2 * density(P4, wi)
+    return lhs - rhs
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize("name, loop", [("goodman", _goodman_loop),
+                                        ("c5goodman", _c5_goodman_loop)])
+@pytest.mark.parametrize("sample", [sample_graphon, sample_kernel])
+def test_batched_identity_suites_match_the_per_graphon_loop(name, loop, sample):
+    # 1 to 4 blocks, so most rows are padded; kernels take values in [-1, 2]
+    kernels = [sample(s) for s in range(80)]
+    assert {w.block_count for w in kernels} == {1, 2, 3, 4}
+    got = IDENTITY_SUITES[name](kernels, DEFAULT_WORK_BUDGET)
+    assert _bits(got) == _bits(loop(w) for w in kernels)
+
+
+def test_identity_suites_match_the_one_graphon_residuals(graphon_suite):
+    for name, residual in (("goodman", goodman_residual), ("c5goodman", c5_goodman_residual)):
+        assert _bits(IDENTITY_SUITES[name](graphon_suite, DEFAULT_WORK_BUDGET)) == _bits(
+            residual(w) for w in graphon_suite)
+        assert max_identity_residual(name, range(100)) == max(
+            abs(residual(w)) for w in graphon_suite)
+
+
+@pytest.mark.parametrize("name, residual, graphs", [
+    ("goodman", goodman_residual, (K3, K2, P3)),
+    ("c5goodman", c5_goodman_residual, (C5, K2, P5, P4)),
+])
+def test_identity_suite_budget_is_its_largest_graphons_charge(name, residual, graphs):
+    seeds = range(10)
+    q = max(sample_graphon(s).block_count for s in seeds)
+    assert q == 4
+    charge = max(sum(q**width for width in _plan(h).widths) for h in graphs)
+    max_identity_residual(name, seeds, budget=charge)
+    for w in map(sample_graphon, seeds):
+        residual(w, charge)
+    with pytest.raises(BudgetExceededError, match="^density: "):
+        max_identity_residual(name, seeds, budget=charge - 1)
+    with pytest.raises(BudgetExceededError, match="^density: "):
+        for w in map(sample_graphon, seeds):
+            residual(w, charge - 1)
+
+
+def test_suite_spanning_chunks_equals_one_chunk(monkeypatch):
+    graphs = identities._C5_GOODMAN_GRAPHS * 2
+
+    def work(q):
+        return sum(sum(q**width for width in _plan(h).widths) for h in graphs)
+
+    kernels = [sample_graphon(s) for s in range(40)]
+    whole = list(score_kernels(identities._c5_goodman_residuals, graphs, kernels))
+    for terms in (8 * work(4) - 1, 3 * work(2), work(1), 1):
+        monkeypatch.setattr(identities, "_CHUNK_TERMS", terms)
+        seen = []
+
+        def spy(measures, values, budget):
+            seen.append(measures.shape)
+            return identities._c5_goodman_residuals(measures, values, budget)
+
+        # read once, as a generator
+        assert _bits(score_kernels(spy, graphs, iter(kernels))) == _bits(whole)
+        assert sum(rows for rows, _ in seen) == len(kernels) and len(seen) > 1
+        # each chunk within the bound at the largest block count read so far
+        top = 0
+        for rows, q in seen:
+            top = max(top, q)
+            assert rows == 1 or rows * work(top) <= terms
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_SUITES))
+def test_identity_suites_reject_an_empty_seed_list(name):
+    for seeds in ([], range(0), iter(())):
+        with pytest.raises(ValueError, match=f"the {name} suite needs at least one seed"):
+            max_identity_residual(name, seeds)
