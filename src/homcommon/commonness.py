@@ -37,7 +37,8 @@ from .data import load_graph
 from .gluing import GluingTemplate, build_j
 from .graphs import (BALANCE_TOL, DEFAULT_WORK_BUDGET, INEQUALITY_TOL, Graph, components,
                      girth_and_cycle_count, make_family)
-from .graphons import StepKernel, densities, kernel_arrays, sample_graphon, stack_kernels
+from .graphons import (StepKernel, _colours, densities, kernel_arrays, sample_graphon,
+                       stack_kernels)
 from .identities import _float_densities, score_kernels
 
 _K2 = make_family("path", 2)
@@ -99,8 +100,17 @@ def _pair_gap(spec: CommonPairSpec, measures: np.ndarray, values: np.ndarray,
     """`pair_gap` of graphons given as arrays with leading batch axes."""
     e1, e2 = spec.h1.edge_count, spec.h2.edge_count
     p1, p2 = spec.p1, spec.p2
-    return (densities(spec.h1, measures, values, budget) / (e1 * p1 ** (e1 - 1))
-            + densities(spec.h2, measures, 1.0 - values, budget) / (e2 * p2 ** (e2 - 1))
+    # w and 1 - w written once, each batch-last as `_contract` reads it, so
+    # it copies neither (the colours of `_colours` lie interleaved, and
+    # each contraction here reads one)
+    k = values.ndim - 2
+    both = np.empty((2,) + values.shape[-2:] + values.shape[:-2])
+    both[0] = values.transpose(k, k + 1, *range(k))
+    np.subtract(1.0, both[0], out=both[1])
+    back = (*range(2, k + 2), 0, 1)
+    return (densities(spec.h1, measures, both[0].transpose(back), budget) / (e1 * p1 ** (e1 - 1))
+            + densities(spec.h2, measures, both[1].transpose(back), budget)
+            / (e2 * p2 ** (e2 - 1))
             - p1 / e1 - p2 / e2)
 
 
@@ -131,8 +141,8 @@ def _common_gap(h: Graph, measures: np.ndarray, values: np.ndarray,
     """`common_gap` of graphons given as arrays with leading batch axes."""
     if h.edge_count == 0:
         raise ValueError("h must be non-empty")
-    both = densities(h, measures, np.stack((values, 1.0 - values)), budget)
-    return both[0] + both[1] - 0.5 ** (h.edge_count - 1)
+    t = densities(h, measures, _colours(values), budget)
+    return t[0] + t[1] - 0.5 ** (h.edge_count - 1)
 
 
 def common_gap(h: Graph, w: StepKernel, budget: int = DEFAULT_WORK_BUDGET) -> float:
@@ -565,12 +575,14 @@ def _descend(objective: Objective, measures: np.ndarray, values: np.ndarray,
     with candidates that move min(delta, m_i) from i to j and
     min(delta, m_j) from j to i.  A coordinate applies only to the starts
     with j < blocks[k], and a candidate equal to the current point is not
-    scored.  One `objective` call scores both candidates of every
-    start; a start takes its lower candidate (the first on a tie) if it is
-    below its best by more than 1e-15, and otherwise keeps its arrays
-    untouched.  A per-start step delta is halved after a sweep without
-    improvement, and a start drops out once delta < 1e-6.  Returns each
-    start's best value and its number of evaluations.
+    scored: it is not counted, and its value is masked with inf.  One
+    `objective` call evaluates both candidates of every start, masked ones
+    included, since a row's value does not depend on its batch; no scored
+    subset is gathered.  A start takes its lower candidate (the first on a
+    tie) if it is below its best by more than 1e-15, and otherwise keeps
+    its arrays untouched.  A per-start step delta is halved after a sweep
+    without improvement, and a start drops out once delta < 1e-6.  Returns
+    each start's best value and its number of evaluations.
     """
     count, q = measures.shape
     best = objective(measures, values)
@@ -584,22 +596,28 @@ def _descend(objective: Objective, measures: np.ndarray, values: np.ndarray,
             break
         improved = np.zeros(count, dtype=bool)
         live_blocks = blocks[live]
-        for is_value, i, j in coordinates:
+        # per column j, fixed within a sweep: the starts it applies to, each
+        # twice (candidates [:n] step up or i -> j, [n:] step down or j -> i),
+        # their steps, and their measures, which the value polls keep
+        columns = []
+        for j in range(q):
             rows = live[j < live_blocks]
+            both = np.concatenate((rows, rows))
+            columns.append((rows, both, delta[both], measures[both], np.arange(rows.size)))
+        for is_value, i, j in coordinates:
+            rows, both, step, held, index = columns[j]
             n = rows.size
             if n == 0:
                 continue
-            # candidates [:n] step up (or i -> j), candidates [n:] step down (or j -> i)
-            both = np.concatenate((rows, rows))
-            trial_m, trial_v = measures[both], values[both]
-            step = delta[both]
             if is_value:
+                trial_m, trial_v = held, values[both]
                 old = trial_v[:, i, j]
                 new = np.concatenate((np.minimum(1.0, old[:n] + step[:n]),
                                       np.maximum(0.0, old[n:] - step[n:])))
                 scored = new != old  # before the write: `old` is a view of trial_v
                 trial_v[:, i, j] = trial_v[:, j, i] = new
             else:
+                trial_m, trial_v = measures[both], values[both]
                 # the signed mass moved from i to j; negation is exact
                 amount = np.concatenate((np.minimum(step[:n], trial_m[:n, i]),
                                          -np.minimum(step[n:], trial_m[n:, j])))
@@ -608,16 +626,17 @@ def _descend(objective: Objective, measures: np.ndarray, values: np.ndarray,
                 scored = amount != 0.0
             if not scored.any():
                 continue
-            val = np.full(2 * n, np.inf)
-            val[scored] = objective(trial_m[scored], trial_v[scored])
+            val = np.where(scored, objective(trial_m, trial_v), np.inf)
             evals[rows] += scored.reshape(2, n).sum(0)
-            pick = np.arange(n) + n * (val[n:] < val[:n])
+            pick = index + n * (val[n:] < val[:n])
             better = val[pick] < best[rows] - 1e-15
             moved, pick = rows[better], pick[better]
             best[moved] = val[pick]
             improved[moved] = True
-            measures[moved] = trial_m[pick]
-            values[moved] = trial_v[pick]
+            if is_value:
+                values[moved] = trial_v[pick]
+            else:
+                measures[moved] = trial_m[pick]
         stalled = live[~improved[live]]
         delta[stalled] *= 0.5
         live = live[delta[live] >= 1e-6]

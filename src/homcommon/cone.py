@@ -58,7 +58,8 @@ def enumerate_generators(f: Graph) -> tuple[Generator, ...]:
     Enumerated once per base graph and process: every call returns the
     same immutable tuple of (triple, ((class, integer coefficient), ...)).
     Triples are walked as bitmasks in lexicographic order of (r1, r2, r3),
-    so the first triple met for a vector is its least.  The vector
+    r1 only over canonical class masks, so the first triple met for a
+    vector is its least.  The vector
     e(r1|r2|r3) - e(r2|r3) - e(r1|r2) + e(r2) is keyed by its four canonical
     class masks, the two negative ones in either order.  It is never zero:
     r1|r2|r3 is larger than each other part, and r2 than none.  The result
@@ -70,6 +71,14 @@ def enumerate_generators(f: Graph) -> tuple[Generator, ...]:
     full = (1 << n) - 1
     seen: dict[tuple[int, int, int, int], tuple[int, int, int]] = {}
     for m1 in lex[full][1:]:
+        # The least triple of a vector has a canonical r1.  An automorphism
+        # s with s(r1) = canon[r1] keeps every class, so (s r1, s r2, s r3)
+        # gives the same vector, and so does its r1 <-> r3 swap, which swaps
+        # the two negative parts.  One of the two is walked, with r1 of
+        # rank at most rank[canon[r1]]; if r1 is not canonical that is below
+        # rank[r1], so the walk met that triple first.
+        if canon[m1] != m1:
+            continue
         rank1 = rank[m1]
         for m2 in lex[full ^ m1]:
             m12 = m1 | m2

@@ -104,6 +104,18 @@ def densities(h: Graph, measures: np.ndarray, values: np.ndarray,
     return _contract(h, values[None], measures, budget, "density")
 
 
+def _colours(values: np.ndarray) -> np.ndarray:
+    """w and 1 - w of kernels given as values (..., q, q), stacked as
+    (2, ..., q, q): a view of one array laid out (q, q, 2, ...), the
+    batch-last order `_contract` reads, so contracting the stack copies
+    neither."""
+    k = values.ndim - 2
+    both = np.empty(values.shape[-2:] + (2,) + values.shape[:-2])
+    both[:, :, 0] = values.transpose(k, k + 1, *range(k))
+    np.subtract(1.0, both[:, :, 0], out=both[:, :, 1])
+    return both.transpose(*range(2, k + 3), 0, 1)
+
+
 def density(h: Graph, w: StepKernel, budget: int = DEFAULT_WORK_BUDGET) -> float:
     """Homomorphism density t(h, w) = sum over maps phi: V(h) -> blocks of
     prod_v measure[phi v] * prod_uv value[phi u, phi v].

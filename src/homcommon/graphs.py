@@ -8,7 +8,9 @@ engine: variable elimination over V(h) along a greedy min-degree order,
 planned once per graph h and cached (Diaz-Serna-Thilikos, counting
 H-colourings of bounded treewidth).  Its cost is sum over elimination steps
 of q^|scope| rather than q^v(h), so graphs of treewidth 2, such as glued
-odd-cycle trees, cost O(v(h) q^3).  Each edge of h reads its own matrix
+odd-cycle trees, cost O(v(h) q^3).  Every step runs as `np.einsum` calls of
+exactly three operands, numpy's fast loop: a step of more factors first
+multiplies its two narrowest ones.  Each edge of h reads its own matrix
 operand, so one contraction also scores products of different matrices,
 such as every edge subset of h at once.
 """
@@ -194,19 +196,48 @@ def automorphisms(g: Graph, budget: int = DEFAULT_WORK_BUDGET) -> Iterator[tuple
 class _Plan(NamedTuple):
     """Variable elimination over V(h), fixed by h alone.
 
-    Operand k is the matrix of edge k of sorted(h.edges) and operand e(h)
-    the vertex-weight vector; step k contracts the listed operands with
-    `np.einsum` and appends its result as operand e(h) + 1 + k.  A step
-    whose output has no indices closes a component of h; the contraction is
-    the product of those scalars.  Every subscript ends with `...`, so
-    trailing batch axes pass through, and a step of fewer than three
-    factors is padded with factors `...` up to three, for `_contract` to
-    bind to 1.
+    Operand k is the matrix of edge k of sorted(h.edges), operand e(h) the
+    vertex-weight vector, operand e(h) + 1 + k the result of elimination
+    step k, and operand e(h) + 1 + v(h) + j the j-th product that a step of
+    more than three factors multiplies first (see `_three_operand_calls`).
+    `calls` runs the steps in order as `np.einsum` calls, each of three
+    operands, the missing ones factors `...` for `_contract` to bind to 1.
+    A step whose output has no indices closes a component of h; the
+    contraction is the product of those scalars.  Every subscript ends
+    with `...`, so trailing batch axes pass through.
     """
 
-    steps: tuple[tuple[str, tuple[int, ...]], ...]
+    calls: tuple[tuple[str, tuple[int, ...], int], ...]  # (subscripts, operands, result)
     widths: tuple[int, ...]      # |scope| of each step, eliminated vertex included
     scalars: tuple[int, ...]
+
+
+def _three_operand_calls(terms: list[str], ids: list[int], out: str, result: int,
+                         product: int) -> list[tuple[str, tuple[int, ...], int]]:
+    """The `np.einsum` calls, as `_Plan.calls`, that sum one elimination step:
+    the product of factors with plain subscripts `terms` and operand `ids`,
+    summed to the subscript `out` as operand `result`.
+
+    While more than three factors are left, the two narrowest (fewest
+    indices, then first listed) are multiplied, summing nothing, into
+    operand `product`, `product` + 1, ..., listed last; then one call sums
+    the three or fewer left.  Each product is over part of the step's
+    scope, so it has at most the q^|scope| terms the step is charged.  With
+    three operands numpy's einsum runs its three-operand loop, several times
+    faster than its generic one.
+    """
+    calls = []
+    while len(terms) > 3:
+        a, b = sorted(range(len(terms)), key=lambda i: (len(terms[i]), i))[:2]
+        joint = "".join(sorted(set(terms[a] + terms[b]), key=_EINSUM_LETTERS.index))
+        calls.append((f"{terms[a]}...,{terms[b]}...,...->{joint}...", (ids[a], ids[b]), product))
+        keep = [i for i in range(len(terms)) if i != a and i != b]
+        terms = [terms[i] for i in keep] + [joint]
+        ids = [ids[i] for i in keep] + [product]
+        product += 1
+    calls.append(("...,".join(terms) + "..." + ",..." * (3 - len(terms)) + "->" + out + "...",
+                  tuple(ids), result))
+    return calls
 
 
 @lru_cache(maxsize=512)
@@ -216,11 +247,12 @@ def _plan(h: Graph) -> _Plan:
     Each vertex carries one weight factor and each edge one matrix factor;
     eliminating v sums out v from the product of the factors that mention
     it.  The scope of that step is v plus its neighbours in the graph
-    filled in by earlier eliminations, so the plan's cost is sum q^|scope|.
-    The next vertex is popped from a heap of (degree, vertex) entries, one
-    pushed whenever a degree may have changed (stale ones are skipped), and
-    each vertex indexes the factors that mention it, so planning costs the
-    steps' scopes and factors, not v(h) per step.
+    filled in by earlier eliminations, so the plan's cost is sum q^|scope|;
+    the step's einsum calls come from `_three_operand_calls`, and add no
+    vertex to a scope.  The next vertex is popped from a heap of (degree,
+    vertex) entries, one pushed whenever a degree may have changed (stale
+    ones are skipped), and each vertex indexes the factors that mention it,
+    so planning costs the steps' scopes and factors, not v(h) per step.
     """
     n, e = h.vertex_count, h.edge_count
     adj = h.neighbor_sets()
@@ -236,7 +268,7 @@ def _plan(h: Graph) -> _Plan:
     heap = [(len(adj[v]), v) for v in range(n)]
     heapq.heapify(heap)
     done = [False] * n
-    steps, widths, scalars = [], [], []
+    calls, widths, scalars = [], [], []
     while heap:
         degree, v = heapq.heappop(heap)
         nbrs = adj[v]
@@ -254,14 +286,14 @@ def _plan(h: Graph) -> _Plan:
         terms = []
         for pos in touching:
             vertices = scopes[pos]
-            terms.append("".join(map(letter, vertices)) + "...")
+            terms.append("".join(map(letter, vertices)))
             for u in vertices:
                 if u != v:
                     at[u].discard(pos)
-        ones = ",..." * max(0, 3 - len(touching))
-        result_id = e + 1 + len(steps)
-        steps.append((",".join(terms) + ones + "->" + "".join(map(letter, out)) + "...",
-                      tuple([ids[pos] for pos in touching])))
+        result_id = e + 1 + len(widths)
+        calls += _three_operand_calls(terms, [ids[pos] for pos in touching],
+                                      "".join(map(letter, out)), result_id,
+                                      e + 1 + n + len(calls) - len(widths))
         widths.append(len(scope))
         if out:
             for u in out:
@@ -276,7 +308,7 @@ def _plan(h: Graph) -> _Plan:
             fill.discard(a)
             fill.discard(v)
             heapq.heappush(heap, (len(fill), a))
-    return _Plan(tuple(steps), tuple(widths), tuple(scalars))
+    return _Plan(tuple(calls), tuple(widths), tuple(scalars))
 
 
 def _charge(h: Graph, q: int, budget: int, caller: str) -> int:
@@ -311,12 +343,13 @@ def _contract(h: Graph, matrices: np.ndarray, vector: np.ndarray, budget: int, c
     operands.
 
     The operands are contracted with the batch axes last (one contiguous
-    copy of each), so every einsum's inner loop runs over the whole batch,
-    and every step has at least three factors, the missing ones a 0-d 1:
-    with three or more operands einsum multiplies and adds every kernel
-    alike, in block order, so a kernel alone (a batch with no axes) gives
-    the bits of its row in any batch.  A shared matrix runs the same einsum
-    calls on the same bits as e(h) copies of it.
+    copy of each, none when they are already laid out so), so every
+    einsum's inner loop runs over the whole batch.  Every einsum call has
+    exactly three operands, the missing ones a 0-d 1: numpy's three-operand
+    loop multiplies and adds every kernel alike, in block order, so a
+    kernel alone (a batch with no axes) gives the bits of its row in any
+    batch.  A shared matrix runs the same einsum calls on the same bits as
+    e(h) copies of it.
     """
     _charge(h, vector.shape[-1], budget, caller)
     plan = _plan(h)
@@ -325,9 +358,10 @@ def _contract(h: Graph, matrices: np.ndarray, vector: np.ndarray, budget: int, c
     vector = np.ascontiguousarray(vector.transpose(vector.ndim - 1, *range(vector.ndim - 1)))
     ones = (np.array(1, dtype=matrices.dtype),) * 2
     edges = [matrices[0]] * h.edge_count if len(matrices) == 1 else list(matrices)
-    operands = edges + [vector]
-    for subscripts, ids in plan.steps:
-        operands.append(np.einsum(subscripts, *[operands[i] for i in ids], *ones[len(ids) - 1:]))
+    operands = edges + [vector] + [None] * len(plan.calls)
+    for subscripts, ids, result in plan.calls:
+        operands[result] = np.einsum(subscripts, *[operands[i] for i in ids],
+                                     *ones[len(ids) - 1:])
     total = 1
     for i in plan.scalars:
         total = total * operands[i]

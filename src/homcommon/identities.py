@@ -20,7 +20,7 @@ import numpy as np
 
 from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _charge, _contract,
                      make_family)
-from .graphons import (StepKernel, densities, density, kernel_arrays, one_minus,
+from .graphons import (StepKernel, _colours, densities, density, kernel_arrays, one_minus,
                        sample_graphon, stack_kernels)
 
 _K2 = make_family("path", 2)
@@ -89,7 +89,7 @@ def _colour_densities(graphs, measures: np.ndarray, values: np.ndarray,
     """t(h, w) and t(h, 1 - w) of kernels given as arrays with leading batch
     axes, one contraction per graph h of `graphs`, each of shape (2, ...),
     as `_float_densities`."""
-    return _float_densities(graphs, measures, np.stack((values, 1.0 - values)), budget)
+    return _float_densities(graphs, measures, _colours(values), budget)
 
 
 def _goodman(k3, edge, p3):

@@ -575,6 +575,42 @@ def test_padded_descent_matches_the_scalar_reference(label, objective):
         assert np.array_equal(values[k, :q, :q], ref_v), label
 
 
+@pytest.mark.parametrize("label,objective", [item[:2] for item in _objectives()],
+                         ids=[item[0] for item in _objectives()])
+def test_descent_with_unscored_rows_matches_each_start_alone(label, objective):
+    """Starts with values on the bounds 0 and 1 and blocks of measure 0,
+    whose clamped or empty candidates are scored in the batch and masked:
+    each start's evaluation count, best value and final kernel are the
+    bits of its descent alone."""
+    blocks = np.tile([2, 3, 4], 4)
+    measures = np.zeros((12, 4))
+    values = np.zeros((12, 4, 4))
+    for k, q in enumerate(blocks):
+        m, v = _random_graphons(500 + k, 1, q)
+        measures[k, :q], values[k, :q, :q] = m[0], v[0]
+        if k % 2:
+            measures[k, :q] = np.append(m[0][1:] / m[0][1:].sum(), 0.0)
+        values[k, 0, 0] = float(k % 3 == 0)
+        values[k, 0, q - 1] = values[k, q - 1, 0] = float(k % 3 == 1)
+    starts = measures.copy(), values.copy()
+    rows = []
+
+    def recorded(m, v):
+        rows.append(len(m))
+        return objective(m, v)
+
+    best, evals = _descend(recorded, measures, values, blocks, 10)
+    # the objective scored rows that the evaluation counts leave out
+    assert sum(rows) > evals.sum()
+    for k, q in enumerate(blocks):
+        alone_m, alone_v = starts[0][k:k + 1, :q].copy(), starts[1][k:k + 1, :q, :q].copy()
+        alone_best, alone_evals = _descend(objective, alone_m, alone_v, np.array([q]), 10)
+        assert evals[k] == alone_evals[0], label
+        assert best[k].tobytes() == alone_best[0].tobytes(), label
+        assert np.array_equal(measures[k, :q], alone_m[0]), label
+        assert np.array_equal(values[k, :q, :q], alone_v[0]), label
+
+
 def test_rejected_measure_moves_leave_the_measures_bit_identical():
     """On a constant-1/2 graphon the K3 gap is 0 whatever the measures, so
     every measure move is rejected and must leave the measures untouched,

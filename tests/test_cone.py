@@ -15,9 +15,10 @@ from homcommon.cone import (_phase_one, binomial_inequality_check, certificate_f
                             enumerate_generators, template_hash,
                             verify_certificate)
 from homcommon.gluing import GluingTemplate, build_j
-from homcommon.graphs import (BudgetExceededError, _plan, all_labelled_graphs,
+from homcommon.graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, _plan, all_labelled_graphs,
                               graph_to_json, hom_count, make_family, random_graph)
-from homcommon.gluing import _class_counts, _z_terms
+from homcommon.gluing import (_canonical_table, _class_counts, _lex_submasks, _mask_vertices,
+                              _z_terms)
 from homcommon.graphs import Graph
 
 C5 = make_family("cycle", 5)
@@ -226,6 +227,50 @@ def test_enumerate_generators_matches_assignment_loop(f):
 @pytest.mark.parametrize("f", [make_family("cycle", 6), make_family("path", 6)])
 def test_enumerate_generators_matches_assignment_loop_six_vertices(f):
     _assert_same_generators(f)
+
+
+def _unrestricted_generators(f):
+    """`enumerate_generators` as it was with r1 over every nonempty mask."""
+    n = f.vertex_count
+    canon = _canonical_table(f, DEFAULT_WORK_BUDGET, "test")
+    lex, rank = _lex_submasks(n)
+    full = (1 << n) - 1
+    seen = {}
+    for m1 in lex[full][1:]:
+        for m2 in lex[full ^ m1]:
+            m12 = m1 | m2
+            c, d = canon[m12], canon[m2]
+            for m3 in lex[full ^ m12]:
+                if rank[m3] <= rank[m1]:
+                    continue
+                a, b = canon[m12 | m3], canon[m2 | m3]
+                key = (a, b, c, d) if b <= c else (a, c, b, d)
+                seen.setdefault(key, (m1, m2, m3))
+    vectors = []
+    for m1, m2, m3 in seen.values():
+        coeffs = {canon[m1 | m2 | m3]: 1, canon[m2 | m3]: -1}
+        coeffs[canon[m1 | m2]] = coeffs.get(canon[m1 | m2], 0) - 1
+        if m2:
+            coeffs[canon[m2]] = 1
+        vectors.append((sorted((rank[k], v) for k, v in coeffs.items()), (m1, m2, m3), coeffs))
+    vectors.sort(key=lambda entry: entry[0])
+    return tuple((tuple(_mask_vertices(m) for m in triple),
+                  tuple((_mask_vertices(k), v) for k, v in coeffs.items()))
+                 for _, triple, coeffs in vectors)
+
+
+@pytest.mark.parametrize("f", [make_family(kind, n) for kind, n in (
+    ("cycle", 5), ("cycle", 6), ("cycle", 7), ("cycle", 9), ("path", 5), ("path", 6),
+    ("path", 7), ("complete", 4), ("complete", 5), ("complete_minus_edge", 5))],
+    ids=["C5", "C6", "C7", "C9", "P5", "P6", "P7", "K4", "K5", "K5-e"])
+def test_canonical_r1_walk_keeps_the_unrestricted_generators(f):
+    assert enumerate_generators(f) == _unrestricted_generators(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(6))
+def test_canonical_r1_walk_keeps_the_unrestricted_generators_on_small_graphs(f):
+    assert enumerate_generators(f) == _unrestricted_generators(f)
 
 
 @st.composite

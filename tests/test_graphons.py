@@ -11,7 +11,7 @@ from homcommon import data
 from homcommon.gluing import build_j
 from homcommon.graphs import (BudgetExceededError, disjoint_union, hom_count,
                               make_family, random_graph)
-from homcommon.graphs import DEFAULT_WORK_BUDGET, _contract
+from homcommon.graphs import DEFAULT_WORK_BUDGET, _contract, _plan
 from homcommon.graphons import (StepKernel, constant_kernel, densities,
                                 density, kernel_arrays, kernel_from_graph,
                                 kernel_from_json, kernel_to_json, one_minus,
@@ -312,3 +312,23 @@ def test_contract_shared_matrix_gives_densities_bits(h, seed, q, batch):
     for matrices in (values[None], np.repeat(values[None], h.edge_count, axis=0)):
         got = _contract(h, matrices, measures, DEFAULT_WORK_BUDGET, "test")
         assert np.array_equal(np.broadcast_to(got, batch), expected)
+
+
+@pytest.mark.parametrize("name", ["paw", "diamond", "K4", "J(pentagon_square)"])
+@pytest.mark.parametrize("count", [2, 7, 64, 480])
+def test_one_kernel_density_is_its_batch_row_with_wide_steps(name, count):
+    """Graphs with an elimination step of four or more factors, whose
+    products run before the step's sum: each kernel's density alone has
+    the bits of its row in a batch of up to 480, as many as `falsify`
+    scores at once, for w and for 1 - w."""
+    h = (build_j(data.load_template("pentagon_square"))[0] if name.startswith("J")
+         else data.parse_graph_spec(name))
+    assert len(_plan(h).calls) > len(_plan(h).widths)
+    rng = np.random.default_rng(count)
+    measures = rng.dirichlet(np.ones(4), size=count)
+    raw = rng.uniform(size=(count, 4, 4))
+    values = np.triu(raw) + np.swapaxes(np.triu(raw, 1), 1, 2)
+    both = densities(h, measures, np.stack((values, 1.0 - values)))
+    for k in range(count):
+        w = StepKernel(tuple(measures[k]), tuple(map(tuple, values[k])), graphon=True)
+        assert density(h, w) == both[0, k] and density(h, one_minus(w)) == both[1, k]

@@ -15,6 +15,8 @@ from homcommon.graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph,
                               graph_to_json, hom_count, make_family,
                               random_graph)
 from homcommon import graphs
+from homcommon.data import load_template
+from homcommon.gluing import build_j
 from homcommon.graphs import _mask_adjacency
 
 K2 = make_family("path", 2)
@@ -212,13 +214,13 @@ def test_contract_refuses_v_times_q_terms_before_planning(monkeypatch):
 def _quadratic_plan(h):
     """The planner as it was before its heap: each step scans every remaining
     vertex for the least (degree, label) and every factor for the ones that
-    mention it."""
+    mention it.  Its steps run as `graphs._three_operand_calls`."""
     letters = graphs._EINSUM_LETTERS
     adj = h.neighbor_sets()
     factors = list(enumerate(sorted(h.edges)))
     factors += [(h.edge_count, (v,)) for v in range(h.vertex_count)]
     remaining = set(range(h.vertex_count))
-    steps, widths, scalars = [], [], []
+    calls, widths, scalars = [], [], []
     while remaining:
         v = min(remaining, key=lambda u: (len(adj[u]), u))
         scope = sorted(adj[v] | {v})
@@ -226,11 +228,11 @@ def _quadratic_plan(h):
         touching = [f for f in factors if v in f[1]]
         factors = [f for f in factors if v not in f[1]]
         out = tuple(u for u in scope if u != v)
-        inputs = ",".join("".join(letter[u] for u in f[1]) + "..." for f in touching)
-        output = "->" + "".join(letter[u] for u in out) + "..."
-        ones = ",..." * max(0, 3 - len(touching))
-        result_id = h.edge_count + 1 + len(steps)
-        steps.append((inputs + ones + output, tuple(f[0] for f in touching)))
+        terms = ["".join(letter[u] for u in f[1]) for f in touching]
+        result_id = h.edge_count + 1 + len(widths)
+        calls += graphs._three_operand_calls(
+            terms, [f[0] for f in touching], "".join(letter[u] for u in out), result_id,
+            h.edge_count + 1 + h.vertex_count + len(calls) - len(widths))
         widths.append(len(scope))
         if out:
             factors.append((result_id, out))
@@ -240,7 +242,7 @@ def _quadratic_plan(h):
             adj[a] |= adj[v] - {a}
             adj[a].discard(v)
         remaining.discard(v)
-    return graphs._Plan(tuple(steps), tuple(widths), tuple(scalars))
+    return graphs._Plan(tuple(calls), tuple(widths), tuple(scalars))
 
 
 @settings(max_examples=300, deadline=None)
@@ -256,6 +258,56 @@ def test_plan_matches_the_quadratic_planner(h):
 def test_plan_matches_the_quadratic_planner_on_larger_graphs(n, seed, p):
     h = random_graph(n, seed, p)
     assert graphs._plan.__wrapped__(h) == _quadratic_plan(h)
+
+
+def _einsum_operand_counts(h, q=3):
+    """(subscript inputs, operands) of each `np.einsum` call in one
+    contraction of h over a batch of two random q-block kernels, and the
+    calls of h's plan."""
+    calls = []
+    einsum = np.einsum
+
+    def recorded(subscripts, *operands, **kwargs):
+        calls.append((subscripts.count(",") + 1, len(operands)))
+        return einsum(subscripts, *operands, **kwargs)
+
+    rng = np.random.default_rng(0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "einsum", recorded)
+        graphs._contract(h, rng.uniform(size=(1, 2, q, q)), rng.uniform(size=(2, q)),
+                         DEFAULT_WORK_BUDGET, "test")
+    return calls, graphs._plan(h).calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=small_graphs(9))
+def test_every_einsum_call_has_three_operands(h):
+    calls, planned = _einsum_operand_counts(h)
+    assert calls == [(3, 3)] * len(planned)
+
+
+@pytest.mark.parametrize("h", [make_family("complete", 6),
+                               build_j(load_template("gen_c5_tree_a"))[0]],
+                         ids=["K6", "J(gen_c5_tree_a)"])
+def test_every_einsum_call_has_three_operands_on_wide_steps(h):
+    calls, planned = _einsum_operand_counts(h, q=2)
+    assert calls == [(3, 3)] * len(planned)
+    # some step has four or more factors, so it runs products first
+    assert len(planned) > len(graphs._plan(h).widths)
+
+
+def test_three_operand_calls_multiply_the_narrowest_factors_first():
+    # paw's hub step: the two weight vectors, then the sum with both edges
+    assert graphs._three_operand_calls(["ab", "ac", "a", "a"], [10, 11, 12, 13], "bc",
+                                       20, 30) == [("a...,a...,...->a...", (12, 13), 30),
+                                                   ("ab...,ac...,a...->bc...", (10, 11, 30), 20)]
+    assert graphs._three_operand_calls(["ab", "a"], [0, 1], "b", 5, 9) == [
+        ("ab...,a...,...->b...", (0, 1), 5)]
+    # K5's first step: five factors, two products, each over part of the scope
+    assert graphs._three_operand_calls(["ab", "ac", "ad", "ae", "a"], [0, 1, 2, 3, 10],
+                                       "bcde", 11, 16) == [
+        ("a...,ab...,...->ab...", (10, 0), 16), ("ac...,ad...,...->acd...", (1, 2), 17),
+        ("ae...,ab...,acd...->bcde...", (3, 16, 17), 11)]
 
 
 def test_plan_of_a_long_path_is_linear():
