@@ -158,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int, default=DEFAULT_WORK_BUDGET,
                         help="work budget: contraction terms per density or hom count; "
                              "automorphism search nodes, class-table subset images and "
-                             "generator assignments per goodness check")
+                             "generator assignments per goodness check; labelled graphs "
+                             "per vertex count in the binomial check")
     parser.add_argument("--json-out", default=None, help="also write the report here")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -250,7 +250,9 @@ def certify_pair_via_templates(t1: GluingTemplate, l1: int,
     certificates, e(H_i) >= m, and the balance equation
     (e(H1)+l1)/(e(H1) p1^(m-1)) = (e(H2)+l2)/(e(H2) p2^(m-1)), decided
     exactly for a `Fraction` p1.  `budget` bounds each goodness check's
-    generator enumeration.
+    generator enumeration.  J's two-vertex components and e(H_i) are
+    checked before either goodness check, so an invalid l_i is a
+    ValueError at any budget.
     """
     base = t1.base
     if base != t2.base:
@@ -262,10 +264,8 @@ def certify_pair_via_templates(t1: GluingTemplate, l1: int,
         raise ValueError("p1 must lie in (0, 1)")
     if l1 < 0 or l2 < 0:
         raise ValueError("l1 and l2 must be non-negative")
-    cert1 = check_good(t1, budget=budget)
-    cert2 = check_good(t2, budget=budget)
     sides = []
-    for t, l, cert in ((t1, l1, cert1), (t2, l2, cert2)):
+    for t, l in ((t1, l1), (t2, l2)):
         j, _ = build_j(t)
         # in a simple graph a two-vertex component is one edge
         if sum(len(c) == 2 for c in components(j)) < l:
@@ -275,6 +275,8 @@ def certify_pair_via_templates(t1: GluingTemplate, l1: int,
             raise ValueError("each H_i must have at least m edges")
         sides.append(e_h)
     e1, e2 = sides
+    cert1 = check_good(t1, budget=budget)
+    cert2 = check_good(t2, budget=budget)
     residual, balanced = _balance((e1 + l1, e1), (e2 + l2, e2), m - 1, p1)
     if cert1.verdict != "good" or cert2.verdict != "good":
         return PairTemplateVerdict(False, "template not good", p1, m, e1, e2,

@@ -6,10 +6,15 @@ are enumerated over bitmask triples, keeping one least triple per distinct
 vector, once per base graph and process, and kept in one immutable form:
 integer coefficients on canonical classes.  Feasibility is decided by an
 exact revised phase-one simplex in integers (a fraction-free basis inverse
-over one positive denominator, Bland's rule) on columns read from that
-form; "good" verdicts carry the conic coefficients and "not good" verdicts
-a Farkas separating vector.  Both are re-verified before being returned by
-a check that shares the generator enumeration but not the simplex.
+over one positive denominator, Bland's rule) on array passes over one
+read-only int64 matrix of those coefficients, also built once per base
+graph; the arrays are int64 while a bound on every product fits and
+Python ints above it.  "Good" verdicts carry the conic coefficients and
+"not good" verdicts a Farkas separating vector.  Both are re-verified
+before being returned by a check that shares the generator enumeration
+but neither the simplex nor its matrix.  The binomial inequality check
+scores one least labelled graph per isomorphism class, weighted by the
+class size.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, groupby, islice
 
+import numpy as np
+
 from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _hom_counts,
                      _json_shaped, _mask_adjacency, graph_to_json)
 from .gluing import (GluingTemplate, _as_subset, _canonical_table,
@@ -35,6 +42,9 @@ Generator = tuple[GeneratorTriple, tuple[tuple[tuple[int, ...], int], ...]]
 # candidate graphs per batched hom-count contraction in the binomial check;
 # 1024-graph batches were no faster and raised peak memory by 0.7 MB
 _BATCH = 256
+# columns in the phase-one LP's first pricing block; each later block is
+# twice the one before, so a pivot that enters an early column prices few
+_PRICE_COLUMNS = 256
 
 
 @dataclass(frozen=True)
@@ -106,18 +116,47 @@ def enumerate_generators(f: Graph) -> tuple[Generator, ...]:
                  for _, triple, coeffs in vectors)
 
 
-def _integer(v) -> int:
-    """v as an int; ValueError unless v is an integral int or `Fraction`."""
-    if getattr(v, "denominator", None) != 1:
-        raise ValueError(f"_phase_one needs integer columns, got {v!r}")
-    return v.numerator
+@lru_cache(maxsize=64)
+def _generator_matrix(f: Graph) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The generators of `enumerate_generators(f)` as the columns of one
+    read-only int64 matrix, in their order, with one row per class they
+    mention, sorted by (size, vertices); built once per base graph.
+
+    For v(F) >= 2 the rows are every nonempty class: the triple (S, {}, {v})
+    for v outside S, or ({u}, {}, V - {u}) for S = V, has S's class in its
+    vector.  So every class of a goodness right-hand side has a row."""
+    generators = enumerate_generators(f)
+    keys = tuple(sorted({k for _, coeffs in generators for k, _ in coeffs},
+                        key=lambda k: (len(k), k)))
+    row_of = {k: i for i, k in enumerate(keys)}
+    a = np.zeros((len(keys), len(generators)), dtype=np.int64)
+    for col, (_, coeffs) in enumerate(generators):
+        for k, v in coeffs:
+            a[row_of[k], col] = v
+    a.flags.writeable = False
+    return keys, a
 
 
-def _phase_one(columns, b: list[Fraction]):
-    """Solve A c = b, c >= 0 exactly, for integer columns and rational b.
+def _integer_matrix(a, m: int) -> np.ndarray:
+    """`a` as an (m, n) int64 array, or an object array of Python ints when
+    an m-entry column sum could leave int64; ValueError unless every entry
+    is an integral int or `Fraction`."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu":
+        values = a.ravel().tolist()
+        if any(getattr(v, "denominator", None) != 1 for v in values):
+            raise ValueError("_phase_one needs an integer matrix (ints or integral Fractions)")
+        a = np.array([v.numerator for v in values], dtype=object).reshape(a.shape)
+    top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    return a.astype(np.int64 if top < 2**62 // max(m, 1) else object, copy=False)
 
-    Each column is a {row: value} dict of integers (ints or integral
-    `Fraction`s); any other value raises ValueError.
+
+def _phase_one(a, b: list[Fraction]):
+    """Solve A c = b, c >= 0 exactly, for an integer (m, n) matrix A and
+    rational b.
+
+    `a` is an integer array, or nested lists of ints and integral
+    `Fraction`s; any other entry raises ValueError.
     Returns ("feasible", coefficients) or ("infeasible", y) where y
     satisfies y.A_j <= 0 for every column and y.b > 0.
 
@@ -125,59 +164,81 @@ def _phase_one(columns, b: list[Fraction]):
     c, a >= 0, with S = diag(sign b) and artificial a_i as column n + i.  It
     runs in integers (Edmonds' fraction-free form): the basis inverse is
     inv / det, with inv an integer matrix and det > 0 the basis determinant,
-    and S b is scaled by the lcm of its denominators.  Pricing takes the
-    duals pi = c_B inv (scaled by det) in index order and enters the first
-    column with negative reduced cost (Bland); the ratio test compares
-    cross products and breaks ties on the smaller basic variable.  A pivot
-    on u = inv A_j updates each row r != leave to (r * piv - u_r * p) // det
-    for the pivot row p and piv = u_leave, which is exact, and piv becomes
-    det.  On an infeasible system S pi / det is the Farkas vector.
+    and S b is scaled by the lcm of its denominators.  It keeps one integer
+    tableau [inv S | x], so the duals pi = c_B inv (scaled by det) come out
+    as pi S, the reduced costs of all columns as (pi S) A and the column
+    u = inv S A_j as (inv S) A_j.  Pricing runs over blocks of doubling
+    width (the first of _PRICE_COLUMNS) and enters the first column with
+    negative reduced cost (Bland); the ratio test compares cross products
+    and breaks ties on the smaller basic variable.  A pivot on u sets the
+    tableau to (tableau * piv - outer(u, p)) // det for the pivot row p and
+    piv = u_leave, which is exact, keeps row p, and piv becomes det.  On an
+    infeasible system S pi / det is the Farkas vector.
+
+    The tableau is int64 while a bound on every product of the next pivot
+    fits (from its largest entry and the largest column sum of |A|), and a
+    Python-int object array from the first pivot on which it does not, as
+    `graphs._hom_counts` switches on its bound.
     """
-    m, n = len(b), len(columns)
+    m = len(b)
+    a = _integer_matrix(a, m)
+    n = a.shape[1]
     b = [Fraction(v) for v in b]
     sign = [1 if v >= 0 else -1 for v in b]
     scale = math.lcm(*(v.denominator for v in b))
-    cols = [[(i, sign[i] * _integer(v)) for i, v in col.items() if v] for col in columns]
-    basis = [n + i for i in range(m)]
-    inv = [[int(i == k) for k in range(m)] for i in range(m)]
-    x = [sign[i] * v.numerator * (scale // v.denominator) for i, v in enumerate(b)]
+    rhs = [s * v.numerator * (scale // v.denominator) for s, v in zip(sign, b)]
+    # the tableau [inv S | x]: row operations commute with scaling columns by S
+    tab = np.array([[s * (i == k) for k in range(m)] + [r]
+                    for i, (s, r) in enumerate(zip(sign, rhs))], dtype=object)
+    col_sum = int(np.abs(a).sum(axis=0).max(initial=1))
+    wide = a.dtype == object or max(map(abs, rhs), default=0) >= 2**62
+    tab = tab if wide else tab.astype(np.int64)
+    artificial = np.ones(m, dtype=tab.dtype)
+    basis = list(range(n, n + m))
     det = 1
     while True:
-        pi = [0] * m
-        for i in range(m):
-            if basis[i] >= n:
-                pi = [p + v for p, v in zip(pi, inv[i])]
-        enter = next((j for j, col in enumerate(cols)
-                      if sum(pi[i] * v for i, v in col) > 0), None)
+        if not wide:
+            top = int(np.abs(tab).max(initial=0))
+            wide = top * col_sum * max(m, 2 * top) >= 2**63
+            if wide:
+                # object arrays of Python ints from here on
+                a, tab, artificial = (v.astype(object) for v in (a, tab, artificial))
+        pi = artificial @ tab[:, :m]  # pi S
+        enter, start, width = None, 0, _PRICE_COLUMNS
+        while enter is None and start < n:
+            priced = (pi @ a[:, start:start + width] > 0).nonzero()[0]
+            if priced.size:
+                enter = start + int(priced[0])
+                u = tab[:, :m] @ a[:, enter]
+            start, width = start + width, 2 * width
         if enter is None:
-            # artificial n + i has reduced cost 1 - pi_i / det
-            enter = next((n + i for i in range(m) if pi[i] > det), None)
-        if enter is None:
-            break
-        col = cols[enter] if enter < n else [(enter - n, 1)]
-        u = [sum(row[k] * v for k, v in col) for row in inv]
-        leave = None
+            # artificial n + i has reduced cost 1 - sign_i (pi S)_i / det
+            enter = next((n + i for i, (s, p) in enumerate(zip(sign, pi.tolist()))
+                          if s * p > det), None)
+            if enter is None:
+                break
+            u = tab[:, enter - n] * sign[enter - n]
+        us, xs, leave = u.tolist(), tab[:, m].tolist(), None
         for i in range(m):
-            if u[i] > 0 and (leave is None or (x[i] * u[leave], basis[i])
-                             < (x[leave] * u[i], basis[leave])):
+            if us[i] > 0 and (leave is None or (xs[i] * us[leave], basis[i])
+                              < (xs[leave] * us[i], basis[leave])):
                 leave = i
         if leave is None:
             raise AssertionError("phase-one objective is bounded; unbounded pivot")
-        piv, pivot_row, pivot_x = u[leave], inv[leave], x[leave]
-        for i in range(m):
-            if i != leave:
-                factor = u[i]
-                inv[i] = [(a * piv - factor * p) // det for a, p in zip(inv[i], pivot_row)]
-                x[i] = (x[i] * piv - factor * pivot_x) // det
-        det = piv
+        pivot = tab[leave].copy()
+        tab = (tab * us[leave] - u[:, None] * pivot) // det
+        tab[leave] = pivot
+        det = us[leave]
         basis[leave] = enter
-    if not any(x[i] for i in range(m) if basis[i] >= n):
+        artificial[leave] = enter >= n
+    xs = tab[:, m].tolist()
+    if not any(xs[i] for i, var in enumerate(basis) if var >= n):
         coeffs = [Fraction(0)] * n
         for i, var in enumerate(basis):
             if var < n:
-                coeffs[var] = Fraction(x[i], det * scale)
+                coeffs[var] = Fraction(xs[i], det * scale)
         return "feasible", coeffs
-    return "infeasible", [Fraction(sign[i] * pi[i], det) for i in range(m)]
+    return "infeasible", [Fraction(p, det) for p in pi.tolist()]
 
 
 def check_good(t: GluingTemplate, budget: int = DEFAULT_WORK_BUDGET) -> GoodnessCertificate:
@@ -202,15 +263,12 @@ def check_good(t: GluingTemplate, budget: int = DEFAULT_WORK_BUDGET) -> Goodness
     # a zero right-hand side is good with no generators and no 4^v(F) charge
     if rhs:
         _charge_generators("check_good", f, budget)
-        generators = enumerate_generators(f)
-        class_keys = sorted({k for _, coeffs in generators for k, _ in coeffs} | set(rhs),
-                            key=lambda k: (len(k), k))
-        row_of = {k: i for i, k in enumerate(class_keys)}
-        columns = [{row_of[k]: v for k, v in coeffs} for _, coeffs in generators]
-        status, payload = _phase_one(columns, [rhs.get(k, 0) for k in class_keys])
+        class_keys, a = _generator_matrix(f)
+        status, payload = _phase_one(a, [rhs.get(k, 0) for k in class_keys])
         if status == "feasible":
+            generators = enumerate_generators(f)
             used = tuple((generators[idx][0], coeff / f.edge_count)
-                         for idx, coeff in enumerate(payload) if coeff != 0)
+                         for idx, coeff in enumerate(payload) if coeff)
         else:
             witness = {k: y for k, y in zip(class_keys, payload) if y != 0}
     cert = GoodnessCertificate(t, "good" if witness is None else "not_good", target, used,
@@ -275,6 +333,42 @@ def verify_certificate(cert: GoodnessCertificate,
                for _, coeffs in enumerate_generators(f))
 
 
+@lru_cache(maxsize=None)
+def _orbit_minima(n: int) -> np.ndarray:
+    """For each n-vertex edge mask (bit i for the i-th pair of
+    combinations(range(n), 2)), the least mask of its orbit under
+    relabelling, as one read-only int64 array of 2^C(n,2) entries.
+
+    Min-label propagation with pointer jumping: S_n is generated by the
+    transposition (0 1) and the n-cycle, so each pass lowers every label to
+    the least of its own and its images' labels under both, then follows
+    labels to their own labels, until nothing changes.  Labels stay in
+    their orbit, and a generator of finite order carries the least label
+    round each of its cycles, so the fixed point is the orbit minimum.
+    Each image array is built bit by bit, so memory stays a few arrays of
+    2^C(n,2) entries.
+    """
+    pairs = list(combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    masks = np.arange(1 << len(pairs), dtype=np.int64)
+    images = []
+    for perm in ((1, 0, *range(2, n)), (*range(1, n), 0)):
+        image = np.zeros_like(masks)
+        for i, (u, v) in enumerate(pairs):
+            image |= (masks >> i & 1) << index[min(perm[u], perm[v]), max(perm[u], perm[v])]
+        images.append(image)
+    label = masks
+    while True:
+        least = label
+        for image in images:
+            label = np.minimum(label, label[image])
+        label = label[label]
+        if np.array_equal(label, least):
+            break
+    label.flags.writeable = False
+    return label
+
+
 def binomial_inequality_check(t: GluingTemplate, max_g_vertices: int, extra_graphs=(),
                               budget: int = DEFAULT_WORK_BUDGET) -> dict:
     """Check t(J,G) >= t(F,G)^(e(J)/e(F)) over all labelled graphs G on up
@@ -283,15 +377,20 @@ def binomial_inequality_check(t: GluingTemplate, max_g_vertices: int, extra_grap
 
     Needs a candidate graph, extra graphs of at least one vertex, and a
     good `t`, decided by `check_good` within `budget`; ValueError otherwise.
-    The candidates are edge masks (bit i for the i-th pair of
-    combinations(range(n), 2), as `all_labelled_graphs` orders them), then
-    the extra graphs', in runs on one vertex count of at most _BATCH masks.
-    A run's hom counts of J and of F are one batched contraction each over
-    its adjacency stack, charged per graph against `budget`.  With
-    e(J)/e(F) = a/b in lowest terms, the exact comparison on an n-vertex G
-    is the integer inequality hom(J,G)^b n^(v(F) a) >= hom(F,G)^a n^(v(J) b).
-    Reports the minimum floating slack, the first graph attaining it, and
-    whether the exact comparison held everywhere.
+    Then the 2^C(n,2) labelled graphs of each vertex count n are charged
+    against `budget`.  Relabelled graphs have equal hom counts, so each
+    vertex count is scored on the least mask of each orbit
+    (`_orbit_minima`; bit i for the i-th pair of combinations(range(n), 2),
+    as `all_labelled_graphs` orders them), weighted by its orbit size, and
+    the extra graphs follow as given, in runs on one vertex count of at
+    most _BATCH masks.  A run's hom counts of J and of F are one batched
+    contraction each over its adjacency stack, charged per graph against
+    `budget`.  With e(J)/e(F) = a/b in lowest terms, the exact comparison on
+    an n-vertex G is the integer inequality
+    hom(J,G)^b n^(v(F) a) >= hom(F,G)^a n^(v(J) b).
+    Reports the minimum floating slack, the first graph attaining it (an
+    orbit's least mask comes first in its orbit), whether the exact
+    comparison held everywhere, and the number of graphs it covers.
     """
     extra_graphs = list(extra_graphs)
     if max_g_vertices < 1 and not extra_graphs:
@@ -300,28 +399,39 @@ def binomial_inequality_check(t: GluingTemplate, max_g_vertices: int, extra_grap
         raise ValueError("binomial inequality check needs extra graphs with at least one vertex")
     if check_good(t, budget).verdict != "good":
         raise ValueError("binomial inequality applies to certified-good templates")
+    for n in range(1, max_g_vertices + 1):
+        if 1 << n * (n - 1) // 2 > budget:
+            raise BudgetExceededError(
+                f"binomial_inequality_check: the {n}-vertex candidates are "
+                f"{1 << n * (n - 1) // 2} labelled graphs, budget {budget}")
     j, _ = build_j(t)
     f = t.base
     ratio = Fraction(j.edge_count, f.edge_count)
     a, bb = ratio.numerator, ratio.denominator
     min_slack = argmin = None
     checked, exact_ok = 0, True
-    candidates = chain(((n, m) for n in range(1, max_g_vertices + 1)
-                        for m in range(1 << n * (n - 1) // 2)),
+
+    def orbits(n):
+        sizes = np.bincount(_orbit_minima(n))
+        least = np.flatnonzero(sizes)
+        return zip(least.tolist(), sizes[least].tolist())
+
+    candidates = chain(((n, m, size) for n in range(1, max_g_vertices + 1)
+                        for m, size in orbits(n)),
                        ((g.vertex_count, sum(1 << i for i, p in enumerate(
-                           combinations(range(g.vertex_count), 2)) if p in g.edges))
+                           combinations(range(g.vertex_count), 2)) if p in g.edges), 1)
                         for g in extra_graphs))
     for n, run in groupby(candidates, key=lambda c: c[0]):
-        while batch := [m for _, m in islice(run, _BATCH)]:
-            adj = _mask_adjacency(n, batch)
+        while batch := list(islice(run, _BATCH)):
+            adj = _mask_adjacency(n, [m for _, m, _ in batch])
             hom_j = _hom_counts(j, adj, budget, "binomial_inequality_check")
             hom_f = _hom_counts(f, adj, budget, "binomial_inequality_check")
             vj, vf = n**j.vertex_count, n**f.vertex_count
-            for mask, hj, hf in zip(batch, hom_j, hom_f):
+            for (_, mask, size), hj, hf in zip(batch, hom_j, hom_f):
                 if hj**bb * vf**a < hf**a * vj**bb:
                     exact_ok = False
                 slack = hj / vj - (hf / vf) ** (a / bb)
-                checked += 1
+                checked += size
                 if min_slack is None or slack < min_slack:
                     min_slack = slack
                     argmin = n, mask

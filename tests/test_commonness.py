@@ -206,6 +206,21 @@ def test_certify_pair_rejects_negative_l():
         certify_pair_via_templates(t_single, 0, t_sq, -1, 1 - p1)
 
 
+def test_certify_pair_checks_j_before_the_goodness_lps():
+    # J(pentagon_square) has one two-vertex component, so l1 = 2 is invalid;
+    # at budget 1 either goodness check would be refused
+    t_sq = data.load_template("pentagon_square")
+    t_single = data.load_template("simple_c5_vertex")
+    with pytest.raises(ValueError, match="fewer than 2 two-vertex components"):
+        certify_pair_via_templates(t_sq, 2, t_single, 0, 0.5, budget=1)
+    # J(lone_edge_c5) is one edge, so H1 has no edges with l1 = 1
+    with pytest.raises(ValueError, match="at least m edges"):
+        certify_pair_via_templates(data.load_template("lone_edge_c5"), 1, t_single, 0, 0.5,
+                                   budget=1)
+    with pytest.raises(BudgetExceededError, match="^check_good: "):
+        certify_pair_via_templates(t_sq, 1, t_single, 0, 0.5, budget=1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(c1=st.integers(1, 20), d1=st.integers(1, 20), c2=st.integers(1, 20),
        d2=st.integers(1, 20), m=st.sampled_from([3, 5, 7, 9, 11]))

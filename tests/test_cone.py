@@ -2,13 +2,15 @@ import dataclasses
 import functools
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import combination, dot, reference_x, reference_z, small_graphs, unit
+from conftest import (brute_force_classes, combination, dot, reference_x, reference_z,
+                      small_graphs, unit)
 from homcommon import cone, data
 from homcommon.cone import (_phase_one, binomial_inequality_check, certificate_from_json,
                             certificate_to_json, check_good,
@@ -287,9 +289,9 @@ def _linear_systems(draw):
     return columns, [Fraction(draw(st.integers(-5, 5))) for _ in range(m)], False
 
 
-def _rows(columns):
-    """Dense columns as the {row: value} dicts `_phase_one` takes."""
-    return [{i: v for i, v in enumerate(col) if v} for col in columns]
+def _rows(columns, m):
+    """Dense columns as the (m, n) matrix `_phase_one` takes."""
+    return [[col[i] for col in columns] for i in range(m)]
 
 
 def _dense_phase_one(columns, b):
@@ -335,7 +337,7 @@ def _dense_phase_one(columns, b):
 def test_phase_one_answers_are_exact_certificates(system):
     columns, b, feasible_by_construction = system
     m = len(b)
-    status, payload = _phase_one(_rows(columns), b)
+    status, payload = _phase_one(_rows(columns, m), b)
     assert (status, payload) == _dense_phase_one(columns, b)
     if status == "feasible":
         assert all(c >= 0 for c in payload)
@@ -371,9 +373,9 @@ def _rational_systems(draw):
 def test_phase_one_rational_rhs_sparse_columns(system):
     columns, b, feasible_by_construction = system
     m = len(b)
-    # the solver takes the same columns as sparse {row: int} dicts
-    sparse = [{i: int(v) for i, v in enumerate(col) if v} for col in columns]
-    status, payload = _phase_one(sparse, b)
+    # the solver takes the same columns as an int64 matrix, as check_good passes them
+    matrix = np.array(_rows(columns, m), dtype=np.int64).reshape(m, len(columns))
+    status, payload = _phase_one(matrix, b)
     assert (status, payload) == _dense_phase_one(columns, b)
     if status == "feasible":
         assert all(c >= 0 for c in payload)
@@ -393,14 +395,132 @@ def test_phase_one_degenerate_ties_go_to_smaller_basic_variable(columns, b):
     # degenerate systems where a ratio-test tie is broken against row order
     columns = [[Fraction(v) for v in col] for col in columns]
     b = [Fraction(v) for v in b]
-    assert _phase_one(_rows(columns), b) == _dense_phase_one(columns, b)
+    assert _phase_one(_rows(columns, len(b)), b) == _dense_phase_one(columns, b)
 
 
-@pytest.mark.parametrize("column", [{0: Fraction(1, 2)}, {0: Fraction(1), 1: 0.5},
-                                    {1: Fraction(3, 2)}])
+@pytest.mark.parametrize("column", [[Fraction(1, 2), 0], [Fraction(1), 0.5],
+                                    [0, Fraction(3, 2)]])
 def test_phase_one_rejects_non_integer_columns(column):
     with pytest.raises(ValueError, match="integer"):
-        _phase_one([{0: Fraction(1)}, column], [Fraction(1), Fraction(1)])
+        _phase_one(_rows([[Fraction(1), 0], column], 2), [Fraction(1), Fraction(1)])
+
+
+@st.composite
+def _wide_systems(draw):
+    """Small systems with entries up to 2^40, whose pivots leave int64."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    entries = st.integers(-2**40, 2**40)
+    columns = [[Fraction(draw(entries)) for _ in range(m)] for _ in range(n)]
+    return columns, [Fraction(draw(entries), draw(st.integers(1, 6))) for _ in range(m)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wide_systems())
+def test_phase_one_matches_the_reference_beyond_int64(system):
+    columns, b = system
+    assert _phase_one(_rows(columns, len(b)), b) == _dense_phase_one(columns, b)
+
+
+def test_phase_one_switches_to_python_ints_on_a_wide_diagonal():
+    # a diagonal of 2^40 entries starts in int64; the second pivot's det is 2^80
+    big = 2**40
+    columns = [[Fraction(big), 0, 0], [0, Fraction(big), 0], [0, 0, Fraction(big)],
+               [Fraction(1), Fraction(1), Fraction(1)]]
+    for b in ([Fraction(1), Fraction(2), Fraction(3)], [Fraction(1), Fraction(-1), Fraction(1)]):
+        assert _phase_one(_rows(columns, 3), b) == _dense_phase_one(columns, b)
+    assert _phase_one(_rows(columns, 3), [Fraction(1), Fraction(2), Fraction(3)]) == (
+        "feasible", [Fraction(1, big), Fraction(2, big), Fraction(3, big), 0])
+
+
+def _goodness_system(t):
+    """The class keys, matrix and right-hand side that `check_good` solves."""
+    f = t.base
+    j, _ = build_j(t)
+    rhs = _class_counts(f, [(j.edge_count, range(f.vertex_count))] + _z_terms(t, -f.edge_count))
+    keys, a = cone._generator_matrix(f)
+    return keys, a, [Fraction(rhs.get(k, 0)) for k in keys]
+
+
+@functools.cache
+def _dense_goodness(name):
+    _, a, b = _goodness_system(_c7_template(name))
+    return _dense_phase_one([[Fraction(v) for v in col] for col in a.T.tolist()], b)
+
+
+@pytest.mark.parametrize("price_columns", [cone._PRICE_COLUMNS, 7])
+@pytest.mark.parametrize("name", ["c7_square", "c7_lone_edge"])
+def test_phase_one_matches_the_reference_on_c7_goodness(name, price_columns, monkeypatch):
+    # 7 prices the 433 columns in blocks of 7, 14, 28, ...
+    monkeypatch.setattr(cone, "_PRICE_COLUMNS", price_columns)
+    _, a, b = _goodness_system(_c7_template(name))
+    assert a.shape == (17, 433)
+    assert _phase_one(a, b) == _dense_goodness(name)
+
+
+def test_generator_matrix_is_cached_and_read_only():
+    keys, a = cone._generator_matrix(C7)
+    assert cone._generator_matrix(C7)[1] is a and a.dtype == np.int64
+    with pytest.raises(ValueError):
+        a[0, 0] = 5
+    assert keys == tuple(sorted(keys, key=lambda k: (len(k), k)))
+    for col, (_, coeffs) in enumerate(enumerate_generators(C7)):
+        assert {keys[i]: v for i, v in enumerate(a[:, col].tolist()) if v} == dict(coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(6))
+def test_generator_matrix_has_a_row_per_nonempty_class(f):
+    # so every class of a goodness right-hand side has a row
+    assume(f.vertex_count >= 2)
+    keys, _ = cone._generator_matrix(f)
+    assert len(set(keys)) == len(keys)
+    assert len(keys) == len({k for s, k in brute_force_classes(f).items() if s})
+
+
+def _least_relabellings(n):
+    """Reference: each edge mask's least image over all n! relabellings."""
+    pairs = list(combinations(range(n), 2))
+    bit = {p: 1 << i for i, p in enumerate(pairs)}
+    perms = list(permutations(range(n)))
+    return [min(sum(bit[min(s[u], s[v]), max(s[u], s[v])]
+                    for i, (u, v) in enumerate(pairs) if mask >> i & 1) for s in perms)
+            for mask in range(1 << len(pairs))]
+
+
+@pytest.mark.parametrize("n,classes", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])
+def test_orbit_minima_are_least_relabellings(n, classes):
+    least = cone._orbit_minima(n)
+    assert least.tolist() == _least_relabellings(n)
+    assert len(set(least.tolist())) == classes
+    assert cone._orbit_minima(n) is least
+    with pytest.raises(ValueError):
+        least[0] = 1
+
+
+@pytest.mark.parametrize("max_g_vertices", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["pentagon_square", "simple_k3_edge"])
+def test_binomial_by_orbits_matches_per_graph_loop(name, max_g_vertices):
+    t = data.load_template(name)
+    n = t.base.vertex_count
+    # extras of mixed sizes out of order, with a repeat and a complete graph
+    # whose size continues the last labelled run
+    extra = [random_graph(6, 21), make_family("complete", max_g_vertices), random_graph(1, 22),
+             random_graph(4, 23), random_graph(n, 24), random_graph(4, 23)]
+    report = binomial_inequality_check(t, max_g_vertices, extra_graphs=extra)
+    assert report == _per_graph_binomial(t, max_g_vertices, extra)
+    assert report["graphs_checked"] == sum(2**(k * (k - 1) // 2)
+                                           for k in range(1, max_g_vertices + 1)) + len(extra)
+
+
+def test_binomial_check_charges_the_labelled_graphs_of_each_size():
+    # simple_k3_edge is good with no generators and contracts for at most
+    # 310 terms over a 5-vertex graph, so the 2^10 5-vertex graphs decide
+    t = data.load_template("simple_k3_edge")
+    assert binomial_inequality_check(t, 5, budget=2**10)["graphs_checked"] == 1099
+    with pytest.raises(BudgetExceededError, match="^binomial_inequality_check: the 5-vertex "
+                                                  "candidates are 1024 labelled graphs, budget 1023$"):
+        binomial_inequality_check(t, 5, budget=2**10 - 1)
 
 
 def _per_graph_binomial(t, max_g_vertices, extra_graphs):
