@@ -25,17 +25,19 @@ from .graphs import (DEFAULT_WORK_BUDGET, FALSIFY_THRESHOLD, IDENTITY_TOL, INEQU
 from .identities import IDENTITY_SUITES, max_identity_residual
 
 
-def _parse_seeds(spec: str) -> list[int]:
-    """Accept '0..99', a single integer, or a comma list; reject an empty list."""
+def _parse_seeds(spec: str) -> range | list[int]:
+    """Accept '0..99' (a `range`, never held as a list), a single integer, or
+    a comma list; reject an empty one.  A range of more than `sys.maxsize`
+    seeds raises `OverflowError` (exit 2), as its `len` does."""
     spec = spec.strip()
     if ".." in spec:
         lo, _, hi = spec.partition("..")
-        seeds = list(range(int(lo), int(hi) + 1))
+        seeds = range(int(lo), int(hi) + 1)
     elif "," in spec:
         seeds = [int(x) for x in spec.split(",") if x.strip()]
     else:
         seeds = [int(spec)]
-    if not seeds:
+    if len(seeds) == 0:
         raise ValueError(f"seed range {spec!r} is empty")
     return seeds
 

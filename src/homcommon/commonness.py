@@ -37,8 +37,8 @@ from .data import load_graph
 from .gluing import GluingTemplate, build_j
 from .graphs import (BALANCE_TOL, DEFAULT_WORK_BUDGET, INEQUALITY_TOL, Graph, components,
                      girth_and_cycle_count, make_family)
-from .graphons import (StepKernel, _colours, densities, kernel_arrays, sample_graphon,
-                       stack_kernels)
+from .graphons import (StepKernel, _array_kernel, _colours, _draw, _sample_arrays, densities,
+                       kernel_arrays, stack_kernels)
 from .identities import _float_densities, score_kernels
 
 _K2 = make_family("path", 2)
@@ -127,10 +127,10 @@ def pair_gap(spec: CommonPairSpec, w: StepKernel, budget: int = DEFAULT_WORK_BUD
 
 def min_pair_gap(spec: CommonPairSpec, seeds, budget: int = DEFAULT_WORK_BUDGET) -> float:
     """The smallest `pair_gap` of `spec` over `sample_graphon(s)` for s in
-    `seeds`: sampled evidence for (p1, p2)-commonness, scored by
-    `score_kernels`, one contraction of h1 and one of h2 per chunk."""
+    `seeds`: sampled evidence for (p1, p2)-commonness, scored on their arrays
+    by `score_kernels`, one contraction of h1 and one of h2 per chunk."""
     worst = min(score_kernels(partial(_pair_gap, spec), (spec.h1, spec.h2),
-                              map(sample_graphon, seeds), budget), default=None)
+                              map(_sample_arrays, seeds), budget), default=None)
     if worst is None:
         raise ValueError("the pair-gap suite needs at least one seed")
     return worst
@@ -183,7 +183,7 @@ def convexity_conditions(spec: CommonPairSpec, sample_seeds, max_blocks: int = 4
     Conditions 1-3 are decided, condition 3 exactly for a `Fraction` p1;
     condition 4 (the correlation inequality t(h_i,W) t(K2,W)^l_i >=
     t(f,W)^k_i) is universally quantified, so sampling it only yields the
-    "numerically_supported" assurance.  The sampled graphons are scored by
+    "numerically_supported" assurance.  The sampled graphons' arrays are scored by
     `identities.score_kernels`: one contraction each of K2, f, h1 and h2.
     A certified verdict comes from `certify_pair_via_templates`, which
     builds each H_i from its template.
@@ -200,9 +200,8 @@ def convexity_conditions(spec: CommonPairSpec, sample_seeds, max_blocks: int = 4
              and spec.h2.edge_count == spec.k2 * ef - spec.l2)
     residual, cond3 = _balance((spec.k1, spec.h1.edge_count), (spec.k2, spec.h2.edge_count),
                                ef - 1, spec.p1)
-    kernels = (sample_graphon(seed, max_blocks) for seed in sample_seeds)
     worst = min(score_kernels(partial(_correlation_slacks, spec), (_K2, f, spec.h1, spec.h2),
-                              kernels))
+                              (_sample_arrays(s, max_blocks) for s in sample_seeds)))
     cond4 = worst >= -INEQUALITY_TOL
     return {
         "edge_floor": cond1,
@@ -662,8 +661,8 @@ def falsify(objective: Objective, seed: int, restarts: int = 50,
     Q^2 per sweep (16 on 4 blocks).  The witness keeps only the blocks its
     restart drew.  The budget is charged for Q blocks per kernel.
 
-    Deterministic in (seed, restarts, steps): restart r draws
-    its start from its own generator derived from the seed, and ties
+    Deterministic in (seed, restarts, steps): restart r draws its start
+    (`graphons._draw`) from its own generator derived from the seed, and ties
     between restarts are broken by restart index, so any evaluation order
     gives the same result.
     """
@@ -671,14 +670,10 @@ def falsify(objective: Objective, seed: int, restarts: int = 50,
         raise ValueError("restarts must be at least 1")
     if steps < 0:
         raise ValueError("steps must be at least 0")
-    drawn = []
-    for r in range(restarts):
-        rng = np.random.default_rng((int(seed) * 0x9E3779B97F4A7C15 + r) % 2**64)
-        q = int(rng.integers(2, FALSIFY_MAX_BLOCKS + 1))
-        drawn.append((rng.dirichlet(np.ones(q)), rng.uniform(size=(q, q))))
+    drawn = [_draw(np.random.default_rng((int(seed) * 0x9E3779B97F4A7C15 + r) % 2**64),
+                   2, FALSIFY_MAX_BLOCKS) for r in range(restarts)]
     blocks = np.array([len(m) for m, _ in drawn])
-    measures, raw = stack_kernels(drawn)
-    values = np.where(np.tri(raw.shape[-1], dtype=bool), raw.transpose(0, 2, 1), raw)
+    measures, values = stack_kernels(drawn)
     calls = 0
 
     def counted(measures, values):
@@ -689,8 +684,6 @@ def falsify(objective: Objective, seed: int, restarts: int = 50,
     best, used = _descend(counted, measures, values, blocks, steps)
     k = int(np.argmin(best))
     q = int(blocks[k])
-    best_kernel = StepKernel(tuple(float(m) for m in measures[k, :q]),
-                             tuple(tuple(float(x) for x in row[:q]) for row in values[k, :q]),
-                             graphon=True)
+    best_kernel = _array_kernel(measures[k, :q], values[k, :q, :q], graphon=True)
     return SearchResult(best_kernel, float(objective(*kernel_arrays(best_kernel))),
                         int(used.sum()), calls, seed)

@@ -337,7 +337,8 @@ def verify_certificate(cert: GoodnessCertificate,
 def _orbit_minima(n: int) -> np.ndarray:
     """For each n-vertex edge mask (bit i for the i-th pair of
     combinations(range(n), 2)), the least mask of its orbit under
-    relabelling, as one read-only int64 array of 2^C(n,2) entries.
+    relabelling, as one read-only array of 2^C(n,2) entries: int32 while
+    every mask fits (up to 8 vertices), int64 above.
 
     Min-label propagation with pointer jumping: S_n is generated by the
     transposition (0 1) and the n-cycle, so each pass lowers every label to
@@ -350,7 +351,7 @@ def _orbit_minima(n: int) -> np.ndarray:
     """
     pairs = list(combinations(range(n), 2))
     index = {p: i for i, p in enumerate(pairs)}
-    masks = np.arange(1 << len(pairs), dtype=np.int64)
+    masks = np.arange(1 << len(pairs), dtype=np.int32 if len(pairs) < 32 else np.int64)
     images = []
     for perm in ((1, 0, *range(2, n)), (*range(1, n), 0)):
         image = np.zeros_like(masks)
@@ -513,10 +514,18 @@ def certificate_from_json(obj: dict, budget: int = DEFAULT_WORK_BUDGET) -> Goodn
     if obj.get("template_hash") != template_hash(t):
         raise ValueError("certificate 'template_hash' missing or mismatched (tampered file?)")
     canon = _canonical_table(t.base, budget, "certificate_from_json")
+
+    def part(g, r):
+        # strictly increasing, as `certificate_to_json` writes each part
+        vertices = _json_shaped(g[r], [int], f"generator {r!r}")
+        if any(a >= b for a, b in zip(vertices, vertices[1:])):
+            raise ValueError(f"generator {r!r}: expected strictly increasing vertices, "
+                             f"found {vertices!r}")
+        return tuple(vertices)
+
     try:
         gens = tuple(
-            (tuple(tuple(_json_shaped(g[r], [int], f"generator {r!r}"))
-                   for r in ("r1", "r2", "r3")),
+            (tuple(part(g, r) for r in ("r1", "r2", "r3")),
              _fraction_from_str(g["coeff"], "generator 'coeff'"))
             for g in obj.get("generators_used", []))
         witness = obj.get("farkas_witness")

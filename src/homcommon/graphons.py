@@ -13,7 +13,7 @@ kernels; `density` is its one-kernel form, with the bits of any batch row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,6 +79,10 @@ def kernel_arrays(w: StepKernel) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(w.measures, dtype=np.float64), np.asarray(w.values, dtype=np.float64)
 
 
+def _array_kernel(measures: np.ndarray, values: np.ndarray, graphon: bool = False) -> StepKernel:
+    return StepKernel(tuple(measures.tolist()), tuple(map(tuple, values.tolist())), graphon)
+
+
 def stack_kernels(arrays) -> tuple[np.ndarray, np.ndarray]:
     """Stack kernels given as (measures (q,), values (q, q)) array pairs, such
     as `kernel_arrays` gives, into measures (B, Q) and values (B, Q, Q), Q
@@ -132,27 +136,33 @@ def one_minus(w: StepKernel) -> StepKernel:
     return StepKernel(w.measures, vals, graphon=w.graphon)
 
 
-def sample_graphon(seed: int, max_blocks: int = 4) -> StepKernel:
-    """Seeded random step graphon: uniform block count, Dirichlet(1) measures,
-    i.i.d. uniform values mirrored across the diagonal."""
+def _draw(rng: np.random.Generator, least: int, most: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one draw of a step graphon, from `rng` in order: q uniform in [least,
+    most], Dirichlet(1) measures (q,), uniform values (q, q) mirrored across the diagonal."""
+    q = int(rng.integers(least, most + 1))
+    measures, values = rng.dirichlet(np.ones(q)), rng.uniform(size=(q, q))
+    for i in range(1, q):  # row by row, in place: cheaper than a mask at a few blocks
+        values[i, :i] = values[:i, i]
+    return measures, values
+
+
+def _sample_arrays(seed: int, max_blocks: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays of `sample_graphon(seed, max_blocks)`, as `_draw` gives them."""
     if max_blocks < 1:
         raise ValueError("max_blocks must be at least 1")
-    rng = np.random.default_rng(int(seed) % 2**64)
-    q = int(rng.integers(1, max_blocks + 1))
-    measures = rng.dirichlet(np.ones(q))
-    raw = rng.uniform(size=(q, q))
-    vals = np.where(np.tri(q, dtype=bool), raw.T, raw)
-    return StepKernel(tuple(float(m) for m in measures),
-                      tuple(tuple(float(x) for x in row) for row in vals),
-                      graphon=True)
+    return _draw(np.random.default_rng(int(seed) % 2**64), 1, max_blocks)
+
+
+def sample_graphon(seed: int, max_blocks: int = 4) -> StepKernel:
+    """Seeded random step graphon on 1 to `max_blocks` blocks, drawn by `_draw`."""
+    return _array_kernel(*_sample_arrays(seed, max_blocks), graphon=True)
 
 
 def sample_kernel(seed: int, max_blocks: int = 4) -> StepKernel:
     """Seeded random kernel, not a graphon: `sample_graphon(seed, max_blocks)`
     with each value x mapped to 3x - 1, in [-1, 2]."""
-    base = sample_graphon(seed, max_blocks)
-    vals = tuple(tuple(-1.0 + 3.0 * x for x in row) for row in base.values)
-    return replace(base, values=vals, graphon=False)
+    measures, values = _sample_arrays(seed, max_blocks)
+    return _array_kernel(measures, 3.0 * values - 1.0)
 
 
 def kernel_to_json(w: StepKernel) -> dict:

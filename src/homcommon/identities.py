@@ -20,8 +20,8 @@ import numpy as np
 
 from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _charge, _contract,
                      make_family)
-from .graphons import (StepKernel, _colours, densities, density, kernel_arrays, one_minus,
-                       sample_graphon, stack_kernels)
+from .graphons import (StepKernel, _array_kernel, _colours, _sample_arrays, densities, density,
+                       kernel_arrays, one_minus, stack_kernels)
 
 _K2 = make_family("path", 2)
 _P3 = make_family("path", 3)
@@ -146,8 +146,8 @@ def score_kernels(formula, graphs, kernels, budget: int = DEFAULT_WORK_BUDGET):
     `formula(measures, values, budget)` maps kernels given as measures
     (B, Q) and values (B, Q, Q) to an array whose last axis is the batch,
     and `graphs` lists the contractions it makes per kernel (a two-colour
-    formula's graphs twice).  `kernels` is read once, in chunks that
-    `stack_kernels` pads to one block count.  Whenever a kernel has more
+    formula's graphs twice).  `kernels` yields (measures, values) pairs, read once,
+    in chunks that `stack_kernels` pads to one block count.  Whenever a kernel has more
     blocks than any before it, every graph is charged for that count, as
     `densities` charges it, before any further contraction: a suite is
     refused exactly when its largest kernel is, and as soon as it is read.
@@ -157,41 +157,38 @@ def score_kernels(formula, graphs, kernels, budget: int = DEFAULT_WORK_BUDGET):
     padding.
     """
     chunk, q, work = [], 0, 0
-    for w in kernels:
-        if w.block_count > q:
-            q = w.block_count
+    for arrays in kernels:
+        if len(arrays[0]) > q:
+            q = len(arrays[0])
             work = sum(_charge(h, q, budget, "density") for h in graphs)
         if chunk and (len(chunk) + 1) * work > _CHUNK_TERMS:
             yield from np.ravel(formula(*stack_kernels(chunk), budget)).tolist()
             chunk = []
-        chunk.append(kernel_arrays(w))
+        chunk.append(arrays)
     if chunk:
         yield from np.ravel(formula(*stack_kernels(chunk), budget)).tolist()
 
 
-def _expansion_residuals(w: StepKernel, budget: int) -> list[float]:
-    """The expansion suite on w: each of `_EXPANSION_GRAPHS` at the shifts
-    0, 0.3 and t(K2, w)."""
-    shifts = (0.0, 0.3, density(_K2, w, budget))
-    return [expansion_residual(h, w, p, budget) for h in _EXPANSION_GRAPHS for p in shifts]
+def _expansion_residuals(kernels, budget: int):
+    """Each of `_EXPANSION_GRAPHS` at the shifts 0, 0.3 and t(K2, w), a `StepKernel` w per pair."""
+    for w in (_array_kernel(*arrays) for arrays in kernels):
+        shifts = (0.0, 0.3, density(_K2, w, budget))
+        yield from (expansion_residual(h, w, p, budget) for h in _EXPANSION_GRAPHS for p in shifts)
 
 
-# suite name -> the residuals it checks on an iterable of graphons, within a
-# budget; the expansion's shift t(K2, w) differs per graphon, so it scores
-# them one by one
+# suite name -> the residuals it checks on graphons as (measures, values) pairs, within a budget
 IDENTITY_SUITES = {
     "goodman": partial(score_kernels, _goodman_residuals, _GOODMAN_GRAPHS * 2),
     "c5goodman": partial(score_kernels, _c5_goodman_residuals, _C5_GOODMAN_GRAPHS * 2),
-    "expansion": lambda kernels, budget: (r for w in kernels
-                                          for r in _expansion_residuals(w, budget)),
+    "expansion": _expansion_residuals,
 }
 
 
 def max_identity_residual(name: str, seeds, budget: int = DEFAULT_WORK_BUDGET) -> float:
-    """The largest |residual| of the suite `IDENTITY_SUITES[name]` over
-    `sample_graphon(s)` for s in `seeds`; raises `ValueError` for no seeds."""
+    """The largest |residual| of the suite `IDENTITY_SUITES[name]` over the
+    arrays of `sample_graphon(s)` for s in `seeds`; raises `ValueError` for no seeds."""
     suite = IDENTITY_SUITES[name]
-    worst = max((abs(r) for r in suite(map(sample_graphon, seeds), budget)), default=None)
+    worst = max((abs(r) for r in suite(map(_sample_arrays, seeds), budget)), default=None)
     if worst is None:
         raise ValueError(f"the {name} suite needs at least one seed")
     return worst

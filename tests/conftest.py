@@ -1,11 +1,12 @@
 import functools
+import hashlib
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import strategies as st
 
-from homcommon.graphons import sample_graphon
+from homcommon.graphons import StepKernel, sample_graphon
 from homcommon.graphs import Graph
 
 
@@ -18,6 +19,26 @@ def graphon_suite():
 @pytest.fixture(scope="session")
 def small_suite(graphon_suite):
     return graphon_suite[:20]
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """A one-item list that counts the `StepKernel`s built from here on."""
+    count = [0]
+    validate = StepKernel.__post_init__
+
+    def counted(self):
+        count[0] += 1
+        validate(self)
+
+    monkeypatch.setattr(StepKernel, "__post_init__", counted)
+    return count
+
+
+def digest(value) -> str:
+    """The first 16 hex digits of the SHA-256 of repr(value): a pin of the
+    bits of the floats in `value`, since repr round-trips each float."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import shlex
+import sys
 import time
 from pathlib import Path
 
@@ -70,12 +71,25 @@ def test_defaults_are_the_library_constants(capsys):
 
 
 def test_parse_seeds():
-    assert _parse_seeds("0..3") == [0, 1, 2, 3]
-    assert _parse_seeds("7") == [7]
-    assert _parse_seeds("1,5,9") == [1, 5, 9]
+    assert list(_parse_seeds("0..3")) == [0, 1, 2, 3]
+    assert list(_parse_seeds("7")) == [7]
+    assert list(_parse_seeds("1,5,9")) == [1, 5, 9]
     for empty in ("5..3", ","):
         with pytest.raises(ValueError, match="empty"):
             _parse_seeds(empty)
+
+
+def test_parse_seeds_keeps_a_long_range_lazy():
+    seeds = _parse_seeds("0..1000000000000")
+    assert isinstance(seeds, range) and len(seeds) == 10**12 + 1
+    with pytest.raises(OverflowError):
+        _parse_seeds(f"0..{sys.maxsize}")
+
+
+def test_seed_range_longer_than_maxsize_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "identity", "goodman",
+                             "--seeds", f"0..{sys.maxsize}")
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("command", [
@@ -284,6 +298,22 @@ def test_glue_verify_certificate_file(capsys, tmp_path):
     assert code == 2
     assert "template_hash" in err
 
+
+
+@pytest.mark.parametrize("part, vertices", [("r1", [0, 0]), ("r3", [3, 2])])
+def test_glue_verify_rejects_generator_parts_out_of_order(capsys, tmp_path, part, vertices):
+    """`certificate_to_json` writes each generator part strictly increasing;
+    a repeated or reordered vertex list is refused, not read as a set."""
+    path = tmp_path / "cert.json"
+    assert run_cli(capsys, "glue", "check", "pentagon_square", "--certificate", str(path))[0] == 0
+    payload = json.loads(path.read_text())
+    assert payload["generators_used"][0] == {"r1": [0], "r2": [1], "r3": [2, 3],
+                                             "coeff": "1/1"}
+    payload["generators_used"][0][part] = vertices
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "glue", "verify", str(path))
+    assert code == 2 and out == ""
+    assert f"generator '{part}': expected strictly increasing vertices" in err
 
 
 def test_glue_verify_rejects_a_raised_farkas_coefficient(capsys, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import digest
 from homcommon import data
 from homcommon.commonness import (FALSIFY_MAX_BLOCKS, CommonPairSpec, P_DIAMOND_PAIR,
                                   appendix_convexity_verify,
@@ -135,7 +136,8 @@ def test_batched_convexity_slack_matches_the_per_graphon_loop(spec):
     for sample in (sample_graphon, sample_kernel):
         kernels = [sample(s) for s in seeds]
         batched = score_kernels(partial(_correlation_slacks, spec),
-                                (make_family("path", 2), spec.f, spec.h1, spec.h2), kernels)
+                                (make_family("path", 2), spec.f, spec.h1, spec.h2),
+                                map(kernel_arrays, kernels))
         loop = [_slack_loop(spec, w) for w in kernels]
         # the batched list holds side 1 of every kernel, then side 2
         assert _bits(batched) == _bits([s[0] for s in loop] + [s[1] for s in loop])
@@ -150,9 +152,17 @@ def test_batched_pair_gap_suite_matches_the_per_graphon_loop():
     assert min_pair_gap(spec, seeds).hex() == min(
         pair_gap(spec, sample_graphon(s)) for s in seeds).hex()
     kernels = [sample_kernel(s) for s in seeds]
-    batched = score_kernels(partial(_pair_gap, spec), (spec.h1, spec.h2), kernels)
+    batched = score_kernels(partial(_pair_gap, spec), (spec.h1, spec.h2),
+                            map(kernel_arrays, kernels))
     assert _bits(batched) == _bits(_pair_gap(spec, *kernel_arrays(w), DEFAULT_WORK_BUDGET)
                                    for w in kernels)
+
+
+def test_sampled_suites_build_no_step_kernel(kernel_builds):
+    spec = CommonPairSpec(D, data.load_graph("k3_plus_k2"), P_DIAMOND_PAIR)
+    min_pair_gap(spec, range(12))
+    convexity_conditions(_glued_pair_spec(), range(8), max_blocks=2)
+    assert kernel_builds[0] == 0
 
 
 def test_pair_gap_suite_budget_is_its_largest_graphons_charge():
@@ -636,6 +646,30 @@ def test_rejected_measure_moves_leave_the_measures_bit_identical():
     assert evals[0] > 1 and abs(best[0]) <= 1e-15
     assert measures.tobytes() == start.tobytes()
     assert np.array_equal(values, np.full((1, 4, 4), 0.5))
+
+
+# (best gap, evaluations, objective calls, witness block count, digest of the
+# witness) of falsify(objective, seed=1, restarts=20, steps=60), recorded at
+# commit 8dd3916, when `falsify` wrote out its own copy of the draw
+_FALSIFY_PINS = {
+    "paw": ("-0x1.d488dfe588020p-9", 20320, 961, 2, "d4f3b87721acddfc"),
+    "K3+K2": ("-0x1.cfeba18dd50a0p-9", 19665, 961, 4, "691a3edfd6848c51"),
+    "K3": ("0x1.d800000000000p-48", 13857, 961, 3, "8be44d8a8651659d"),
+    "pair (diamond, K3+K2)": ("0x1.0cae800000000p-38", 20013, 961, 3, "177f898b5725447c"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_FALSIFY_PINS))
+def test_falsify_keeps_its_recorded_searches(label):
+    k3k2 = data.load_graph("k3_plus_k2")
+    objective = {"paw": common_gap_objective(data.load_graph("paw")),
+                 "K3+K2": common_gap_objective(k3k2),
+                 "K3": common_gap_objective(K3),
+                 "pair (diamond, K3+K2)": pair_gap_objective(
+                     CommonPairSpec(D, k3k2, P_DIAMOND_PAIR))}[label]
+    r = falsify(objective, seed=1, restarts=20, steps=60)
+    assert (r.best_gap.hex(), r.evaluations, r.objective_calls, r.best_kernel.block_count,
+            digest(r.best_kernel)) == _FALSIFY_PINS[label]
 
 
 def test_falsify_makes_one_objective_call_per_coordinate():

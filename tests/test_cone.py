@@ -157,6 +157,12 @@ def test_certificate_json_round_trip(tmp_path):
     assert payload["template_hash"] == template_hash(cert.template)
 
 
+@pytest.mark.parametrize("name", data.TEMPLATE_NAMES)
+def test_bundled_certificates_round_trip(name):
+    cert = check_good(data.load_template(name))
+    assert certificate_from_json(json.loads(json.dumps(certificate_to_json(cert)))) == cert
+
+
 def test_certificate_without_template_hash_rejected():
     payload = certificate_to_json(check_good(data.load_template("lone_edge_c5")))
     assert verify_certificate(certificate_from_json(payload))
@@ -491,6 +497,7 @@ def _least_relabellings(n):
 @pytest.mark.parametrize("n,classes", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])
 def test_orbit_minima_are_least_relabellings(n, classes):
     least = cone._orbit_minima(n)
+    assert least.dtype == np.int32
     assert least.tolist() == _least_relabellings(n)
     assert len(set(least.tolist())) == classes
     assert cone._orbit_minima(n) is least

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_graphs
+from conftest import digest, small_graphs
 from homcommon import data
 from homcommon.gluing import build_j
 from homcommon.graphs import (BudgetExceededError, disjoint_union, hom_count,
                               make_family, random_graph)
 from homcommon.graphs import DEFAULT_WORK_BUDGET, _contract, _plan
-from homcommon.graphons import (StepKernel, constant_kernel, densities,
+from homcommon.graphons import (StepKernel, _sample_arrays, constant_kernel, densities,
                                 density, kernel_arrays, kernel_from_graph,
                                 kernel_from_json, kernel_to_json, one_minus,
                                 sample_graphon, sample_kernel, stack_kernels)
@@ -163,6 +163,33 @@ def test_sample_kernel_range():
         assert not w.graphon
         assert all(-1.0 <= v <= 2.0 for row in w.values for v in row)
         assert w == sample_kernel(seed, 4)
+
+
+# digest([sample(s, k) for s in range(200)]) for k = 1..6, recorded at commit
+# 8dd3916, when `sample_graphon`, `sample_kernel` and `falsify` each wrote out
+# the draw that `graphons._draw` now makes once
+_SAMPLE_DIGESTS = {
+    "sample_graphon": {1: "08e656209c854bbf", 2: "78106115aa6cb06f", 3: "b6ddd5503d1d8e6f",
+                       4: "9d7dd5446c3087ee", 5: "20f5ebee41f1639d", 6: "5152384410cb8fd6"},
+    "sample_kernel": {1: "680dce8067b7d767", 2: "f2a6def404376978", 3: "4f51ff6de068e69b",
+                      4: "fadbaeaee447f577", 5: "b2e5424e75208269", 6: "3d948497a1664857"},
+}
+
+
+@pytest.mark.parametrize("sample", [sample_graphon, sample_kernel])
+def test_samplers_keep_their_recorded_bits(sample):
+    got = {k: digest([sample(s, k) for s in range(200)]) for k in range(1, 7)}
+    assert got == _SAMPLE_DIGESTS[sample.__name__]
+
+
+def test_sample_arrays_are_the_arrays_of_sample_graphon():
+    for seed, k in product(range(50), (1, 4, 6)):
+        measures, values = _sample_arrays(seed, k)
+        m, v = kernel_arrays(sample_graphon(seed, k))
+        assert measures.tobytes() == m.tobytes() and values.tobytes() == v.tobytes()
+    for sample in (_sample_arrays, sample_graphon, sample_kernel):
+        with pytest.raises(ValueError, match="^max_blocks must be at least 1$"):
+            sample(0, 0)
 
 
 def test_path_inequalities(graphon_suite):

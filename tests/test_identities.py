@@ -10,7 +10,7 @@ from homcommon.graphons import kernel_from_graph
 from homcommon.identities import _subset_densities
 
 from homcommon.graphs import Graph, make_family
-from homcommon.graphons import (StepKernel, constant_kernel, density,
+from homcommon.graphons import (StepKernel, constant_kernel, density, kernel_arrays,
                                 one_minus, sample_graphon, sample_kernel)
 from homcommon.identities import (IDENTITY_SUITES, BudgetExceededError,
                                   c5_goodman_residual, expansion_residual,
@@ -213,13 +213,14 @@ def test_batched_identity_suites_match_the_per_graphon_loop(name, loop, sample):
     # 1 to 4 blocks, so most rows are padded; kernels take values in [-1, 2]
     kernels = [sample(s) for s in range(80)]
     assert {w.block_count for w in kernels} == {1, 2, 3, 4}
-    got = IDENTITY_SUITES[name](kernels, DEFAULT_WORK_BUDGET)
+    got = IDENTITY_SUITES[name]([kernel_arrays(w) for w in kernels], DEFAULT_WORK_BUDGET)
     assert _bits(got) == _bits(loop(w) for w in kernels)
 
 
 def test_identity_suites_match_the_one_graphon_residuals(graphon_suite):
     for name, residual in (("goodman", goodman_residual), ("c5goodman", c5_goodman_residual)):
-        assert _bits(IDENTITY_SUITES[name](graphon_suite, DEFAULT_WORK_BUDGET)) == _bits(
+        arrays = [kernel_arrays(w) for w in graphon_suite]
+        assert _bits(IDENTITY_SUITES[name](arrays, DEFAULT_WORK_BUDGET)) == _bits(
             residual(w) for w in graphon_suite)
         assert max_identity_residual(name, range(100)) == max(
             abs(residual(w)) for w in graphon_suite)
@@ -250,7 +251,7 @@ def test_suite_spanning_chunks_equals_one_chunk(monkeypatch):
     def work(q):
         return sum(sum(q**width for width in _plan(h).widths) for h in graphs)
 
-    kernels = [sample_graphon(s) for s in range(40)]
+    kernels = [kernel_arrays(sample_graphon(s)) for s in range(40)]
     whole = list(score_kernels(identities._c5_goodman_residuals, graphs, kernels))
     for terms in (8 * work(4) - 1, 3 * work(2), work(1), 1):
         monkeypatch.setattr(identities, "_CHUNK_TERMS", terms)
@@ -268,6 +269,14 @@ def test_suite_spanning_chunks_equals_one_chunk(monkeypatch):
         for rows, q in seen:
             top = max(top, q)
             assert rows == 1 or rows * work(top) <= terms
+
+
+@pytest.mark.parametrize("name, builds", [("goodman", 0), ("c5goodman", 0), ("expansion", 1)])
+def test_identity_suites_score_the_draws_arrays(kernel_builds, name, builds):
+    """goodman and c5goodman score each seed's arrays with no `StepKernel`
+    between the draw and the score; the expansion builds one per graphon."""
+    max_identity_residual(name, range(12))
+    assert kernel_builds[0] == 12 * builds
 
 
 @pytest.mark.parametrize("name", sorted(IDENTITY_SUITES))
