@@ -14,9 +14,8 @@ from .cone import (GoodnessCertificate, binomial_inequality_check, check_good,
                    verify_certificate)
 from .commonness import (CommonPairSpec, SearchResult, appendix_convexity_verify,
                          certify_pair_via_templates, common_gap,
-                         convexity_conditions, dk3k2_f, dk3k2_functions,
-                         dk3k2_verify, falsify, girth_obstruction, pair_gap,
-                         solve_simple_tree_p)
+                         convexity_conditions, dk3k2_verify, falsify,
+                         girth_obstruction, pair_gap, solve_simple_tree_p)
 from .identities import (c5_goodman_residual, expansion_residual,
                          goodman_residual, strongly_common_gap)
 

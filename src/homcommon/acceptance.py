@@ -3,8 +3,11 @@
 Each criterion function returns a dict with at least "name", "passed",
 and "detail".  Tolerances are the package's (`graphs.IDENTITY_TOL`,
 `INEQUALITY_TOL`, `BALANCE_TOL`), with the exceptions each criterion
-states inline.  Universal ("for every graphon") claims are
-sampled evidence only and are labelled as such in the criterion names.
+states inline.  Criteria 5-7 and 11 are exact, and so are criterion 8's
+threshold claims, decided in Q(√10), and criterion 9, decided over Q:
+no tolerance enters those verdicts.  Universal ("for every graphon")
+claims are sampled evidence only and are labelled as such in the
+criterion names.
 """
 
 from __future__ import annotations
@@ -130,25 +133,27 @@ def criterion_7_p_solver() -> dict:
 
 def criterion_8_dk3k2() -> dict:
     rep = dk3k2_verify(pair_gap_seeds=range(100))
-    checks = (rep["passed"]
-              and abs(rep["g0_min_value"] - 0.23263) <= 5e-4
-              and abs(rep["g0_min_x"] - 0.057472) <= 5e-4)
-    return {"name": "8 diamond / K3+K2 threshold verification",
-            "passed": checks,
-            "detail": (f"g1(0) err = {rep['g1_at_zero_error']:.1e}, "
+    return {"name": "8 diamond / K3+K2 threshold (exact in Q(√10); pair-gap spot check sampled)",
+            "passed": rep["passed"],
+            "detail": (f"y1 >= y0 left of x = {rep['crossover']}: "
+                       f"{rep['y1_ge_y0_left_of_crossover']}, g1 > T there but g1(0) = T: "
+                       f"{rep['g1_clears_threshold_but_at_zero']}, g0 > T: "
+                       f"{rep['g0_clears_threshold']}; "
                        f"min g0 = {rep['g0_min_value']:.5f} @ x = {rep['g0_min_x']:.6f}, "
                        f"min pair gap = {rep['pair_gap_min']:.3e}")}
 
 
 def criterion_9_appendix() -> dict:
     k3 = make_family("complete", 3)
-    rep1 = appendix_convexity_verify(k3, 3, 3, 1, 1, 0, 0, 0.5)
-    rep2 = appendix_convexity_verify(make_family("cycle", 5), 9, 9, 2, 2, 1, 1, 0.5)
+    rep1 = appendix_convexity_verify(k3, 3, 3, 1, 1, 0, 0, Fraction(1, 2))
+    rep2 = appendix_convexity_verify(make_family("cycle", 5), 9, 9, 2, 2, 1, 1, Fraction(1, 2))
     ok = rep1["passed"] and rep2["passed"]
-    return {"name": "9 convexity verifier (triangle identity case + pentagon+square case)",
+    return {"name": ("9 convexity verifier "
+                     "(exact over Q: triangle identity case + pentagon+square case)"),
             "passed": ok,
-            "detail": (f"K3 min = {rep1['min_value']:.10f} (expect 1/3), "
-                       f"C5 min = {rep2['min_value']:.10f} (expect 1/9)")}
+            "detail": (f"min over y at x = 0: K3 {rep1['min_value']} (expect 1/3), "
+                       f"C5 {rep2['min_value']} (expect 1/9); larger off x = 0: "
+                       f"{rep1['passed']}, {rep2['passed']}")}
 
 
 def criterion_10_falsifier() -> dict:

@@ -3,8 +3,13 @@
 Covers the weighted two-colour gap functional, the convexity-lemma
 condition checker, template-based pair certification over odd cycles, the
 balance-equation solver for simple cycle-trees, the girth obstruction, the
-dedicated (D, K3 u K2) threshold verification, a generic numeric convexity
-verifier, and a random-restart falsifier for (un)commonness.
+(D, K3 u K2) threshold verification, the convexity verifier, and a
+random-restart falsifier for (un)commonness.
+
+The threshold verification and the convexity verifier build polynomials
+(`Poly`) over Q(√10) (`QSqrt10`) or Q, and decide each claim by exact
+signs and Sturm root counts; only the former's pair-gap spot check is
+sampled in floats.
 
 Each gap formula is written once over arrays with leading batch axes
 (`_common_gap`, `_pair_gap`, and `identities._strongly_common_gap`); the
@@ -29,6 +34,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 
@@ -45,8 +51,18 @@ _K2 = make_family("path", 2)
 # restarts of `falsify` draw 2 to FALSIFY_MAX_BLOCKS blocks
 FALSIFY_MAX_BLOCKS = 4
 
-# exact threshold probability for the diamond / K3+K2 pair
+# the diamond / K3+K2 threshold probability (8 - 2√10)/3 as a float, one ulp
+# below the nearest; `P_DIAMOND_EXACT` is the exact number
 P_DIAMOND_PAIR = (8.0 - 2.0 * math.sqrt(10.0)) / 3.0
+
+
+def _check_convexity_data(ef: int, sides) -> None:
+    """Refuse sides (e_i, k_i, l_i) but for k_i >= 1, l_i >= 0, e_i = k_i ef - l_i."""
+    for e, k, l in sides:
+        if k < 1 or l < 0:
+            raise ValueError("k_i >= 1 and l_i >= 0 are required")
+        if e != k * ef - l:
+            raise ValueError("e(h_i) must equal k_i * e(f) - l_i")
 
 
 @dataclass(frozen=True)
@@ -75,11 +91,8 @@ class CommonPairSpec:
         if self.f is not None:
             if None in (self.k1, self.k2, self.l1, self.l2):
                 raise ValueError("k1, k2, l1, l2 are required alongside f")
-            for h, k, l in ((self.h1, self.k1, self.l1), (self.h2, self.k2, self.l2)):
-                if k < 0 or l < 0:
-                    raise ValueError("k and l must be non-negative")
-                if h.edge_count != k * self.f.edge_count - l:
-                    raise ValueError("e(h_i) must equal k_i * e(f) - l_i")
+            _check_convexity_data(self.f.edge_count, ((self.h1.edge_count, self.k1, self.l1),
+                                                      (self.h2.edge_count, self.k2, self.l2)))
 
     @property
     def p2(self) -> float:
@@ -319,229 +332,282 @@ def girth_obstruction(h1: Graph, h2: Graph, m: int, p1) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# (D, K3 u K2) threshold machinery
+# Exact algebra: numbers of Q(√10), polynomials over them, Sturm counts
 
 
-def _dk3k2_domain_check(x: float):
-    p = P_DIAMOND_PAIR
-    if not -p < x < 1.0 - p:
-        raise ValueError(f"x must lie in ({-p}, {1 - p})")
+def _q10(v) -> QSqrt10:
+    return v if isinstance(v, QSqrt10) else QSqrt10(Fraction(v))
 
 
-def dk3k2_f(x: float, y: float) -> float:
-    """Objective whose minimum witnesses the diamond / K3+K2 pair threshold."""
-    _dk3k2_domain_check(x)
-    p = P_DIAMOND_PAIR
-    a = p + x
-    b = 1.0 - p - x
-    return (a**3 + y) ** 2 / (5.0 * p**4 * a) + b * (b**3 - y) / (4.0 * (1.0 - p) ** 3)
+@dataclass(frozen=True)
+class QSqrt10:
+    """The number a + b√10, with `Fraction` parts a and b."""
+
+    a: Fraction
+    b: Fraction = Fraction(0)
+
+    def __add__(self, other):
+        o = _q10(other)
+        return QSqrt10(self.a + o.a, self.b + o.b)
+
+    def __mul__(self, other):
+        o = _q10(other)
+        return QSqrt10(self.a * o.a + 10 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    def __truediv__(self, other):
+        o = _q10(other)
+        norm = o.a * o.a - 10 * o.b * o.b  # zero only for o = 0: √10 is irrational
+        return self * QSqrt10(o.a / norm, -o.b / norm)
+
+    def __rtruediv__(self, other):
+        return _q10(other) / self
+
+    def __neg__(self):
+        return QSqrt10(-self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __pow__(self, n: int):
+        return math.prod((self,) * n, start=QSqrt10(Fraction(1)))
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def __gt__(self, other):
+        """The sign of a + b√10 is that of a when a² > 10 b², else that of b."""
+        d = self - other
+        return (d.a if d.a * d.a > 10 * d.b * d.b else d.b) > 0
+
+    def __lt__(self, other):
+        return _q10(other) > self
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * math.sqrt(10.0)
+
+    def __str__(self):
+        """One string form, such as "79/50 + 1/2*sqrt(10)", which sympy parses."""
+        sign = "-" if self.b < 0 else "+"
+        return f"{self.a} {sign} {abs(self.b)}*sqrt(10)" if self.b else str(self.a)
 
 
-def _dk3k2_y0(x: float) -> float:
-    a = P_DIAMOND_PAIR + x
-    return a * (2.0 * a - 1.0) - a**3
+# exact threshold probability for the diamond / K3+K2 pair: (8 - 2√10)/3
+P_DIAMOND_EXACT = QSqrt10(Fraction(8, 3), Fraction(-2, 3))
 
 
-def _dk3k2_y1(x: float) -> float:
-    p = P_DIAMOND_PAIR
-    a = p + x
-    return 5.0 * (1.0 - a) * a * p**4 / (8.0 * (1.0 - p) ** 3) - a**3
+class Poly(tuple):
+    """A polynomial as its coefficient tuple, constant term first, with no
+    trailing zeros; its coefficients are `Fraction`s or `QSqrt10`s."""
+
+    def __new__(cls, coefficients=()):
+        c = list(coefficients)
+        while c and not c[-1]:
+            c.pop()
+        return super().__new__(cls, c)
+
+    def __add__(self, other):
+        other = other if isinstance(other, Poly) else (other,)
+        return Poly(s + t for s, t in zip_longest(self, other, fillvalue=0))
+
+    def __mul__(self, other):
+        other = other if isinstance(other, Poly) else (other,)
+        out = [0] * max(len(self) + len(other) - 1, 0)
+        for i, s in enumerate(self):
+            for j, t in enumerate(other):
+                out[i + j] += s * t
+        return Poly(out)
+
+    def __neg__(self):
+        return Poly(-c for c in self)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __pow__(self, n: int):
+        return math.prod((self,) * n, start=Poly((Fraction(1),)))
+
+    def __divmod__(self, other):
+        """Quotient and remainder by a non-zero polynomial."""
+        quotient, rest = [0] * max(len(self) - len(other) + 1, 0), list(self)
+        for i in reversed(range(len(quotient))):
+            quotient[i] = rest[i + len(other) - 1] / other[-1]
+            for j, t in enumerate(other):
+                rest[i + j] -= quotient[i] * t
+        return Poly(quotient), Poly(rest)
+
+    def __call__(self, x):
+        value = 0
+        for c in reversed(self):
+            value = value * x + c
+        return value
+
+    def derivative(self) -> Poly:
+        return Poly(i * c for i, c in enumerate(self) if i)
 
 
-def dk3k2_functions(x: float, which: str) -> float:
-    """Evaluate one of the named threshold functions at x: y0 and y1 are the
-    constraint and stationary curves, g0 and g1 the objective along them."""
-    _dk3k2_domain_check(x)
-    if which == "y0":
-        return _dk3k2_y0(x)
-    if which == "y1":
-        return _dk3k2_y1(x)
-    if which == "g0":
-        return dk3k2_f(x, _dk3k2_y0(x))
-    if which == "g1":
-        return dk3k2_f(x, _dk3k2_y1(x))
-    raise ValueError(f"unknown function name {which!r}")
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200):
-    """Golden-section minimisation on [lo, hi] for unimodal fn."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    xm = 0.5 * (a + b)
-    return xm, fn(xm)
+def _sturm_count(p: Poly, lo, hi) -> int:
+    """The number of distinct roots of a non-zero p in (lo, hi]."""
+    chain = [p, p.derivative()]
+    while chain[-1]:
+        chain.append(-divmod(chain[-2], chain[-1])[1])
+    # divided by gcd(p, p'), the chain keeps its sign changes at multiple roots
+    chain = [divmod(q, chain[-2])[0] for q in chain[:-1]]
+
+    def changes(x):
+        signs = [s for s in (_sign(q(x)) for q in chain) if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return changes(lo) - changes(hi)
 
 
-def _grid_then_golden(fn, lo: float, hi: float, grid: int, tol: float = 1e-10):
-    xs = np.linspace(lo, hi, grid)
-    vals = [fn(float(x)) for x in xs]
-    i = int(np.argmin(vals))
-    a = xs[max(0, i - 1)]
-    b = xs[min(grid - 1, i + 1)]
-    return _golden_min(fn, float(a), float(b), tol)
+def _sign_between(p: Poly, lo, hi) -> int:
+    """The one sign of p on the open interval (lo, hi), or 0 if p has a root there."""
+    if _sturm_count(p, lo, hi) > (not p(hi)):
+        return 0
+    return _sign(p((lo + hi) / 2))
 
 
-def _fit_cubic(fn, lo: float, hi: float, points: int = 7) -> list[float]:
-    xs = np.linspace(lo, hi, points)
-    ys = [fn(float(x)) for x in xs]
-    return [float(c) for c in np.polyfit(xs, ys, 3)]
+# ---------------------------------------------------------------------------
+# (D, K3 u K2) threshold
 
 
 def dk3k2_verify(pair_gap_seeds=range(20), budget: int = DEFAULT_WORK_BUDGET) -> dict:
-    """End-to-end verification of the diamond / K3+K2 threshold argument.
+    """Exact verification, in Q(√10), of the diamond / K3+K2 threshold argument.
 
-    (a) The restrictions g0, g1 of the objective along the constraint and
-        stationary curves are cubics; fit them numerically and compare with
-        their closed forms.
-    (b) Minimise g0 on the open x-domain and g1 on [-0.6, 0.08]; the g0
-        minimum must clear the threshold p/5 + (1-p)/4 and the g1 minimum
-        must equal it, attained at x = 0.
-    (c) Spot-check the pair gap of (diamond, K3 u K2) at the threshold p
-        on sampled graphons, each density within `budget`.
+    At p = (8 - 2√10)/3, with a = p + x and b = 1 - p - x, the objective
+    f(x, y) = (a³ + y)²/(5 p⁴ a) + b (b³ - y)/(4 (1-p)³) along the curves
+    y0 = a(2a - 1) - a³ and y1 = 5 (1-a) a p⁴/(8 (1-p)³) - a³ gives the
+    polynomials g0 and g1 (a must divide (a³ + y)²).  With the threshold
+    T = p/5 + (1-p)/4 = (7 + 2√10)/60, exact signs and Sturm counts decide
+    that on the domain -p < x < 1-p: y1 - y0 has one root, the crossover
+    (-425 + 140√10)/246, and is positive left of it; g1 - T > 0 on
+    (-p, crossover] but at 0, where g1 = T; and g0 - T > 0.  Polynomials
+    are reported as coefficient tuples, constant term first, with g0's
+    minimum as floats at the critical point of the exact cubic.  The pair
+    gap at the float p is spot-checked on sampled graphons, each density
+    within `budget`: sampled evidence, within `INEQUALITY_TOL`.
     """
-    p = P_DIAMOND_PAIR
-    s10 = math.sqrt(10.0)
-    threshold = (7.0 + 2.0 * s10) / 60.0
+    p = P_DIAMOND_EXACT
+    q = 1 - p
+    threshold = QSqrt10(Fraction(7, 60), Fraction(1, 30))
+    crossover = QSqrt10(Fraction(-425, 246), Fraction(70, 123))
+    zero = Fraction(0)
+    a = Poly((p, Fraction(1)))  # p + x
+    b = 1 - a
+    y0 = a * (2 * a - 1) - a**3
+    y1 = a * b * (5 * p**4 / (8 * q**3)) - a**3
 
-    g0 = lambda x: dk3k2_functions(x, "g0")
-    g1 = lambda x: dk3k2_functions(x, "g1")
+    def minus_threshold(y: Poly) -> Poly:
+        quotient, rest = divmod((a**3 + y) ** 2, a)
+        if rest:
+            raise ArithmeticError("a = p + x does not divide (a³ + y)²")
+        return quotient * (1 / (5 * p**4)) + b * (b**3 - y) * (1 / (4 * q**3)) - threshold
 
-    g0_closed = [(1065.0 + 336.0 * s10) / 400.0,
-                 (379.0 + 118.0 * s10) / 80.0,
-                 -(135.0 + 72.0 * s10) / 320.0,
-                 (52.0 - 3.0 * s10) / 160.0]
-    g1_closed = [-(487.0 + 154.0 * s10) / 100.0,
-                 (79.0 + 25.0 * s10) / 50.0,
-                 0.0,
-                 (7.0 + 2.0 * s10) / 60.0]
-    g0_fit = _fit_cubic(g0, -p + 0.05, 1.0 - p - 0.05)
-    g1_fit = _fit_cubic(g1, -0.55, 0.08)
-    coeff_err = max(max(abs(a - b) for a, b in zip(g0_fit, g0_closed)),
-                    max(abs(a - b) for a, b in zip(g1_fit, g1_closed)))
-
-    # the closed cubic forms extend g0, g1 continuously past x = -p, which
-    # the minimisation interval [-0.6, 0.08] for g1 requires
-    g0_cubic = lambda x: ((g0_closed[0] * x + g0_closed[1]) * x + g0_closed[2]) * x + g0_closed[3]
-    g1_cubic = lambda x: ((g1_closed[0] * x + g1_closed[1]) * x + g1_closed[2]) * x + g1_closed[3]
-    eps = 1e-9
-    g0_x, g0_min = _grid_then_golden(g0_cubic, -p + eps, 1.0 - p - eps, grid=2001)
-    g1_x, g1_min = _grid_then_golden(g1_cubic, -0.6, 0.08, grid=2001)
-
-    g1_at_zero = g1(0.0)
-    crossover = (-425.0 + 140.0 * s10) / 246.0
-
-    spec = CommonPairSpec(make_family("complete_minus_edge", 4), load_graph("k3_plus_k2"), p)
+    gap, g0, g1 = y1 - y0, minus_threshold(y0), minus_threshold(y1)
+    # the root of g0' where g0'' = +sqrt(discriminant) > 0
+    c0, c1, c2 = map(float, g0.derivative())
+    g0_x = (math.sqrt(c1 * c1 - 4 * c2 * c0) - c1) / (2 * c2)
+    spec = CommonPairSpec(make_family("complete_minus_edge", 4), load_graph("k3_plus_k2"),
+                          P_DIAMOND_PAIR)
     worst_gap = min_pair_gap(spec, pair_gap_seeds, budget=budget)
-
     report = {
-        "p": p,
+        "p": P_DIAMOND_PAIR,
         "threshold": threshold,
-        "g1_at_zero": g1_at_zero,
-        "g1_at_zero_error": abs(g1_at_zero - threshold),
-        "cubic_fit_max_error": coeff_err,
-        "g0_fit": g0_fit,
-        "g0_closed": g0_closed,
-        "g1_fit": g1_fit,
-        "g1_closed": g1_closed,
+        "crossover": crossover,
+        "y1_minus_y0": gap,
+        "g0_minus_threshold": g0,
+        "g1_minus_threshold": g1,
+        "y1_ge_y0_left_of_crossover": (not gap(crossover) and _sign_between(gap, -p, crossover) > 0
+                                       and _sign_between(gap, crossover, q) < 0),
+        "g1_clears_threshold_but_at_zero": (not g1(zero) and _sign_between(g1, -p, zero) > 0
+                                            and _sign_between(g1, zero, crossover) > 0
+                                            and g1(crossover) > 0),
+        "g0_clears_threshold": _sign_between(g0, -p, q) > 0,
         "g0_min_x": g0_x,
-        "g0_min_value": g0_min,
-        "g0_clears_threshold": g0_min > threshold,
-        "g1_min_x": g1_x,
-        "g1_min_value": g1_min,
-        "g1_min_at_zero": abs(g1_x) <= 1e-6 and abs(g1_min - threshold) <= 1e-9,
-        "y1_ge_y0_crossover": crossover,
+        "g0_min_value": float(g0(Fraction(g0_x)) + threshold),
         "pair_gap_min": worst_gap,
         "pair_gap_ok": worst_gap >= -INEQUALITY_TOL,
     }
-    report["passed"] = (report["g1_at_zero_error"] <= 1e-12
-                        and coeff_err <= 1e-6
-                        and report["g0_clears_threshold"]
-                        and report["g1_min_at_zero"]
-                        and report["pair_gap_ok"])
+    report["passed"] = (report["y1_ge_y0_left_of_crossover"]
+                        and report["g1_clears_threshold_but_at_zero"]
+                        and report["g0_clears_threshold"] and report["pair_gap_ok"])
     return report
 
 
 # ---------------------------------------------------------------------------
-# Generic convexity verification
+# Convexity verification
 
 
 def appendix_convexity_verify(f: Graph, e1: int, e2: int, k1: int, k2: int,
                               l1: int, l2: int, p1: float) -> dict:
-    """Numerically minimise the two-sided correlation objective
-    ((p1+x)^ef - y)^k1 / ((p1+x)^l1 e1 p1^(e1-1)) + mirrored term
-    over -p1 < x < p2 and -(p2-x)^ef <= y <= (p1+x)^ef, checking that the
-    minimum is p1/e1 + p2/e2, attained at (0, 0).
+    """Decide, over Q, that the two-sided correlation objective
+    (A - y)^k1 / u + (B + y)^k2 / v, minimised over real y, with
+    A = (p1+x)^e(F), B = (p2-x)^e(F), u = (p1+x)^l1 e1 p1^(e1-1) and
+    v = (p2-x)^l2 e2 p2^(e2-1), exceeds p1/e1 + p2/e2 on -p1 < x < p2 but
+    at x = 0, where it equals it.
 
-    When k1 = k2 = 1 the objective does not depend on y and y is pinned at
-    0; when exactly one k_i is 1, the y-interval is extended to include
-    the analytic stationary point.
+    p1 is read as the exact `Fraction(p1)`, which must balance exactly.
+    For k_i in {1, 2}, the only cases covered, the minimum over y is
+    (A+B)/u when k1 = k2 = 1 (then e_i >= e(F) forces l_i = 0, and balance
+    gives u = v), (A+B)²/(u+v) when both are 2, and (A+B)/u - v/(4u²) for
+    (k1, k2) = (1, 2), mirrored for (2, 1).  Exact signs and Sturm counts
+    decide its numerator minus the expected value times its denominator,
+    which is positive on the domain.  The Bernoulli boundary values, where
+    one colour class saturates, must not fall below the expected value.
     """
     ef = f.edge_count
-    p2 = 1.0 - p1
-    if not 0.0 < p1 < 1.0:
+    p1 = Fraction(p1)
+    p2 = 1 - p1
+    if not 0 < p1 < 1:
         raise ValueError("p1 must lie in (0, 1)")
+    _check_convexity_data(ef, ((e1, k1, l1), (e2, k2, l2)))
     if e1 < ef or e2 < ef:
         raise ValueError("e(H_i) >= e(F) is required")
-    if e1 != k1 * ef - l1 or e2 != k2 * ef - l2:
-        raise ValueError("e(H_i) = k_i e(F) - l_i is required")
+    if not {k1, k2} <= {1, 2}:
+        raise ValueError("k_i must be 1 or 2")
     if not _balance((k1, e1), (k2, e2), ef - 1, p1)[1]:
-        raise ValueError("the p-balance equation must hold")
-
-    def objective(x: float, y: float) -> float:
-        a = p1 + x
-        b = p2 - x
-        return ((a**ef - y) ** k1 / (a**l1 * e1 * p1 ** (e1 - 1))
-                + (b**ef + y) ** k2 / (b**l2 * e2 * p2 ** (e2 - 1)))
-
-    def min_over_y(x: float):
-        if k1 == 1 and k2 == 1:
-            return 0.0, objective(x, 0.0)
-        a = p1 + x
-        b = p2 - x
-        y_lo, y_hi = -(b**ef), a**ef
-        if k1 == 1 and k2 != 1:
-            # stationary point of the (convex) second term against a linear first
-            target = b**l2 * e2 * p2 ** (e2 - 1) / (k2 * e1 * p1 ** (e1 - 1))
-            y_star = target ** (1.0 / (k2 - 1)) - b**ef
-            y_lo, y_hi = min(y_lo, y_star), max(y_hi, y_star)
-        elif k2 == 1 and k1 != 1:
-            target = a**l1 * e1 * p1 ** (e1 - 1) / (k1 * e2 * p2 ** (e2 - 1))
-            y_star = a**ef - target ** (1.0 / (k1 - 1))
-            y_lo, y_hi = min(y_lo, y_star), max(y_hi, y_star)
-        return _golden_min(lambda y: objective(x, y), y_lo, y_hi, tol=1e-11)
-
-    margin = 1e-9
-    x_min, value = _grid_then_golden(lambda x: min_over_y(x)[1], -p1 + margin, p2 - margin,
-                                     grid=401, tol=1e-9)
-    y_min = min_over_y(x_min)[0]
+        raise ValueError("the p-balance equation must hold exactly")
+    zero = Fraction(0)
+    a = Poly((p1, Fraction(1)))  # p1 + x
+    b = 1 - a
+    u = a**l1 * (e1 * p1 ** (e1 - 1))
+    v = b**l2 * (e2 * p2 ** (e2 - 1))
+    s = a**ef + b**ef
+    if k1 == k2 == 1:
+        numerator, denominator = s, u
+    elif k1 == k2 == 2:
+        numerator, denominator = s * s, u + v
+    else:
+        if k1 == 2:
+            u, v = v, u
+        numerator, denominator = 4 * u * s - v, 4 * u * u
     expected = p1 / e1 + p2 / e2
-    # Bernoulli boundary values where one colour class saturates
-    boundary = (1.0 / (e1 * p1 ** (e1 - 1)), 1.0 / (e2 * p2 ** (e2 - 1)))
+    excess = numerator - denominator * expected
+    boundary = (1 / (e1 * p1 ** (e1 - 1)), 1 / (e2 * p2 ** (e2 - 1)))
+    boundary_ok = min(boundary) >= expected
     return {
-        "min_value": value,
-        "argmin_x": x_min,
-        "argmin_y": y_min,
         "expected": expected,
-        "value_error": abs(value - expected),
-        "argmin_distance": max(abs(x_min), abs(y_min)),
+        "min_value": numerator(zero) / denominator(zero),
+        "excess_numerator": excess,
+        "excess_denominator": denominator,
         "boundary_values": boundary,
-        "boundary_ok": all(v >= expected - INEQUALITY_TOL for v in boundary),
-        "passed": (abs(value - expected) <= 1e-8
-                   and max(abs(x_min), abs(y_min)) <= 1e-4
-                   and all(v >= expected - INEQUALITY_TOL for v in boundary)),
+        "boundary_ok": boundary_ok,
+        "passed": (not excess(zero) and _sign_between(excess, -p1, zero) > 0
+                   and _sign_between(excess, zero, p2) > 0 and boundary_ok),
     }
 
 

@@ -3,16 +3,22 @@
 Tolerances are pinned in homcommon.acceptance: exact identities at 1e-10,
 sampled inequalities at 1e-9, balance equations at 1e-12, the binomial
 inequality exact in rational arithmetic.  The sampled criteria (1-4 and
-the gap sweep in 8) are evidence for universally quantified statements,
-not proofs; the LP certificates and rational hom-count comparisons in
-5-7 and 11 are exact at their stated scale.
+the pair-gap spot check in 8) are evidence for universally quantified
+statements, not proofs; the LP certificates and rational hom-count
+comparisons in 5-7 and 11 are exact at their stated scale, and so are
+criterion 8's threshold claims, in Q(sqrt 10), and criterion 9, over Q.
+Mutants of `commonness`, each with one constant changed in its source,
+check that criteria 8 and 9 fail on a change no float could represent.
 """
 
+import inspect
 import math
+import sys
+import types
 
 import pytest
 
-from homcommon import acceptance
+from homcommon import acceptance, commonness
 from homcommon.graphons import density, kernel_arrays, sample_graphon, sample_kernel
 from homcommon.graphs import make_family
 from homcommon.identities import strongly_common_gap
@@ -27,11 +33,48 @@ def test_acceptance_criterion(criterion):
     assert result["passed"], f"criterion {result['name']}: {result['detail']}"
 
 
-def test_criterion_8_requires_the_cubic_fit(monkeypatch):
-    from homcommon import commonness
-    monkeypatch.setattr(commonness, "_fit_cubic", lambda fn, lo, hi, points=7: [0.0] * 4)
-    assert not commonness.dk3k2_verify(pair_gap_seeds=range(2))["passed"]
+def _mutant(monkeypatch, old: str, new: str) -> types.ModuleType:
+    """`commonness` with the one occurrence of `old` in its source replaced by
+    `new`, run as a module of its own; criteria 8 and 9 call its verifiers."""
+    source = inspect.getsource(commonness)
+    assert source.count(old) == 1
+    mutant = types.ModuleType("homcommon.mutant")
+    mutant.__package__ = "homcommon"
+    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)  # dataclasses look it up
+    exec(compile(source.replace(old, new), commonness.__file__, "exec"), vars(mutant))
+    for name in ("dk3k2_verify", "appendix_convexity_verify"):
+        monkeypatch.setattr(acceptance, name, getattr(mutant, name))
+    return mutant
+
+
+_TINY = " + Fraction(1, 10**20)"  # below the resolution of a float near each constant
+CRITERION_8_MUTANTS = {
+    "threshold": ("QSqrt10(Fraction(7, 60), Fraction(1, 30))",
+                  f"QSqrt10(Fraction(7, 60){_TINY}, Fraction(1, 30))"),
+    "y1_coefficient": ("(5 * p**4 / (8 * q**3))", f"(5 * p**4 / (8 * q**3){_TINY})"),
+    "crossover": ("Fraction(-425, 246)", "Fraction(-424, 246)"),
+}
+
+
+def test_an_unmutated_copy_passes(monkeypatch):
+    mutant = _mutant(monkeypatch, "def dk3k2_verify(", "def dk3k2_verify(")
+    assert mutant.dk3k2_verify(pair_gap_seeds=range(2))["passed"]
+    assert acceptance.criterion_9_appendix()["passed"]
+
+
+@pytest.mark.parametrize("mutation", CRITERION_8_MUTANTS)
+def test_criterion_8_rejects_a_mutant(monkeypatch, mutation):
+    mutant = _mutant(monkeypatch, *CRITERION_8_MUTANTS[mutation])
+    assert not mutant.dk3k2_verify(pair_gap_seeds=range(2))["passed"]
     assert not acceptance.criterion_8_dk3k2()["passed"]
+
+
+def test_criterion_9_rejects_a_wrong_expected_value(monkeypatch):
+    mutant = _mutant(monkeypatch, "expected = p1 / e1 + p2 / e2",
+                     f"expected = p1 / e1 + p2 / e2{_TINY}")
+    assert not mutant.appendix_convexity_verify(make_family("complete", 3),
+                                                3, 3, 1, 1, 0, 0, 0.5)["passed"]
+    assert not acceptance.criterion_9_appendix()["passed"]
 
 
 def _strongly_common_loop(kernels):

@@ -401,6 +401,39 @@ def test_repro_all_json_out(capsys, tmp_path, monkeypatch):
     assert all(c["seconds"] >= 0 for c in report["criteria"])
 
 
+def _strict_json(text: str):
+    """Parse JSON, refusing NaN and Infinity."""
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_dk3k2_verify_writes_exact_numbers_as_strings(capsys, tmp_path):
+    path = tmp_path / "dk3k2.json"
+    code, out, _ = run_cli(capsys, "--json-out", str(path),
+                           "common", "dk3k2-verify", "--seeds", "0..1")
+    assert code == 0
+    report = _strict_json(out)
+    assert report == _strict_json(path.read_text())
+    assert report["passed"] is True
+    # g1 - T = x^2 ((79 + 25 sqrt10)/50 - (487 + 154 sqrt10)/100 x)
+    assert report["g1_minus_threshold"] == ["0", "0", "79/50 + 1/2*sqrt(10)",
+                                            "-487/100 - 77/50*sqrt(10)"]
+    assert report["crossover"] == "-425/246 + 70/123*sqrt(10)"
+
+
+def test_repro_all_json_out_is_strict(capsys, tmp_path, monkeypatch):
+    from homcommon import acceptance
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA",
+                        (acceptance.criterion_8_dk3k2, acceptance.criterion_9_appendix))
+    path = tmp_path / "repro.json"
+    code, _, _ = run_cli(capsys, "--json-out", str(path), "repro-all")
+    assert code == 0
+    criteria = _strict_json(path.read_text())["criteria"]
+    assert "x = -425/246 + 70/123*sqrt(10)" in criteria[0]["detail"]
+    assert "K3 1/3" in criteria[1]["detail"] and "C5 1/9" in criteria[1]["detail"]
+
+
 def test_json_out_writes_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "--json-out", str(path),

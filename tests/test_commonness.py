@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import digest
 from homcommon import data
-from homcommon.commonness import (FALSIFY_MAX_BLOCKS, CommonPairSpec, P_DIAMOND_PAIR,
-                                  appendix_convexity_verify,
+from homcommon.commonness import (FALSIFY_MAX_BLOCKS, CommonPairSpec, P_DIAMOND_EXACT,
+                                  P_DIAMOND_PAIR, QSqrt10, appendix_convexity_verify,
                                   certify_pair_via_templates, common_gap,
                                   common_gap_objective, convexity_conditions,
-                                  dk3k2_f, dk3k2_functions, dk3k2_verify,
-                                  falsify, girth_obstruction,
+                                  dk3k2_verify, falsify, girth_obstruction,
                                   min_pair_gap, pair_gap, pair_gap_objective,
                                   solve_simple_tree_p, _balance, _correlation_slacks,
                                   _descend, _pair_gap)
@@ -308,24 +307,21 @@ def test_girth_obstruction():
 
 
 def test_dk3k2_point_values():
-    p = P_DIAMOND_PAIR
-    assert p == pytest.approx((8 - 2 * S10) / 3, abs=1e-15)
-    # threshold identity p/5 + (1-p)/4 = (7 + 2 sqrt10)/60
-    assert p / 5 + (1 - p) / 4 == pytest.approx((7 + 2 * S10) / 60, abs=1e-14)
-    assert dk3k2_functions(0.0, "g1") == pytest.approx((7 + 2 * S10) / 60, abs=1e-12)
-    assert dk3k2_functions(0.0, "g0") == pytest.approx((52 - 3 * S10) / 160, abs=1e-12)
-    # y1 >= y0 exactly up to the stated crossover
-    crossover = (-425 + 140 * S10) / 246
-    for x in (-0.3, 0.0, 0.05, crossover - 1e-6):
-        assert dk3k2_functions(x, "y1") >= dk3k2_functions(x, "y0") - 1e-12
-    for x in (crossover + 1e-6, 0.2, 0.4):
-        assert dk3k2_functions(x, "y1") <= dk3k2_functions(x, "y0") + 1e-12
-    assert dk3k2_f(0.0, 0.0) == pytest.approx(
-        p**6 / (5 * p**4 * p) + (1 - p) * (1 - p) ** 3 / (4 * (1 - p) ** 3), abs=1e-14)
-    with pytest.raises(ValueError):
-        dk3k2_functions(0.9, "g0")
-    with pytest.raises(ValueError):
-        dk3k2_functions(0.0, "g2")
+    assert P_DIAMOND_PAIR == pytest.approx((8 - 2 * S10) / 3, abs=1e-15)
+    rep = dk3k2_verify(pair_gap_seeds=range(1))
+    p, threshold = P_DIAMOND_EXACT, rep["threshold"]
+    # threshold identity p/5 + (1-p)/4 = (7 + 2 sqrt10)/60, exactly
+    assert p / 5 + (1 - p) / 4 == threshold == QSqrt10(Fraction(7, 60), Fraction(1, 30))
+    zero = Fraction(0)
+    assert not rep["g1_minus_threshold"](zero)  # g1(0) equals the threshold
+    assert rep["g0_minus_threshold"](zero) == QSqrt10(Fraction(5, 24), Fraction(-5, 96))
+    # y1 >= y0 exactly up to the stated crossover, and y1 < y0 after it
+    gap, crossover = rep["y1_minus_y0"], rep["crossover"]
+    assert not gap(crossover)
+    for x in (Fraction(-3, 10), zero, Fraction(1, 20), crossover - Fraction(1, 10**20)):
+        assert gap(x) > 0
+    for x in (crossover + Fraction(1, 10**20), Fraction(1, 5), Fraction(2, 5)):
+        assert gap(x) < 0
 
 
 def test_dk3k2_verify_rejects_empty_seed_list():
@@ -337,28 +333,34 @@ def test_dk3k2_verify_rejects_empty_seed_list():
 def test_dk3k2_verify_report():
     rep = dk3k2_verify(pair_gap_seeds=range(10))
     assert rep["passed"]
-    assert rep["g1_at_zero_error"] <= 1e-12
-    assert rep["cubic_fit_max_error"] <= 1e-8
+    assert rep["y1_ge_y0_left_of_crossover"] and rep["g0_clears_threshold"]
+    assert rep["g1_clears_threshold_but_at_zero"]
     assert rep["g0_min_value"] == pytest.approx(0.23263, abs=5e-4)
     assert rep["g0_min_x"] == pytest.approx(0.057472, abs=5e-4)
-    assert abs(rep["g1_min_x"]) <= 1e-6
-    assert rep["g1_min_value"] == pytest.approx(rep["threshold"], abs=1e-9)
+    # g1 - T = x^2 (c1 + c0 x), coefficients constant term first
+    c1 = QSqrt10(Fraction(79, 50), Fraction(1, 2))
+    c0 = QSqrt10(Fraction(-487, 100), Fraction(-77, 50))
+    assert rep["g1_minus_threshold"] == (QSqrt10(Fraction(0)),) * 2 + (c1, c0)
 
 
 def test_appendix_convexity_triangle_case():
     rep = appendix_convexity_verify(K3, 3, 3, 1, 1, 0, 0, 0.5)
     assert rep["passed"]
-    assert rep["min_value"] == pytest.approx(1 / 3, abs=1e-8)
-    assert rep["argmin_distance"] <= 1e-4
-    # closed form along y = 0 is 1/3 + 4x^2
+    assert rep["min_value"] == rep["expected"] == Fraction(1, 3)
+    # the minimum over y less 1/3 is 3x^2 / (3/4) = 4x^2
+    assert rep["excess_numerator"] == (0, 0, 3)
+    assert rep["excess_denominator"] == (Fraction(3, 4),)
     assert rep["boundary_ok"]
 
 
 def test_appendix_convexity_square_attachment_case():
     rep = appendix_convexity_verify(C5, 9, 9, 2, 2, 1, 1, 0.5)
     assert rep["passed"]
-    assert rep["min_value"] == pytest.approx(1 / 9, abs=1e-8)
-    assert rep["argmin_distance"] <= 1e-4
+    assert rep["min_value"] == rep["expected"] == Fraction(1, 9)
+    # (x^2 (5/16 + 55/8 x^2 + 25 x^4 + 25 x^6)) / (9/256)
+    #   = 80 x^2 (2x^2 + 1)(40x^4 + 20x^2 + 1) / 9
+    assert rep["excess_numerator"] == (0, 0, Fraction(5, 16), 0, Fraction(55, 8), 0, 25, 0, 25)
+    assert rep["excess_denominator"] == (Fraction(9, 256),)
 
 
 def test_appendix_convexity_rejects_unbalanced():
@@ -366,6 +368,29 @@ def test_appendix_convexity_rejects_unbalanced():
         appendix_convexity_verify(K3, 3, 3, 1, 1, 0, 0, 0.4)
     with pytest.raises(ValueError):
         appendix_convexity_verify(K3, 2, 3, 1, 1, 1, 0, 0.5)
+    # p1 is read exactly: a float off 1/2 by 1e-13 balances only within BALANCE_TOL
+    with pytest.raises(ValueError, match="exactly"):
+        appendix_convexity_verify(K3, 3, 3, 1, 1, 0, 0, 0.5 + 1e-13)
+
+
+def test_appendix_convexity_covers_k_1_and_2_only():
+    with pytest.raises(ValueError, match="k_i must be 1 or 2"):
+        appendix_convexity_verify(K3, 9, 9, 3, 3, 0, 0, 0.5)
+    # both mixed cases at a balancing p1: C5 with e1 = 5, e2 = 10
+    for args in ((5, 10, 1, 2, 0, 0), (10, 5, 2, 1, 0, 0)):
+        rep = appendix_convexity_verify(C5, *args, Fraction(1, 2))
+        assert rep["passed"] and rep["min_value"] == Fraction(3, 20)
+
+
+def test_convexity_data_is_checked_once_for_spec_and_verifier():
+    # e_i = k_i e(F) - l_i holds, but l_i < 0
+    with pytest.raises(ValueError, match="l_i >= 0"):
+        appendix_convexity_verify(K3, 4, 4, 1, 1, -1, -1, 0.5)
+    paw = data.load_graph("paw")
+    with pytest.raises(ValueError, match="l_i >= 0"):
+        CommonPairSpec(paw, paw, 0.5, f=K3, k1=1, k2=1, l1=-1, l2=-1)
+    with pytest.raises(ValueError, match="k_i >= 1"):
+        CommonPairSpec(K3, K3, 0.5, f=K3, k1=0, k2=0, l1=-3, l2=-3)
 
 
 def test_falsify_paw_and_determinism():
