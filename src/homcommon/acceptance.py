@@ -18,9 +18,9 @@ from fractions import Fraction
 from functools import partial
 
 from . import data
-from .commonness import (appendix_convexity_verify, common_gap_objective,
-                         dk3k2_verify, falsify, girth_obstruction,
-                         solve_simple_tree_p)
+from .commonness import (P_DIAMOND_PAIR, CommonPairSpec, appendix_convexity_verify,
+                         common_gap_objective, dk3k2_verify, falsify, girth_obstruction,
+                         min_pair_gap, solve_simple_tree_p)
 from .cone import binomial_inequality_check, check_good, verify_certificate
 from .graphs import (BALANCE_TOL, FALSIFY_THRESHOLD, IDENTITY_TOL, INEQUALITY_TOL,
                      make_family, random_graph)
@@ -132,21 +132,25 @@ def criterion_7_p_solver() -> dict:
 
 
 def criterion_8_dk3k2() -> dict:
-    rep = dk3k2_verify(pair_gap_seeds=range(100))
+    rep = dk3k2_verify()
+    # the sampled spot check of the pair gap at the float threshold
+    spec = CommonPairSpec(make_family("complete_minus_edge", 4), data.load_graph("k3_plus_k2"),
+                          P_DIAMOND_PAIR)
+    worst = min_pair_gap(spec, range(100))
     return {"name": "8 diamond / K3+K2 threshold (exact in Q(√10); pair-gap spot check sampled)",
-            "passed": rep["passed"],
+            "passed": rep["passed"] and worst >= -INEQUALITY_TOL,
             "detail": (f"y1 >= y0 left of x = {rep['crossover']}: "
                        f"{rep['y1_ge_y0_left_of_crossover']}, g1 > T there but g1(0) = T: "
                        f"{rep['g1_clears_threshold_but_at_zero']}, g0 > T: "
                        f"{rep['g0_clears_threshold']}; "
                        f"min g0 = {rep['g0_min_value']:.5f} @ x = {rep['g0_min_x']:.6f}, "
-                       f"min pair gap = {rep['pair_gap_min']:.3e}")}
+                       f"min pair gap = {worst:.3e}")}
 
 
 def criterion_9_appendix() -> dict:
     k3 = make_family("complete", 3)
-    rep1 = appendix_convexity_verify(k3, 3, 3, 1, 1, 0, 0, Fraction(1, 2))
-    rep2 = appendix_convexity_verify(make_family("cycle", 5), 9, 9, 2, 2, 1, 1, Fraction(1, 2))
+    rep1 = appendix_convexity_verify(k3, 1, 1, 0, 0, Fraction(1, 2))
+    rep2 = appendix_convexity_verify(make_family("cycle", 5), 2, 2, 1, 1, Fraction(1, 2))
     ok = rep1["passed"] and rep2["passed"]
     return {"name": ("9 convexity verifier "
                      "(exact over Q: triangle identity case + pentagon+square case)"),
@@ -174,9 +178,9 @@ def criterion_10_falsifier() -> dict:
 def criterion_11_girth_obstruction() -> dict:
     k3 = make_family("complete", 3)
     d = make_family("complete_minus_edge", 4)
-    at_half = girth_obstruction(k3, d, 3, Fraction(1, 2))
+    at_half = girth_obstruction(k3, d, Fraction(1, 2))
     p = solve_simple_tree_p(3, 3, 5, 4, 3)
-    at_star = girth_obstruction(k3, d, 3, p)
+    at_star = girth_obstruction(k3, d, p)
     ok = (at_half is False) and (at_star is True)
     return {"name": "11 girth obstruction (triangle vs diamond)",
             "passed": ok,

@@ -124,7 +124,7 @@ def _cmd_solve_p(args) -> int:
 
 
 def _cmd_dk3k2(args) -> int:
-    report = dk3k2_verify(pair_gap_seeds=_parse_seeds(args.seeds), budget=args.budget)
+    report = dk3k2_verify()
     _emit(report, args.json_out)
     return 0 if report["passed"] else 1
 
@@ -209,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     csolve.set_defaults(handler=_cmd_solve_p)
 
     cdk = csub.add_parser("dk3k2-verify")
-    cdk.add_argument("--seeds", default="0..19")
     cdk.set_defaults(handler=_cmd_dk3k2)
 
     cfal = csub.add_parser("falsify")

@@ -8,15 +8,16 @@ random-restart falsifier for (un)commonness.
 
 The threshold verification and the convexity verifier build polynomials
 (`Poly`) over Q(√10) (`QSqrt10`) or Q, and decide each claim by exact
-signs and Sturm root counts; only the former's pair-gap spot check is
-sampled in floats.
+signs and Sturm root counts.  Like the girth obstruction, each takes only
+the inputs its claims read: edge counts and girths are derived from the
+graphs, and no sampled work runs inside an exact verifier.
 
 Each gap formula is written once over arrays with leading batch axes
 (`_common_gap`, `_pair_gap`, and `identities._strongly_common_gap`); the
 public gap functions evaluate it on one kernel's arrays, and the objective
 factories return the formula itself, which maps B graphons given as
 measures (B, q) and values (B, q, q) to their B gaps.  `min_pair_gap` is
-the one sampled pair-gap suite, shared by `dk3k2_verify` and the CLI.
+the one sampled pair-gap suite, behind `common pair-gap` and criterion 8.
 `falsify` pads every restart to the largest block count drawn,
 with zero-measure blocks, and descends all of them in lockstep by compass
 search: one batched objective call per coordinate scores both step
@@ -39,7 +40,6 @@ from itertools import zip_longest
 import numpy as np
 
 from .cone import GoodnessCertificate, check_good
-from .data import load_graph
 from .gluing import GluingTemplate, build_j
 from .graphs import (BALANCE_TOL, DEFAULT_WORK_BUDGET, INEQUALITY_TOL, Graph, components,
                      girth_and_cycle_count, make_family)
@@ -56,13 +56,12 @@ FALSIFY_MAX_BLOCKS = 4
 P_DIAMOND_PAIR = (8.0 - 2.0 * math.sqrt(10.0)) / 3.0
 
 
-def _check_convexity_data(ef: int, sides) -> None:
-    """Refuse sides (e_i, k_i, l_i) but for k_i >= 1, l_i >= 0, e_i = k_i ef - l_i."""
-    for e, k, l in sides:
-        if k < 1 or l < 0:
-            raise ValueError("k_i >= 1 and l_i >= 0 are required")
-        if e != k * ef - l:
-            raise ValueError("e(h_i) must equal k_i * e(f) - l_i")
+def _convexity_edges(ef: int, k: int, l: int) -> int:
+    """e_i = k_i ef - l_i, the edge count that convexity data (k_i, l_i) ties
+    to e(f) = ef; refused but for k_i >= 1 and l_i >= 0."""
+    if k < 1 or l < 0:
+        raise ValueError("k_i >= 1 and l_i >= 0 are required")
+    return k * ef - l
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,9 @@ class CommonPairSpec:
         if self.f is not None:
             if None in (self.k1, self.k2, self.l1, self.l2):
                 raise ValueError("k1, k2, l1, l2 are required alongside f")
-            _check_convexity_data(self.f.edge_count, ((self.h1.edge_count, self.k1, self.l1),
-                                                      (self.h2.edge_count, self.k2, self.l2)))
+            for h, k, l in ((self.h1, self.k1, self.l1), (self.h2, self.k2, self.l2)):
+                if h.edge_count != _convexity_edges(self.f.edge_count, k, l):
+                    raise ValueError("e(h_i) must equal k_i * e(f) - l_i")
 
     @property
     def p2(self) -> float:
@@ -194,6 +194,8 @@ def convexity_conditions(spec: CommonPairSpec, sample_seeds, max_blocks: int = 4
     common base graph f via (k_i, l_i).
 
     Conditions 1-3 are decided, condition 3 exactly for a `Fraction` p1;
+    condition 2 (e(h_i) = k_i e(f) - l_i) holds for every spec, which
+    `CommonPairSpec` refuses otherwise, so it is reported as True;
     condition 4 (the correlation inequality t(h_i,W) t(K2,W)^l_i >=
     t(f,W)^k_i) is universally quantified, so sampling it only yields the
     "numerically_supported" assurance.  The sampled graphons' arrays are scored by
@@ -209,8 +211,6 @@ def convexity_conditions(spec: CommonPairSpec, sample_seeds, max_blocks: int = 4
     f = spec.f
     ef = f.edge_count
     cond1 = spec.h1.edge_count >= ef and spec.h2.edge_count >= ef
-    cond2 = (spec.h1.edge_count == spec.k1 * ef - spec.l1
-             and spec.h2.edge_count == spec.k2 * ef - spec.l2)
     residual, cond3 = _balance((spec.k1, spec.h1.edge_count), (spec.k2, spec.h2.edge_count),
                                ef - 1, spec.p1)
     worst = min(score_kernels(partial(_correlation_slacks, spec), (_K2, f, spec.h1, spec.h2),
@@ -218,13 +218,13 @@ def convexity_conditions(spec: CommonPairSpec, sample_seeds, max_blocks: int = 4
     cond4 = worst >= -INEQUALITY_TOL
     return {
         "edge_floor": cond1,
-        "edge_arithmetic": cond2,
+        "edge_arithmetic": True,
         "balance": cond3,
         "balance_residual": residual,
         "correlation": cond4,
         "correlation_min_slack": worst,
         "correlation_assurance": "numerically_supported",
-        "all_pass": cond1 and cond2 and cond3 and cond4,
+        "all_pass": cond1 and cond3 and cond4,
     }
 
 
@@ -315,17 +315,20 @@ def solve_simple_tree_p(e1: int, v1: int, e2: int, v2: int, m: int) -> float:
     return 1.0 / (1.0 + (c2 * e1 / (c1 * e2)) ** (1.0 / (m - 1)))
 
 
-def girth_obstruction(h1: Graph, h2: Graph, m: int, p1) -> bool:
-    """Necessary balance condition for girth-m pairs:
-    c_m(h1)/(e(h1) p1^(m-1)) = c_m(h2)/(e(h2) p2^(m-1)).
+def girth_obstruction(h1: Graph, h2: Graph, p1) -> bool:
+    """Necessary balance condition for a pair of common girth m:
+    c_m(h1)/(e(h1) p1^(m-1)) = c_m(h2)/(e(h2) p2^(m-1)), with c_m the
+    number of m-cycles.
 
-    False proves (h1, h2) is not (p1, p2)-common.  Decided by `_balance`:
-    exactly for a `Fraction` p1, within its relative tolerance for a float.
+    m is read from the graphs (`girth_and_cycle_count`); different girths,
+    or a forest, are refused.  False proves (h1, h2) is not (p1,
+    p2)-common.  Decided by `_balance`: exactly for a `Fraction` p1, within
+    its relative tolerance for a float.
     """
-    g1, c1 = girth_and_cycle_count(h1, m)
-    g2, c2 = girth_and_cycle_count(h2, m)
-    if g1 != m or g2 != m:
-        raise ValueError(f"both graphs must have girth exactly {m}")
+    m, c1 = girth_and_cycle_count(h1)
+    g2, c2 = girth_and_cycle_count(h2)
+    if m != g2 or m == math.inf:
+        raise ValueError(f"the graphs must share a finite girth, not {m} and {g2}")
     if not 0 < p1 < 1:
         raise ValueError("p1 must lie in (0, 1)")
     return _balance((c1, h1.edge_count), (c2, h2.edge_count), m - 1, p1)[1]
@@ -485,7 +488,7 @@ def _sign_between(p: Poly, lo, hi) -> int:
 # (D, K3 u K2) threshold
 
 
-def dk3k2_verify(pair_gap_seeds=range(20), budget: int = DEFAULT_WORK_BUDGET) -> dict:
+def dk3k2_verify() -> dict:
     """Exact verification, in Q(√10), of the diamond / K3+K2 threshold argument.
 
     At p = (8 - 2√10)/3, with a = p + x and b = 1 - p - x, the objective
@@ -496,10 +499,11 @@ def dk3k2_verify(pair_gap_seeds=range(20), budget: int = DEFAULT_WORK_BUDGET) ->
     that on the domain -p < x < 1-p: y1 - y0 has one root, the crossover
     (-425 + 140√10)/246, and is positive left of it; g1 - T > 0 on
     (-p, crossover] but at 0, where g1 = T; and g0 - T > 0.  Polynomials
-    are reported as coefficient tuples, constant term first, with g0's
-    minimum as floats at the critical point of the exact cubic.  The pair
-    gap at the float p is spot-checked on sampled graphons, each density
-    within `budget`: sampled evidence, within `INEQUALITY_TOL`.
+    are reported as coefficient tuples, constant term first, beside p,
+    the threshold and the crossover, with g0's minimum as floats at the
+    critical point of the exact cubic.  Nothing is sampled here: the pair
+    gap's sampled evidence at `P_DIAMOND_PAIR` is `min_pair_gap`'s, which
+    `common pair-gap` and criterion 8 run.
     """
     p = P_DIAMOND_EXACT
     q = 1 - p
@@ -521,11 +525,8 @@ def dk3k2_verify(pair_gap_seeds=range(20), budget: int = DEFAULT_WORK_BUDGET) ->
     # the root of g0' where g0'' = +sqrt(discriminant) > 0
     c0, c1, c2 = map(float, g0.derivative())
     g0_x = (math.sqrt(c1 * c1 - 4 * c2 * c0) - c1) / (2 * c2)
-    spec = CommonPairSpec(make_family("complete_minus_edge", 4), load_graph("k3_plus_k2"),
-                          P_DIAMOND_PAIR)
-    worst_gap = min_pair_gap(spec, pair_gap_seeds, budget=budget)
     report = {
-        "p": P_DIAMOND_PAIR,
+        "p": p,
         "threshold": threshold,
         "crossover": crossover,
         "y1_minus_y0": gap,
@@ -539,12 +540,10 @@ def dk3k2_verify(pair_gap_seeds=range(20), budget: int = DEFAULT_WORK_BUDGET) ->
         "g0_clears_threshold": _sign_between(g0, -p, q) > 0,
         "g0_min_x": g0_x,
         "g0_min_value": float(g0(Fraction(g0_x)) + threshold),
-        "pair_gap_min": worst_gap,
-        "pair_gap_ok": worst_gap >= -INEQUALITY_TOL,
     }
     report["passed"] = (report["y1_ge_y0_left_of_crossover"]
                         and report["g1_clears_threshold_but_at_zero"]
-                        and report["g0_clears_threshold"] and report["pair_gap_ok"])
+                        and report["g0_clears_threshold"])
     return report
 
 
@@ -552,15 +551,16 @@ def dk3k2_verify(pair_gap_seeds=range(20), budget: int = DEFAULT_WORK_BUDGET) ->
 # Convexity verification
 
 
-def appendix_convexity_verify(f: Graph, e1: int, e2: int, k1: int, k2: int,
-                              l1: int, l2: int, p1: float) -> dict:
+def appendix_convexity_verify(f: Graph, k1: int, k2: int, l1: int, l2: int,
+                              p1: float) -> dict:
     """Decide, over Q, that the two-sided correlation objective
     (A - y)^k1 / u + (B + y)^k2 / v, minimised over real y, with
     A = (p1+x)^e(F), B = (p2-x)^e(F), u = (p1+x)^l1 e1 p1^(e1-1) and
     v = (p2-x)^l2 e2 p2^(e2-1), exceeds p1/e1 + p2/e2 on -p1 < x < p2 but
     at x = 0, where it equals it.
 
-    p1 is read as the exact `Fraction(p1)`, which must balance exactly.
+    e_i = k_i e(F) - l_i (k_i >= 1, l_i >= 0), which must be at least
+    e(F).  p1 is read as the exact `Fraction(p1)`, which must balance exactly.
     For k_i in {1, 2}, the only cases covered, the minimum over y is
     (A+B)/u when k1 = k2 = 1 (then e_i >= e(F) forces l_i = 0, and balance
     gives u = v), (A+B)²/(u+v) when both are 2, and (A+B)/u - v/(4u²) for
@@ -574,7 +574,7 @@ def appendix_convexity_verify(f: Graph, e1: int, e2: int, k1: int, k2: int,
     p2 = 1 - p1
     if not 0 < p1 < 1:
         raise ValueError("p1 must lie in (0, 1)")
-    _check_convexity_data(ef, ((e1, k1, l1), (e2, k2, l2)))
+    e1, e2 = _convexity_edges(ef, k1, l1), _convexity_edges(ef, k2, l2)
     if e1 < ef or e2 < ef:
         raise ValueError("e(H_i) >= e(F) is required")
     if not {k1, k2} <= {1, 2}:

@@ -388,9 +388,7 @@ def _hom_counts(h: Graph, adj: np.ndarray, budget: int, caller: str) -> list[int
 
 
 def _count_cycles(h: Graph, length: int, budget: int) -> int:
-    """Unlabelled cycles of the given length, by direct DFS path enumeration."""
-    if length < 3 or length > h.vertex_count:
-        return 0
+    """Unlabelled cycles of the given length, 3 to v(h), by direct DFS path enumeration."""
     nbrs = h.neighbor_sets()
     count = 0
     steps = 0
@@ -419,17 +417,14 @@ def _count_cycles(h: Graph, length: int, budget: int) -> int:
     return count // 2
 
 
-def girth_and_cycle_count(h: Graph, m: int, budget: int = DEFAULT_WORK_BUDGET):
-    """(girth, c_m): least cycle length present (math.inf for forests) and
-    the number of unlabelled m-cycles."""
-    if m < 3:
-        raise ValueError("cycle length must be at least 3")
-    girth: float = math.inf
+def girth_and_cycle_count(h: Graph, budget: int = DEFAULT_WORK_BUDGET):
+    """(girth, number of girth-length cycles), unlabelled; (math.inf, 0) for
+    a forest.  The scan stops at the first length with a cycle."""
     for k in range(3, h.vertex_count + 1):
-        if _count_cycles(h, k, budget) > 0:
-            girth = k
-            break
-    return girth, _count_cycles(h, m, budget)
+        count = _count_cycles(h, k, budget)
+        if count:
+            return k, count
+    return math.inf, 0
 
 
 def random_graph(n: int, seed: int, edge_probability: float = 0.5) -> Graph:

@@ -3,10 +3,11 @@
 Tolerances are pinned in homcommon.acceptance: exact identities at 1e-10,
 sampled inequalities at 1e-9, balance equations at 1e-12, the binomial
 inequality exact in rational arithmetic.  The sampled criteria (1-4 and
-the pair-gap spot check in 8) are evidence for universally quantified
-statements, not proofs; the LP certificates and rational hom-count
-comparisons in 5-7 and 11 are exact at their stated scale, and so are
-criterion 8's threshold claims, in Q(sqrt 10), and criterion 9, over Q.
+the pair-gap spot check that criterion 8 runs beside `dk3k2_verify`) are
+evidence for universally quantified statements, not proofs; the LP
+certificates and rational hom-count comparisons in 5-7 and 11 are exact
+at their stated scale, and so are criterion 8's threshold claims, in
+Q(sqrt 10), and criterion 9, over Q.
 Mutants of `commonness`, each with one constant changed in its source,
 check that criteria 8 and 9 fail on a change no float could represent.
 """
@@ -18,9 +19,9 @@ import types
 
 import pytest
 
-from homcommon import acceptance, commonness
+from homcommon import acceptance, commonness, data
 from homcommon.graphons import density, kernel_arrays, sample_graphon, sample_kernel
-from homcommon.graphs import make_family
+from homcommon.graphs import INEQUALITY_TOL, make_family
 from homcommon.identities import strongly_common_gap
 
 
@@ -58,14 +59,26 @@ CRITERION_8_MUTANTS = {
 
 def test_an_unmutated_copy_passes(monkeypatch):
     mutant = _mutant(monkeypatch, "def dk3k2_verify(", "def dk3k2_verify(")
-    assert mutant.dk3k2_verify(pair_gap_seeds=range(2))["passed"]
+    assert mutant.dk3k2_verify()["passed"]
     assert acceptance.criterion_9_appendix()["passed"]
 
 
 @pytest.mark.parametrize("mutation", CRITERION_8_MUTANTS)
 def test_criterion_8_rejects_a_mutant(monkeypatch, mutation):
     mutant = _mutant(monkeypatch, *CRITERION_8_MUTANTS[mutation])
-    assert not mutant.dk3k2_verify(pair_gap_seeds=range(2))["passed"]
+    assert not mutant.dk3k2_verify()["passed"]
+    assert not acceptance.criterion_8_dk3k2()["passed"]
+
+
+def test_criterion_8_spot_checks_the_pair_gap(monkeypatch):
+    # the sampled evidence at the float threshold is criterion 8's, not the verifier's
+    spec = commonness.CommonPairSpec(make_family("complete_minus_edge", 4),
+                                     data.load_graph("k3_plus_k2"), commonness.P_DIAMOND_PAIR)
+    worst = commonness.min_pair_gap(spec, range(100))
+    result = acceptance.criterion_8_dk3k2()
+    assert result["passed"] and worst >= -INEQUALITY_TOL
+    assert result["detail"].endswith(f"min pair gap = {worst:.3e}")
+    monkeypatch.setattr(acceptance, "min_pair_gap", lambda spec, seeds: -2 * INEQUALITY_TOL)
     assert not acceptance.criterion_8_dk3k2()["passed"]
 
 
@@ -73,7 +86,7 @@ def test_criterion_9_rejects_a_wrong_expected_value(monkeypatch):
     mutant = _mutant(monkeypatch, "expected = p1 / e1 + p2 / e2",
                      f"expected = p1 / e1 + p2 / e2{_TINY}")
     assert not mutant.appendix_convexity_verify(make_family("complete", 3),
-                                                3, 3, 1, 1, 0, 0, 0.5)["passed"]
+                                                1, 1, 0, 0, 0.5)["passed"]
     assert not acceptance.criterion_9_appendix()["passed"]
 
 

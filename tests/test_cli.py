@@ -95,8 +95,7 @@ def test_seed_range_longer_than_maxsize_is_a_usage_error(capsys):
 @pytest.mark.parametrize("command", [
     ("verify", "identity", "goodman"),
     ("common", "pair-gap", "--h1", "K3", "--h2", "K3", "--p1", "0.5"),
-    ("common", "dk3k2-verify"),
-], ids=["verify-identity", "pair-gap", "dk3k2-verify"])
+], ids=["verify-identity", "pair-gap"])
 def test_empty_seed_range_is_a_usage_error(capsys, command):
     code, out, err = run_cli(capsys, *command, "--seeds", "5..3")
     assert code == 2
@@ -254,7 +253,6 @@ def test_falsify_seed_global_and_subcommand(capsys):
 @pytest.mark.parametrize("command", [
     ("common", "pair-gap", "--h1", "C5", "--h2", "C5", "--p1", "0.5", "--seeds", "0"),
     ("common", "falsify", "--target", "K3", "--restarts", "1", "--steps", "2"),
-    ("common", "dk3k2-verify", "--seeds", "0..1"),
 ])
 def test_budget_reaches_common_commands(capsys, command):
     code, _, err = run_cli(capsys, "--budget", "1", *command)
@@ -410,8 +408,7 @@ def _strict_json(text: str):
 
 def test_dk3k2_verify_writes_exact_numbers_as_strings(capsys, tmp_path):
     path = tmp_path / "dk3k2.json"
-    code, out, _ = run_cli(capsys, "--json-out", str(path),
-                           "common", "dk3k2-verify", "--seeds", "0..1")
+    code, out, _ = run_cli(capsys, "--json-out", str(path), "common", "dk3k2-verify")
     assert code == 0
     report = _strict_json(out)
     assert report == _strict_json(path.read_text())
@@ -420,6 +417,13 @@ def test_dk3k2_verify_writes_exact_numbers_as_strings(capsys, tmp_path):
     assert report["g1_minus_threshold"] == ["0", "0", "79/50 + 1/2*sqrt(10)",
                                             "-487/100 - 77/50*sqrt(10)"]
     assert report["crossover"] == "-425/246 + 70/123*sqrt(10)"
+    assert report["p"] == "8/3 - 2/3*sqrt(10)"
+
+
+def test_dk3k2_verify_takes_no_seeds(capsys):
+    # the threshold verifier samples nothing; its sampled evidence is `common pair-gap`'s
+    code, out, err = run_cli(capsys, "common", "dk3k2-verify", "--seeds", "0..1")
+    assert code == 2 and out == "" and "--seeds" in err
 
 
 def test_repro_all_json_out_is_strict(capsys, tmp_path, monkeypatch):

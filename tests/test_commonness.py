@@ -20,7 +20,8 @@ from homcommon.commonness import (FALSIFY_MAX_BLOCKS, CommonPairSpec, P_DIAMOND_
 from homcommon.graphons import (StepKernel, constant_kernel, density, kernel_arrays,
                                 sample_graphon, sample_kernel)
 from homcommon.gluing import build_j
-from homcommon.graphs import DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _plan, make_family
+from homcommon.graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _plan,
+                             disjoint_union, make_family)
 from homcommon.identities import _strongly_common_gap, score_kernels, strongly_common_gap
 
 K3 = make_family("complete", 3)
@@ -155,6 +156,14 @@ def test_batched_pair_gap_suite_matches_the_per_graphon_loop():
                             map(kernel_arrays, kernels))
     assert _bits(batched) == _bits(_pair_gap(spec, *kernel_arrays(w), DEFAULT_WORK_BUDGET)
                                    for w in kernels)
+
+
+def test_pair_gap_suite_rejects_empty_seed_list():
+    # the sampled minimum over no seeds is inf, which would pass as evidence
+    spec = CommonPairSpec(D, data.load_graph("k3_plus_k2"), P_DIAMOND_PAIR)
+    for seeds in ([], range(0)):
+        with pytest.raises(ValueError, match="seed"):
+            min_pair_gap(spec, seeds)
 
 
 def test_sampled_suites_build_no_step_kernel(kernel_builds):
@@ -298,17 +307,28 @@ def test_solve_simple_tree_p():
 
 
 def test_girth_obstruction():
-    assert girth_obstruction(K3, K3, 3, Fraction(1, 2)) is True
-    assert girth_obstruction(K3, D, 3, Fraction(1, 2)) is False
+    assert girth_obstruction(K3, K3, Fraction(1, 2)) is True
+    assert girth_obstruction(K3, D, Fraction(1, 2)) is False
     p = solve_simple_tree_p(3, 3, 5, 4, 3)
-    assert girth_obstruction(K3, D, 3, p) is True
-    with pytest.raises(ValueError):
-        girth_obstruction(K3, C5, 3, 0.5)  # girth mismatch
+    assert girth_obstruction(K3, D, p) is True
+    with pytest.raises(ValueError, match="girth"):
+        girth_obstruction(K3, C5, 0.5)  # girth mismatch
+    with pytest.raises(ValueError, match="girth"):
+        girth_obstruction(make_family("path", 4), make_family("path", 4), 0.5)  # forests
+    # m = 5, read from the graphs; the Petersen graph: girth 5, twelve 5-cycles, 15 edges
+    petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                + [(i, i + 5) for i in range(5)]
+                                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    # C5 against two disjoint C5: 1/(5 p^4) = 2/(10 p^4) at p = 1/2
+    assert girth_obstruction(C5, disjoint_union(C5, C5), Fraction(1, 2)) is True
+    # C5 against Petersen: 1/(5 p1^4) = 12/(15 p2^4) needs p2/p1 = sqrt(2)
+    assert girth_obstruction(C5, petersen, Fraction(1, 2)) is False
+    assert girth_obstruction(C5, petersen, 1 / (1 + math.sqrt(2))) is True
 
 
 def test_dk3k2_point_values():
     assert P_DIAMOND_PAIR == pytest.approx((8 - 2 * S10) / 3, abs=1e-15)
-    rep = dk3k2_verify(pair_gap_seeds=range(1))
+    rep = dk3k2_verify()
     p, threshold = P_DIAMOND_EXACT, rep["threshold"]
     # threshold identity p/5 + (1-p)/4 = (7 + 2 sqrt10)/60, exactly
     assert p / 5 + (1 - p) / 4 == threshold == QSqrt10(Fraction(7, 60), Fraction(1, 30))
@@ -324,14 +344,14 @@ def test_dk3k2_point_values():
         assert gap(x) < 0
 
 
-def test_dk3k2_verify_rejects_empty_seed_list():
-    for seeds in ([], range(0)):
-        with pytest.raises(ValueError, match="seed"):
-            dk3k2_verify(pair_gap_seeds=seeds)
-
-
 def test_dk3k2_verify_report():
-    rep = dk3k2_verify(pair_gap_seeds=range(10))
+    rep = dk3k2_verify()
+    # the exact claims and what they read, and nothing sampled
+    assert rep.keys() == {"p", "threshold", "crossover", "y1_minus_y0", "g0_minus_threshold",
+                          "g1_minus_threshold", "y1_ge_y0_left_of_crossover",
+                          "g1_clears_threshold_but_at_zero", "g0_clears_threshold",
+                          "g0_min_x", "g0_min_value", "passed"}
+    assert rep["p"] == P_DIAMOND_EXACT
     assert rep["passed"]
     assert rep["y1_ge_y0_left_of_crossover"] and rep["g0_clears_threshold"]
     assert rep["g1_clears_threshold_but_at_zero"]
@@ -344,7 +364,7 @@ def test_dk3k2_verify_report():
 
 
 def test_appendix_convexity_triangle_case():
-    rep = appendix_convexity_verify(K3, 3, 3, 1, 1, 0, 0, 0.5)
+    rep = appendix_convexity_verify(K3, 1, 1, 0, 0, 0.5)
     assert rep["passed"]
     assert rep["min_value"] == rep["expected"] == Fraction(1, 3)
     # the minimum over y less 1/3 is 3x^2 / (3/4) = 4x^2
@@ -354,7 +374,7 @@ def test_appendix_convexity_triangle_case():
 
 
 def test_appendix_convexity_square_attachment_case():
-    rep = appendix_convexity_verify(C5, 9, 9, 2, 2, 1, 1, 0.5)
+    rep = appendix_convexity_verify(C5, 2, 2, 1, 1, 0.5)
     assert rep["passed"]
     assert rep["min_value"] == rep["expected"] == Fraction(1, 9)
     # (x^2 (5/16 + 55/8 x^2 + 25 x^4 + 25 x^6)) / (9/256)
@@ -365,27 +385,32 @@ def test_appendix_convexity_square_attachment_case():
 
 def test_appendix_convexity_rejects_unbalanced():
     with pytest.raises(ValueError):
-        appendix_convexity_verify(K3, 3, 3, 1, 1, 0, 0, 0.4)
-    with pytest.raises(ValueError):
-        appendix_convexity_verify(K3, 2, 3, 1, 1, 1, 0, 0.5)
+        appendix_convexity_verify(K3, 1, 1, 0, 0, 0.4)
+    # e1 = 5 and e2 = 10: 1/(5 p1^4) = 2/(10 p2^4) holds only at p1 = 1/2
+    with pytest.raises(ValueError, match="exactly"):
+        appendix_convexity_verify(C5, 1, 2, 0, 0, 0.4)
     # p1 is read exactly: a float off 1/2 by 1e-13 balances only within BALANCE_TOL
     with pytest.raises(ValueError, match="exactly"):
-        appendix_convexity_verify(K3, 3, 3, 1, 1, 0, 0, 0.5 + 1e-13)
+        appendix_convexity_verify(K3, 1, 1, 0, 0, 0.5 + 1e-13)
 
 
 def test_appendix_convexity_covers_k_1_and_2_only():
     with pytest.raises(ValueError, match="k_i must be 1 or 2"):
-        appendix_convexity_verify(K3, 9, 9, 3, 3, 0, 0, 0.5)
+        appendix_convexity_verify(K3, 3, 3, 0, 0, 0.5)
     # both mixed cases at a balancing p1: C5 with e1 = 5, e2 = 10
-    for args in ((5, 10, 1, 2, 0, 0), (10, 5, 2, 1, 0, 0)):
+    for args in ((1, 2, 0, 0), (2, 1, 0, 0)):
         rep = appendix_convexity_verify(C5, *args, Fraction(1, 2))
         assert rep["passed"] and rep["min_value"] == Fraction(3, 20)
 
 
 def test_convexity_data_is_checked_once_for_spec_and_verifier():
-    # e_i = k_i e(F) - l_i holds, but l_i < 0
     with pytest.raises(ValueError, match="l_i >= 0"):
-        appendix_convexity_verify(K3, 4, 4, 1, 1, -1, -1, 0.5)
+        appendix_convexity_verify(K3, 1, 1, -1, -1, 0.5)
+    with pytest.raises(ValueError, match="k_i >= 1"):
+        appendix_convexity_verify(K3, 0, 1, 0, 0, 0.5)
+    # e1 = 1 * e(K3) - 1 = 2 < e(K3)
+    with pytest.raises(ValueError, match=r"e\(H_i\) >= e\(F\)"):
+        appendix_convexity_verify(K3, 1, 1, 1, 0, 0.5)
     paw = data.load_graph("paw")
     with pytest.raises(ValueError, match="l_i >= 0"):
         CommonPairSpec(paw, paw, 0.5, f=K3, k1=1, k2=1, l1=-1, l2=-1)

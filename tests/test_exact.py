@@ -63,7 +63,7 @@ def test_dk3k2_polynomials_match_sympy():
     y0 = a * (2 * a - 1) - a**3
     y1 = 5 * (1 - a) * a * p**4 / (8 * (1 - p) ** 3) - a**3
     threshold = (7 + 2 * sympy.sqrt(10)) / 60
-    rep = dk3k2_verify(pair_gap_seeds=range(1))
+    rep = dk3k2_verify()
     assert sympy.simplify(_sympy(rep["threshold"]) - threshold) == 0
     assert sympy.simplify(_sympy(rep["crossover"]) - (-425 + 140 * sympy.sqrt(10)) / 246) == 0
     assert sympy.simplify(_sympy_poly(rep["y1_minus_y0"]) - (y1 - y0)) == 0
@@ -73,15 +73,16 @@ def test_dk3k2_polynomials_match_sympy():
 
 
 @pytest.mark.parametrize("f, args", [
-    (make_family("complete", 3), (3, 3, 1, 1, 0, 0)),
-    (make_family("cycle", 5), (9, 9, 2, 2, 1, 1)),
-    (make_family("cycle", 5), (5, 10, 1, 2, 0, 0)),
-    (make_family("cycle", 5), (10, 5, 2, 1, 0, 0)),
+    (make_family("complete", 3), (1, 1, 0, 0)),
+    (make_family("cycle", 5), (2, 2, 1, 1)),
+    (make_family("cycle", 5), (1, 2, 0, 0)),
+    (make_family("cycle", 5), (2, 1, 0, 0)),
 ], ids=["K3", "C5 pentagon+square", "C5 (1, 2)", "C5 (2, 1)"])
 def test_convexity_numerators_match_the_sympy_minimum_over_y(f, args):
-    e1, e2, k1, k2, l1, l2 = args
+    k1, k2, l1, l2 = args
     p1 = p2 = sympy.Rational(1, 2)
     ef = f.edge_count
+    e1, e2 = k1 * ef - l1, k2 * ef - l2
     a, b = p1 + X, p2 - X
     objective = ((a**ef - Y) ** k1 / (a**l1 * e1 * p1 ** (e1 - 1))
                  + (b**ef + Y) ** k2 / (b**l2 * e2 * p2 ** (e2 - 1)))

@@ -326,15 +326,42 @@ def test_hom_count_elimination_width_limit():
 
 def test_girth_and_cycle_count():
     ku = disjoint_union(K3, K2)
-    assert girth_and_cycle_count(ku, 3) == (3, 1)
+    assert girth_and_cycle_count(ku) == (3, 1)
     d = make_family("complete_minus_edge", 4)
     # oracle: enumerate vertex triples of the diamond directly
     triangles = sum(1 for t in combinations(range(4), 3)
                     if all(tuple(sorted(p)) in d.edges for p in combinations(t, 2)))
-    assert girth_and_cycle_count(d, 3) == (3, triangles) == (3, 2)
-    girth, c3 = girth_and_cycle_count(make_family("path", 4), 3)
-    assert math.isinf(girth) and c3 == 0
-    assert girth_and_cycle_count(make_family("cycle", 7), 7) == (7, 1)
+    assert girth_and_cycle_count(d) == (3, triangles) == (3, 2)
+    girth, count = girth_and_cycle_count(make_family("path", 4))
+    assert math.isinf(girth) and count == 0
+    assert girth_and_cycle_count(make_family("cycle", 7)) == (7, 1)
+
+
+def _brute_girth_and_cycle_count(n):
+    """Oracle: (girths, girth-length cycle counts) of the n-vertex graphs in
+    `all_labelled_graphs` order.  A k-cycle is a closed sequence of k
+    distinct vertices counted once per rotation and reflection, so each
+    length's count of closed sequences is divided by 2k."""
+    bit = {p: 1 << i for i, p in enumerate(combinations(range(n), 2))}
+    masks = np.arange(1 << len(bit))
+    girths = np.full(masks.size, math.inf)
+    counts = np.zeros(masks.size, dtype=np.int64)
+    for k in range(3, n + 1):
+        closed = np.zeros(masks.size, dtype=np.int64)
+        for s in permutations(range(n), k):
+            cycle = sum(bit[tuple(sorted((s[i], s[(i + 1) % k])))] for i in range(k))
+            closed += (masks & cycle) == cycle
+        first = np.isinf(girths) & (closed > 0)
+        girths[first] = k
+        counts[first] = closed[first] // (2 * k)
+    return girths, counts
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_girth_and_cycle_count_matches_brute_force(n):
+    girths, counts = _brute_girth_and_cycle_count(n)
+    found = [girth_and_cycle_count(g) for g in all_labelled_graphs(n)]
+    assert found == list(zip(girths.tolist(), counts.tolist()))
 
 
 def _canonical_form(g):
