@@ -3,18 +3,19 @@
 A template is good when (e(J)/e(F)) * e_V(F) - z lies in the convex cone
 of the x-vectors over pairwise disjoint subset triples.  The generators
 are enumerated over bitmask triples, keeping one least triple per distinct
-vector, once per base graph and process, and kept in one immutable form:
-integer coefficients on canonical classes.  Feasibility is decided by an
+vector, once per base graph and process, into one immutable table: the
+triples, the canonical classes, and a read-only int64 matrix of the
+integer coefficients, classes by generators.  Feasibility is decided by an
 exact revised phase-one simplex in integers (a fraction-free basis inverse
-over one positive denominator, Bland's rule) on array passes over one
-read-only int64 matrix of those coefficients, also built once per base
-graph; the arrays are int64 while a bound on every product fits and
+over one positive denominator, Bland's rule) on array passes over that
+matrix; the arrays are int64 while a bound on every product fits and
 Python ints above it.  "Good" verdicts carry the conic coefficients and
 "not good" verdicts a Farkas separating vector.  Both are re-verified
-before being returned by a check that shares the generator enumeration
-but neither the simplex nor its matrix.  The binomial inequality check
-scores one least labelled graph per isomorphism class, weighted by the
-class size.
+before being returned by a check that shares the generator table but not
+the simplex: a good certificate's x-vectors are rebuilt from its triples,
+and a witness is checked against every generator in one integer product.
+The binomial inequality check scores one least labelled graph per
+isomorphism class, weighted by the class size.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from .gluing import (GluingTemplate, _as_subset, _canonical_table,
                      build_j, template_from_json, template_to_json)
 
 GeneratorTriple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-# a cone generator: its least triple and its (class, integer coefficient) items
-Generator = tuple[GeneratorTriple, tuple[tuple[tuple[int, ...], int], ...]]
 # candidate graphs per batched hom-count contraction in the binomial check;
 # 1024-graph batches were no faster and raised peak memory by 0.7 MB
 _BATCH = 256
@@ -60,20 +59,39 @@ class GoodnessCertificate:
     j_edge_count: int
 
 
+@dataclass(frozen=True, eq=False)
+class Generators:
+    """The cone generators of one base graph, in one form: generator i is
+    column i of `matrix`, written by certificates as `triples[i]`; row k of
+    `matrix` holds the integer coefficients on class `classes[k]`."""
+
+    triples: tuple[GeneratorTriple, ...]
+    classes: tuple[tuple[int, ...], ...]
+    matrix: np.ndarray  # read-only int64, classes x generators
+
+    def __len__(self) -> int:
+        return len(self.triples)
+
+
 @lru_cache(maxsize=64)
-def enumerate_generators(f: Graph) -> tuple[Generator, ...]:
+def enumerate_generators(f: Graph) -> Generators:
     """Distinct nonzero x-vectors over unordered disjoint triples with
     r1, r3 nonempty; one lexicographically-least triple per vector.
 
     Enumerated once per base graph and process: every call returns the
-    same immutable tuple of (triple, ((class, integer coefficient), ...)).
+    same `Generators` table, which both the LP and the Farkas re-check read.
     Triples are walked as bitmasks in lexicographic order of (r1, r2, r3),
     r1 only over canonical class masks, so the first triple met for a
     vector is its least.  The vector
     e(r1|r2|r3) - e(r2|r3) - e(r1|r2) + e(r2) is keyed by its four canonical
     class masks, the two negative ones in either order.  It is never zero:
-    r1|r2|r3 is larger than each other part, and r2 than none.  The result
-    is ordered by the sorted (class, coefficient) items of each vector.
+    r1|r2|r3 is larger than each other part, and r2 than none.  The columns
+    are ordered by the sorted (class, coefficient) items of each vector,
+    and the rows are the classes the vectors mention, sorted by (size,
+    vertices).  For v(F) >= 2 that is every nonempty class: the triple
+    (S, {}, {v}) for v outside S, or ({u}, {}, V - {u}) for S = V, has S's
+    class in its vector.  So every class of a goodness right-hand side has
+    a row.
     """
     n = f.vertex_count
     canon = _canonical_table(f, DEFAULT_WORK_BUDGET, "enumerate_generators")
@@ -100,63 +118,35 @@ def enumerate_generators(f: Graph) -> tuple[Generator, ...]:
                 key = (a, b, c, d) if b <= c else (a, c, b, d)
                 if key not in seen:
                     seen[key] = (m1, m2, m3)
-    vectors = []
-    for m1, m2, m3 in seen.values():
-        coeffs = {canon[m1 | m2 | m3]: 1, canon[m2 | m3]: -1}
-        c = canon[m1 | m2]
+
+    def items(key):
+        # the vector's (rank, coefficient) items; d = 0 when r2 is empty
+        a, b, c, d = key
+        coeffs = {a: 1, b: -1}
         coeffs[c] = coeffs.get(c, 0) - 1
-        if m2:
-            coeffs[canon[m2]] = 1
-        order = sorted((rank[k], v) for k, v in coeffs.items())
-        vectors.append((order, (m1, m2, m3), coeffs))
-    vectors.sort(key=lambda entry: entry[0])
+        if d:
+            coeffs[d] = 1
+        return sorted((rank[k], v) for k, v in coeffs.items())
+
+    keys = sorted(seen, key=items)
+    # the empty mask is row 0, where every empty r2 adds its +1, then dropped
+    masks = sorted({0}.union(*keys), key=lambda k: (bin(k).count("1"), rank[k]))
+    row = np.zeros(full + 1, dtype=np.intp)
+    row[masks] = np.arange(len(masks))
+    matrix = np.zeros((len(masks), len(keys)), dtype=np.int64)
+    np.add.at(matrix, (row[np.array(keys, dtype=np.intp).reshape(-1, 4)],
+                       np.arange(len(keys))[:, None]), [1, -1, -1, 1])
+    matrix = matrix[1:]
+    matrix.flags.writeable = False
     vertices = [_mask_vertices(mask) for mask in range(full + 1)]
-    return tuple((tuple(vertices[m] for m in triple),
-                  tuple((vertices[k], v) for k, v in coeffs.items()))
-                 for _, triple, coeffs in vectors)
-
-
-@lru_cache(maxsize=64)
-def _generator_matrix(f: Graph) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """The generators of `enumerate_generators(f)` as the columns of one
-    read-only int64 matrix, in their order, with one row per class they
-    mention, sorted by (size, vertices); built once per base graph.
-
-    For v(F) >= 2 the rows are every nonempty class: the triple (S, {}, {v})
-    for v outside S, or ({u}, {}, V - {u}) for S = V, has S's class in its
-    vector.  So every class of a goodness right-hand side has a row."""
-    generators = enumerate_generators(f)
-    keys = tuple(sorted({k for _, coeffs in generators for k, _ in coeffs},
-                        key=lambda k: (len(k), k)))
-    row_of = {k: i for i, k in enumerate(keys)}
-    a = np.zeros((len(keys), len(generators)), dtype=np.int64)
-    for col, (_, coeffs) in enumerate(generators):
-        for k, v in coeffs:
-            a[row_of[k], col] = v
-    a.flags.writeable = False
-    return keys, a
-
-
-def _integer_matrix(a, m: int) -> np.ndarray:
-    """`a` as an (m, n) int64 array, or an object array of Python ints when
-    an m-entry column sum could leave int64; ValueError unless every entry
-    is an integral int or `Fraction`."""
-    a = np.asarray(a)
-    if a.dtype.kind not in "iu":
-        values = a.ravel().tolist()
-        if any(getattr(v, "denominator", None) != 1 for v in values):
-            raise ValueError("_phase_one needs an integer matrix (ints or integral Fractions)")
-        a = np.array([v.numerator for v in values], dtype=object).reshape(a.shape)
-    top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
-    return a.astype(np.int64 if top < 2**62 // max(m, 1) else object, copy=False)
+    return Generators(tuple(tuple(vertices[m] for m in seen[key]) for key in keys),
+                      tuple(vertices[k] for k in masks[1:]), matrix)
 
 
 def _phase_one(a, b: list[Fraction]):
-    """Solve A c = b, c >= 0 exactly, for an integer (m, n) matrix A and
-    rational b.
+    """Solve A c = b, c >= 0 exactly, for an integer (m, n) array A (int64,
+    or an object array of Python ints) and rational b.
 
-    `a` is an integer array, or nested lists of ints and integral
-    `Fraction`s; any other entry raises ValueError.
     Returns ("feasible", coefficients) or ("infeasible", y) where y
     satisfies y.A_j <= 0 for every column and y.b > 0.
 
@@ -181,7 +171,9 @@ def _phase_one(a, b: list[Fraction]):
     `graphs._hom_counts` switches on its bound.
     """
     m = len(b)
-    a = _integer_matrix(a, m)
+    # int64 while an m-entry column sum cannot leave it
+    top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    a = a.astype(np.int64 if top < 2**62 // max(m, 1) else object, copy=False)
     n = a.shape[1]
     b = [Fraction(v) for v in b]
     sign = [1 if v >= 0 else -1 for v in b]
@@ -263,14 +255,14 @@ def check_good(t: GluingTemplate, budget: int = DEFAULT_WORK_BUDGET) -> Goodness
     # a zero right-hand side is good with no generators and no 4^v(F) charge
     if rhs:
         _charge_generators("check_good", f, budget)
-        class_keys, a = _generator_matrix(f)
-        status, payload = _phase_one(a, [rhs.get(k, 0) for k in class_keys])
+        generators = enumerate_generators(f)
+        status, payload = _phase_one(generators.matrix,
+                                     [rhs.get(k, 0) for k in generators.classes])
         if status == "feasible":
-            generators = enumerate_generators(f)
-            used = tuple((generators[idx][0], coeff / f.edge_count)
+            used = tuple((generators.triples[idx], coeff / f.edge_count)
                          for idx, coeff in enumerate(payload) if coeff)
         else:
-            witness = {k: y for k, y in zip(class_keys, payload) if y != 0}
+            witness = {k: y for k, y in zip(generators.classes, payload) if y != 0}
     cert = GoodnessCertificate(t, "good" if witness is None else "not_good", target, used,
                                witness, j.vertex_count, j.edge_count)
     if not verify_certificate(cert, budget):
@@ -294,8 +286,9 @@ def verify_certificate(cert: GoodnessCertificate,
     coefficients c_i >= 0 and sum((L e(F) c_i) x_i) = L e(F)(target - z),
     each x_i rebuilt from its triple and L the lcm of the c_i's denominators.
     Not good: the witness y, times the lcm of its denominators, has
-    y.e(F)(target - z) > 0 and y.x <= 0 for every generator of
-    `enumerate_generators`.  The class table and, for a not-good
+    y.e(F)(target - z) > 0 and y.A <= 0 for the generator matrix A of
+    `enumerate_generators`, one integer product (entries of y on classes
+    outside its rows meet no generator).  The class table and, for a not-good
     certificate, generator enumeration are charged as in `check_good`.
     """
     if cert.verdict not in ("good", "not_good"):
@@ -329,8 +322,12 @@ def verify_certificate(cert: GoodnessCertificate,
     if sum(y.get(k, 0) * v for k, v in _class_counts(f, rhs).items()) <= 0:
         return False
     _charge_generators("verify_certificate", f, budget)
-    return all(sum(y.get(k, 0) * v for k, v in coeffs) <= 0
-               for _, coeffs in enumerate_generators(f))
+    generators = enumerate_generators(f)
+    a, ys = generators.matrix, [y.get(k, 0) for k in generators.classes]
+    # int64 while no product can leave it, as `_phase_one` switches
+    col_sum = int(np.abs(a).sum(axis=0).max(initial=1))
+    dtype = np.int64 if max(map(abs, ys), default=0) * col_sum < 2**63 else object
+    return bool((np.array(ys, dtype=dtype) @ a.astype(dtype, copy=False) <= 0).all())
 
 
 @lru_cache(maxsize=None)

@@ -387,43 +387,37 @@ def _hom_counts(h: Graph, adj: np.ndarray, budget: int, caller: str) -> list[int
     return [int(c) for c in np.broadcast_to(counts, adj.shape[:-2]).flat]
 
 
-def _count_cycles(h: Graph, length: int, budget: int) -> int:
-    """Unlabelled cycles of the given length, 3 to v(h), by direct DFS path enumeration."""
+def girth_and_cycle_count(h: Graph, budget: int = DEFAULT_WORK_BUDGET):
+    """(girth, number of girth-length cycles), unlabelled; (math.inf, 0) for
+    a forest.  Cycles of each length from 3 up are counted by depth-first
+    path enumeration, each from its least vertex, and the scan stops at the
+    first length with a cycle; every step of the scan, over all lengths,
+    is charged against one `budget`."""
     nbrs = h.neighbor_sets()
-    count = 0
     steps = 0
-    visited = set()
 
-    def dfs(start: int, current: int, remaining: int):
-        nonlocal count, steps
+    def closed_paths(start: int, current: int, remaining: int, visited: set) -> int:
+        # paths of `remaining` more vertices above `start` that close at it
+        nonlocal steps
         steps += 1
         if steps > budget:
-            raise BudgetExceededError(f"girth_and_cycle_count: enumerating {length}-cycles "
-                                      f"needs more steps than budget {budget}")
+            raise BudgetExceededError(f"girth_and_cycle_count: scanning cycles up to length "
+                                      f"{length} needs more steps than budget {budget}")
         if remaining == 0:
-            if start in nbrs[current]:
-                count += 1
-            return
+            return int(start in nbrs[current])
+        count = 0
         for w in nbrs[current]:
             if w > start and w not in visited:
                 visited.add(w)
-                dfs(start, w, remaining - 1)
+                count += closed_paths(start, w, remaining - 1, visited)
                 visited.remove(w)
+        return count
 
-    for s in range(h.vertex_count):
-        visited = {s}
-        dfs(s, s, length - 1)
-    # each cycle is traced once per direction
-    return count // 2
-
-
-def girth_and_cycle_count(h: Graph, budget: int = DEFAULT_WORK_BUDGET):
-    """(girth, number of girth-length cycles), unlabelled; (math.inf, 0) for
-    a forest.  The scan stops at the first length with a cycle."""
-    for k in range(3, h.vertex_count + 1):
-        count = _count_cycles(h, k, budget)
+    for length in range(3, h.vertex_count + 1):
+        # each cycle is traced once per direction
+        count = sum(closed_paths(s, s, length - 1, {s}) for s in range(h.vertex_count)) // 2
         if count:
-            return k, count
+            return length, count
     return math.inf, 0
 
 

@@ -6,10 +6,10 @@ density machinery.  Residuals are returned signed so that tests can spot
 systematic bias rather than just magnitude.  Each two-colour residual is
 a batched formula over kernels given as arrays, contracting each of its
 graphs once on w and 1 - w stacked.  `IDENTITY_SUITES` names the sampled
-identity suites, and `max_identity_residual` runs one of them; the
-goodman and c5goodman suites score all their graphons through
-`score_kernels`, padded to one block count, one contraction per graph and
-chunk.
+identity suites, and `max_identity_residual` runs one of them on the
+draws' arrays, building no `StepKernel`; the goodman and c5goodman suites
+score all their graphons through `score_kernels`, padded to one block
+count, one contraction per graph and chunk.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _charge, _contract,
                      make_family)
-from .graphons import (StepKernel, _array_kernel, _colours, _sample_arrays, densities, density,
+from .graphons import (StepKernel, _colours, _sample_arrays, densities, density,
                        kernel_arrays, one_minus, stack_kernels)
 
 _K2 = make_family("path", 2)
@@ -48,6 +48,24 @@ def _subset_densities(h: Graph, measures: np.ndarray, u: np.ndarray, bits: np.nd
                            bits.shape[1:])
 
 
+def _expansion(h: Graph, measures: np.ndarray, values: np.ndarray, p: float,
+               budget: int) -> float:
+    """`expansion_residual` of one kernel given as arrays, measures (q,) and values (q, q)."""
+    e = h.edge_count
+    if 2**e > budget:
+        raise BudgetExceededError(
+            f"expansion_residual: 2^{e} edge subsets exceed the work budget of {budget}")
+    # plans h, so a too-wide step is refused as "density:"
+    lhs = float(densities(h, measures, values, budget))
+    work = max(1, _charge(h, len(measures), budget, "density"))
+    chunk = max(1, min(_SUBSET_CHUNK, _CHUNK_TERMS // work))
+    total = 0.0
+    for start in range(0, 2**e, chunk):
+        bits = np.arange(start, min(start + chunk, 2**e)) >> np.arange(e)[:, None] & 1
+        total += p ** (e - bits.sum(0)) @ _subset_densities(h, measures, values - p, bits, budget)
+    return lhs - float(total)
+
+
 def expansion_residual(h: Graph, w: StepKernel, p: float,
                        budget: int = DEFAULT_WORK_BUDGET) -> float:
     """t(h,w) minus its expansion over edge subsets of h against u = w - p.
@@ -61,19 +79,7 @@ def expansion_residual(h: Graph, w: StepKernel, p: float,
     one needs more), which bounds the memory in e(h) and in the block count,
     and each contraction charges every subset's work against `budget` too.
     """
-    e = h.edge_count
-    if 2**e > budget:
-        raise BudgetExceededError(
-            f"expansion_residual: 2^{e} edge subsets exceed the work budget of {budget}")
-    lhs = density(h, w, budget)  # plans h, so a too-wide step is refused as "density:"
-    measures, values = kernel_arrays(w)
-    work = max(1, _charge(h, len(measures), budget, "density"))
-    chunk = max(1, min(_SUBSET_CHUNK, _CHUNK_TERMS // work))
-    total = 0.0
-    for start in range(0, 2**e, chunk):
-        bits = np.arange(start, min(start + chunk, 2**e)) >> np.arange(e)[:, None] & 1
-        total += p ** (e - bits.sum(0)) @ _subset_densities(h, measures, values - p, bits, budget)
-    return lhs - float(total)
+    return _expansion(h, *kernel_arrays(w), p, budget)
 
 
 def _float_densities(graphs, measures: np.ndarray, values: np.ndarray,
@@ -170,10 +176,12 @@ def score_kernels(formula, graphs, kernels, budget: int = DEFAULT_WORK_BUDGET):
 
 
 def _expansion_residuals(kernels, budget: int):
-    """Each of `_EXPANSION_GRAPHS` at the shifts 0, 0.3 and t(K2, w), a `StepKernel` w per pair."""
-    for w in (_array_kernel(*arrays) for arrays in kernels):
-        shifts = (0.0, 0.3, density(_K2, w, budget))
-        yield from (expansion_residual(h, w, p, budget) for h in _EXPANSION_GRAPHS for p in shifts)
+    """Each of `_EXPANSION_GRAPHS` at the shifts 0, 0.3 and t(K2, w), for each
+    kernel w given as a (measures, values) pair."""
+    for measures, values in kernels:
+        shifts = (0.0, 0.3, float(densities(_K2, measures, values, budget)))
+        yield from (_expansion(h, measures, values, p, budget)
+                    for h in _EXPANSION_GRAPHS for p in shifts)
 
 
 # suite name -> the residuals it checks on graphons as (measures, values) pairs, within a budget

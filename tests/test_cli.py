@@ -319,7 +319,7 @@ def test_glue_verify_rejects_a_raised_farkas_coefficient(capsys, tmp_path):
     assert run_cli(capsys, "glue", "check", "lone_edge_c5", "--certificate", str(path))[0] == 1
     cert = certificate_from_json(json.loads(path.read_text()))
     base, y = cert.template.base, dict(cert.farkas_witness)
-    xs = [reference_x(base, *triple) for triple, _ in enumerate_generators(base)]
+    xs = [reference_x(base, *triple) for triple in enumerate_generators(base).triples]
     # raise the coefficient of the full class, which target - z weights
     # positively, until some generator has a positive product with it
     full = tuple(range(base.vertex_count))

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -107,8 +108,20 @@ def test_goodness_preserved_by_disjoint_full_node():
     assert verify_certificate(cert)
 
 
+def _generator_items(gens):
+    """The table as (triple, ((class, coefficient), ...)) per generator, in
+    column order, with each vector's items in row order."""
+    return tuple((triple, tuple((gens.classes[i], v) for i, v in enumerate(column) if v))
+                 for triple, column in zip(gens.triples, gens.matrix.T.tolist()))
+
+
+def _in_row_order(items):
+    """(class, coefficient) items sorted as the table's rows are, by (size, vertices)."""
+    return tuple(sorted(items, key=lambda item: (len(item[0]), item[0])))
+
+
 def test_enumerate_generators_distinct_nonzero():
-    gens = enumerate_generators(C5)
+    gens = _generator_items(enumerate_generators(C5))
     assert gens
     seen = set()
     for (r1, r2, r3), coeffs in gens:
@@ -220,10 +233,10 @@ def _reference_generators(f):
 
 
 def _assert_same_generators(f):
-    got = enumerate_generators(f)
+    got = _generator_items(enumerate_generators(f))
     want = _reference_generators(f)
     assert [triple for triple, _ in got] == [triple for triple, _ in want]
-    assert [list(coeffs) for _, coeffs in got] == [list(vec.items()) for _, vec in want]
+    assert [coeffs for _, coeffs in got] == [_in_row_order(vec.items()) for _, vec in want]
 
 
 @settings(max_examples=40, deadline=None)
@@ -263,7 +276,7 @@ def _unrestricted_generators(f):
         vectors.append((sorted((rank[k], v) for k, v in coeffs.items()), (m1, m2, m3), coeffs))
     vectors.sort(key=lambda entry: entry[0])
     return tuple((tuple(_mask_vertices(m) for m in triple),
-                  tuple((_mask_vertices(k), v) for k, v in coeffs.items()))
+                  _in_row_order((_mask_vertices(k), v) for k, v in coeffs.items()))
                  for _, triple, coeffs in vectors)
 
 
@@ -272,13 +285,13 @@ def _unrestricted_generators(f):
     ("path", 7), ("complete", 4), ("complete", 5), ("complete_minus_edge", 5))],
     ids=["C5", "C6", "C7", "C9", "P5", "P6", "P7", "K4", "K5", "K5-e"])
 def test_canonical_r1_walk_keeps_the_unrestricted_generators(f):
-    assert enumerate_generators(f) == _unrestricted_generators(f)
+    assert _generator_items(enumerate_generators(f)) == _unrestricted_generators(f)
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_graphs(6))
 def test_canonical_r1_walk_keeps_the_unrestricted_generators_on_small_graphs(f):
-    assert enumerate_generators(f) == _unrestricted_generators(f)
+    assert _generator_items(enumerate_generators(f)) == _unrestricted_generators(f)
 
 
 @st.composite
@@ -296,8 +309,10 @@ def _linear_systems(draw):
 
 
 def _rows(columns, m):
-    """Dense columns as the (m, n) matrix `_phase_one` takes."""
-    return [[col[i] for col in columns] for i in range(m)]
+    """Dense columns of integral `Fraction`s as an (m, n) object array of
+    Python ints, a matrix `_phase_one` takes."""
+    return np.array([[int(col[i]) for col in columns] for i in range(m)],
+                    dtype=object).reshape(m, len(columns))
 
 
 def _dense_phase_one(columns, b):
@@ -404,13 +419,6 @@ def test_phase_one_degenerate_ties_go_to_smaller_basic_variable(columns, b):
     assert _phase_one(_rows(columns, len(b)), b) == _dense_phase_one(columns, b)
 
 
-@pytest.mark.parametrize("column", [[Fraction(1, 2), 0], [Fraction(1), 0.5],
-                                    [0, Fraction(3, 2)]])
-def test_phase_one_rejects_non_integer_columns(column):
-    with pytest.raises(ValueError, match="integer"):
-        _phase_one(_rows([[Fraction(1), 0], column], 2), [Fraction(1), Fraction(1)])
-
-
 @st.composite
 def _wide_systems(draw):
     """Small systems with entries up to 2^40, whose pivots leave int64."""
@@ -444,8 +452,8 @@ def _goodness_system(t):
     f = t.base
     j, _ = build_j(t)
     rhs = _class_counts(f, [(j.edge_count, range(f.vertex_count))] + _z_terms(t, -f.edge_count))
-    keys, a = cone._generator_matrix(f)
-    return keys, a, [Fraction(rhs.get(k, 0)) for k in keys]
+    gens = enumerate_generators(f)
+    return gens.classes, gens.matrix, [Fraction(rhs.get(k, 0)) for k in gens.classes]
 
 
 @functools.cache
@@ -465,13 +473,17 @@ def test_phase_one_matches_the_reference_on_c7_goodness(name, price_columns, mon
 
 
 def test_generator_matrix_is_cached_and_read_only():
-    keys, a = cone._generator_matrix(C7)
-    assert cone._generator_matrix(C7)[1] is a and a.dtype == np.int64
+    gens = enumerate_generators(C7)
+    keys, a = gens.classes, gens.matrix
+    assert enumerate_generators(C7).matrix is a and a.dtype == np.int64
     with pytest.raises(ValueError):
         a[0, 0] = 5
+    assert not a.flags.writeable
     assert keys == tuple(sorted(keys, key=lambda k: (len(k), k)))
-    for col, (_, coeffs) in enumerate(enumerate_generators(C7)):
-        assert {keys[i]: v for i, v in enumerate(a[:, col].tolist()) if v} == dict(coeffs)
+    assert a.shape == (len(keys), len(gens)) == (17, 433)
+    for col, triple in enumerate(gens.triples):
+        assert {keys[i]: v for i, v in enumerate(a[:, col].tolist()) if v} == (
+            reference_x(C7, *triple))
 
 
 @settings(max_examples=40, deadline=None)
@@ -479,7 +491,7 @@ def test_generator_matrix_is_cached_and_read_only():
 def test_generator_matrix_has_a_row_per_nonempty_class(f):
     # so every class of a goodness right-hand side has a row
     assume(f.vertex_count >= 2)
-    keys, _ = cone._generator_matrix(f)
+    keys = enumerate_generators(f).classes
     assert len(set(keys)) == len(keys)
     assert len(keys) == len({k for s, k in brute_force_classes(f).items() if s})
 
@@ -602,14 +614,70 @@ def _only_tuples_and_ints(value):
 def test_enumerate_generators_returns_one_cached_tuple():
     gens = enumerate_generators(C7)
     assert enumerate_generators(C7) is gens
-    assert _only_tuples_and_ints(gens)
-    assert len(gens) == 433
+    assert _only_tuples_and_ints(gens.triples) and _only_tuples_and_ints(gens.classes)
+    assert len(gens) == len(gens.triples) == gens.matrix.shape[1] == 433
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gens.matrix = gens.matrix.copy()
+    assert len(enumerate_generators(make_family("cycle", 9))) == 5522
 
 
 @functools.cache
 def _lone_edge(base_name):
-    f = C5 if base_name == "C5" else make_family("path", 5)
+    f = {"C5": C5, "C7": C7, "P5": make_family("path", 5)}[base_name]
     return check_good(GluingTemplate.make(f, 1, [], {0: [0, 1]}, {}))
+
+
+def _integer_witness(cert, multiple=1):
+    """The certificate's witness times the lcm of its denominators and `multiple`."""
+    scale = multiple * math.lcm(*(v.denominator for v in cert.farkas_witness.values()))
+    return {k: v * scale for k, v in cert.farkas_witness.items()}
+
+
+def _walk_verdict(cert):
+    """Reference for the Farkas re-check, walking the generators one at a
+    time with one dict lookup per coefficient: y.e(F)(target - z) > 0 and
+    y.x <= 0 for each generator, on an integer witness y."""
+    t, f = cert.template, cert.template.base
+    j, _ = build_j(t)
+    y = cert.farkas_witness
+    rhs = _class_counts(f, [(j.edge_count, range(f.vertex_count))] + _z_terms(t, -f.edge_count))
+    return (sum(y.get(k, 0) * v for k, v in rhs.items()) > 0
+            and all(sum(y.get(k, 0) * v for k, v in coeffs) <= 0
+                    for _, coeffs in _generator_items(enumerate_generators(f))))
+
+
+# entries within 2^16 of +-2^62: four of them in one product leave int64
+_near_2_62 = st.integers(2**62 - 2**16, 2**62 + 2**16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["C5", "C7"]), st.sampled_from([1, 3, 2**20, 2**60]), st.data())
+def test_farkas_product_matches_the_generator_walk(base_name, multiple, data_):
+    # the solver's integer witness times a multiple, with up to 4 classes
+    # moved by small integers or by integers near +-2^62
+    cert = _lone_edge(base_name)
+    y = _integer_witness(cert, multiple)
+    moves = st.one_of(st.integers(-4, 4), _near_2_62, _near_2_62.map(lambda v: -v))
+    for k in data_.draw(st.lists(st.sampled_from(enumerate_generators(cert.template.base)
+                                                 .classes), max_size=4, unique=True)):
+        y[k] = y.get(k, 0) + data_.draw(moves)
+    tampered = dataclasses.replace(cert, farkas_witness=y)
+    assert verify_certificate(tampered) == _walk_verdict(tampered)
+
+
+@pytest.mark.parametrize("multiple", [1, 2**62])
+def test_verify_certificate_rejects_a_witness_positive_on_one_generator(multiple):
+    # raising the full class keeps y.e(F)(target - z) > 0 but makes y.x > 0
+    # for the generators with r1 | r2 | r3 = V; at 2^62 the products leave int64
+    cert = _lone_edge("C7")
+    y = _integer_witness(cert, multiple)
+    assert verify_certificate(dataclasses.replace(cert, farkas_witness=y))
+    y[tuple(range(7))] += multiple * 10**6
+    tampered = dataclasses.replace(cert, farkas_witness=y)
+    assert dot(y, combination([(1, cert.target), (-1, reference_z(cert.template))])) > 0
+    assert any(dot(y, reference_x(C7, *triple)) > 0 for triple in enumerate_generators(C7).triples)
+    assert not _walk_verdict(tampered)
+    assert not verify_certificate(tampered)
 
 
 _rationals = st.one_of(st.just(Fraction(0)),
@@ -622,8 +690,7 @@ def test_integer_farkas_check_matches_fraction_reference(base_name, multiple, da
     # the solver's witness times 0-3, with up to 3 generator classes moved
     # by rationals of mixed sign and denominator, or by zero
     cert = _lone_edge(base_name)
-    classes = sorted({k for _, coeffs in enumerate_generators(cert.template.base)
-                      for k, _ in coeffs})
+    classes = enumerate_generators(cert.template.base).classes
     y = {k: multiple * v for k, v in cert.farkas_witness.items()}
     for k in data_.draw(st.lists(st.sampled_from(classes), max_size=3, unique=True)):
         y[k] = y.get(k, 0) + data_.draw(_rationals)
@@ -771,15 +838,14 @@ def _perturbed(cert, draw):
     changed; a good certificate without generators gains one."""
     f = cert.template.base
     if cert.verdict == "not_good":
-        classes = sorted({k for _, coeffs in enumerate_generators(f) for k, _ in coeffs}
-                         | set(cert.farkas_witness))
+        classes = sorted(set(enumerate_generators(f).classes) | set(cert.farkas_witness))
         y = dict(cert.farkas_witness)
         k = draw(st.sampled_from(classes))
         y[k] = y.get(k, 0) + draw(_rationals)
         return dataclasses.replace(cert, farkas_witness=y)
     used = list(cert.generators_used)
     if not used:
-        triple, _ = draw(st.sampled_from(enumerate_generators(f)))
+        triple = draw(st.sampled_from(enumerate_generators(f).triples))
         return dataclasses.replace(cert, generators_used=((triple, draw(_rationals)),))
     i = draw(st.integers(0, len(used) - 1))
     triple, coeff = used[i]

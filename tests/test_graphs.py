@@ -364,6 +364,21 @@ def test_girth_and_cycle_count_matches_brute_force(n):
     assert found == list(zip(girths.tolist(), counts.tolist()))
 
 
+@pytest.mark.parametrize("h, longest, total, found", [
+    (make_family("path", 8), 36, 181, (math.inf, 0)),
+    (make_family("cycle", 9), 53, 294, (9, 1)),
+], ids=["P8", "C9"])
+def test_girth_scan_charges_one_budget_for_every_length(h, longest, total, found):
+    """The scan's steps over all lengths share one budget: P8 and C9 take
+    at most `longest` steps at any one length but `total` over the scan, so
+    a budget that covers one length but not the scan is refused."""
+    for budget in (longest, total - 1):
+        with pytest.raises(BudgetExceededError,
+                           match=f"^girth_and_cycle_count: .* budget {budget}$"):
+            girth_and_cycle_count(h, budget)
+    assert girth_and_cycle_count(h, total) == found
+
+
 def _canonical_form(g):
     pairs = list(combinations(range(g.vertex_count), 2))
     best = None
