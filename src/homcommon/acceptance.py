@@ -18,10 +18,10 @@ from fractions import Fraction
 from functools import partial
 
 from . import data
-from .commonness import (P_DIAMOND_PAIR, CommonPairSpec, appendix_convexity_verify,
-                         common_gap_objective, dk3k2_verify, falsify, girth_obstruction,
+from .commonness import (P_DIAMOND_PAIR, CommonPairSpec, common_gap_objective, falsify,
                          min_pair_gap, solve_simple_tree_p)
 from .cone import binomial_inequality_check, check_good, verify_certificate
+from .exact import appendix_convexity_verify, dk3k2_verify, girth_obstruction
 from .graphs import (BALANCE_TOL, FALSIFY_THRESHOLD, IDENTITY_TOL, INEQUALITY_TOL,
                      make_family, random_graph)
 from .graphons import _sample_arrays

@@ -15,9 +15,9 @@ import sys
 
 from . import acceptance, data
 from .commonness import (FALSIFY_MAX_BLOCKS, CommonPairSpec, certify_pair_via_templates,
-                         common_gap_objective, dk3k2_verify, falsify, min_pair_gap,
-                         solve_simple_tree_p)
+                         common_gap_objective, falsify, min_pair_gap, solve_simple_tree_p)
 from .cone import certificate_from_json, certificate_to_json, check_good, verify_certificate
+from .exact import dk3k2_verify
 from .gluing import template_from_json
 from .graphons import kernel_to_json
 from .graphs import (DEFAULT_WORK_BUDGET, FALSIFY_THRESHOLD, IDENTITY_TOL, INEQUALITY_TOL,

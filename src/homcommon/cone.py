@@ -4,11 +4,12 @@ A template is good when (e(J)/e(F)) * e_V(F) - z lies in the convex cone
 of the x-vectors over pairwise disjoint subset triples.  The generators
 are enumerated over bitmask triples, keeping one least triple per distinct
 vector, once per base graph and process, into one immutable table: the
-triples, the canonical classes, and a read-only int64 matrix of the
-integer coefficients, classes by generators.  Feasibility is decided by an
-exact revised phase-one simplex in integers (a fraction-free basis inverse
-over one positive denominator, Bland's rule) on array passes over that
-matrix; the arrays are int64 while a bound on every product fits and
+triples, the canonical classes, a read-only int64 matrix of the integer
+coefficients, classes by generators, and the largest column sum of its
+absolute values.  Feasibility is decided by an exact revised phase-one
+simplex in integers (a fraction-free basis inverse over one positive
+denominator, Bland's rule) on array passes over that matrix; the arrays
+are int64 while a bound on every product, from that column sum, fits and
 Python ints above it.  "Good" verdicts carry the conic coefficients and
 "not good" verdicts a Farkas separating vector.  Both are re-verified
 before being returned by a check that shares the generator table but not
@@ -63,11 +64,14 @@ class GoodnessCertificate:
 class Generators:
     """The cone generators of one base graph, in one form: generator i is
     column i of `matrix`, written by certificates as `triples[i]`; row k of
-    `matrix` holds the integer coefficients on class `classes[k]`."""
+    `matrix` holds the integer coefficients on class `classes[k]`.
+    `col_sum`, the largest column sum of |matrix| (at least 1), enters the
+    bounds on the products of the LP and of the Farkas re-check."""
 
     triples: tuple[GeneratorTriple, ...]
     classes: tuple[tuple[int, ...], ...]
     matrix: np.ndarray  # read-only int64, classes x generators
+    col_sum: int
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -140,12 +144,14 @@ def enumerate_generators(f: Graph) -> Generators:
     matrix.flags.writeable = False
     vertices = [_mask_vertices(mask) for mask in range(full + 1)]
     return Generators(tuple(tuple(vertices[m] for m in seen[key]) for key in keys),
-                      tuple(vertices[k] for k in masks[1:]), matrix)
+                      tuple(vertices[k] for k in masks[1:]), matrix,
+                      int(np.abs(matrix).sum(axis=0).max(initial=1)))
 
 
-def _phase_one(a, b: list[Fraction]):
+def _phase_one(a, col_sum: int, b: list[Fraction]):
     """Solve A c = b, c >= 0 exactly, for an integer (m, n) array A (int64,
-    or an object array of Python ints) and rational b.
+    or an object array of Python ints), the largest column sum of |A|
+    (`Generators.col_sum`; at least 1), and rational b.
 
     Returns ("feasible", coefficients) or ("infeasible", y) where y
     satisfies y.A_j <= 0 for every column and y.b > 0.
@@ -182,7 +188,6 @@ def _phase_one(a, b: list[Fraction]):
     # the tableau [inv S | x]: row operations commute with scaling columns by S
     tab = np.array([[s * (i == k) for k in range(m)] + [r]
                     for i, (s, r) in enumerate(zip(sign, rhs))], dtype=object)
-    col_sum = int(np.abs(a).sum(axis=0).max(initial=1))
     wide = a.dtype == object or max(map(abs, rhs), default=0) >= 2**62
     tab = tab if wide else tab.astype(np.int64)
     artificial = np.ones(m, dtype=tab.dtype)
@@ -256,7 +261,7 @@ def check_good(t: GluingTemplate, budget: int = DEFAULT_WORK_BUDGET) -> Goodness
     if rhs:
         _charge_generators("check_good", f, budget)
         generators = enumerate_generators(f)
-        status, payload = _phase_one(generators.matrix,
+        status, payload = _phase_one(generators.matrix, generators.col_sum,
                                      [rhs.get(k, 0) for k in generators.classes])
         if status == "feasible":
             used = tuple((generators.triples[idx], coeff / f.edge_count)
@@ -325,8 +330,7 @@ def verify_certificate(cert: GoodnessCertificate,
     generators = enumerate_generators(f)
     a, ys = generators.matrix, [y.get(k, 0) for k in generators.classes]
     # int64 while no product can leave it, as `_phase_one` switches
-    col_sum = int(np.abs(a).sum(axis=0).max(initial=1))
-    dtype = np.int64 if max(map(abs, ys), default=0) * col_sum < 2**63 else object
+    dtype = np.int64 if max(map(abs, ys), default=0) * generators.col_sum < 2**63 else object
     return bool((np.array(ys, dtype=dtype) @ a.astype(dtype, copy=False) <= 0).all())
 
 

@@ -8,7 +8,7 @@ evidence for universally quantified statements, not proofs; the LP
 certificates and rational hom-count comparisons in 5-7 and 11 are exact
 at their stated scale, and so are criterion 8's threshold claims, in
 Q(sqrt 10), and criterion 9, over Q.
-Mutants of `commonness`, each with one constant changed in its source,
+Mutants of `exact`, each with one constant changed in its source,
 check that criteria 8 and 9 fail on a change no float could represent.
 """
 
@@ -19,7 +19,7 @@ import types
 
 import pytest
 
-from homcommon import acceptance, commonness, data
+from homcommon import acceptance, commonness, data, exact
 from homcommon.graphons import density, kernel_arrays, sample_graphon, sample_kernel
 from homcommon.graphs import INEQUALITY_TOL, make_family
 from homcommon.identities import strongly_common_gap
@@ -35,14 +35,14 @@ def test_acceptance_criterion(criterion):
 
 
 def _mutant(monkeypatch, old: str, new: str) -> types.ModuleType:
-    """`commonness` with the one occurrence of `old` in its source replaced by
+    """`exact` with the one occurrence of `old` in its source replaced by
     `new`, run as a module of its own; criteria 8 and 9 call its verifiers."""
-    source = inspect.getsource(commonness)
+    source = inspect.getsource(exact)
     assert source.count(old) == 1
     mutant = types.ModuleType("homcommon.mutant")
     mutant.__package__ = "homcommon"
     monkeypatch.setitem(sys.modules, mutant.__name__, mutant)  # dataclasses look it up
-    exec(compile(source.replace(old, new), commonness.__file__, "exec"), vars(mutant))
+    exec(compile(source.replace(old, new), exact.__file__, "exec"), vars(mutant))
     for name in ("dk3k2_verify", "appendix_convexity_verify"):
         monkeypatch.setattr(acceptance, name, getattr(mutant, name))
     return mutant

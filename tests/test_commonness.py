@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import digest
 from homcommon import data
-from homcommon.commonness import (FALSIFY_MAX_BLOCKS, CommonPairSpec, P_DIAMOND_EXACT,
-                                  P_DIAMOND_PAIR, QSqrt10, appendix_convexity_verify,
+from homcommon.commonness import (FALSIFY_MAX_BLOCKS, CommonPairSpec, P_DIAMOND_PAIR,
                                   certify_pair_via_templates, common_gap,
-                                  common_gap_objective, convexity_conditions,
-                                  dk3k2_verify, falsify, girth_obstruction,
+                                  common_gap_objective, convexity_conditions, falsify,
                                   min_pair_gap, pair_gap, pair_gap_objective,
-                                  solve_simple_tree_p, _balance, _correlation_slacks,
-                                  _descend, _pair_gap)
+                                  solve_simple_tree_p, _correlation_slacks, _descend,
+                                  _pair_gap)
+from homcommon.exact import (P_DIAMOND_EXACT, QSqrt10, appendix_convexity_verify,
+                             dk3k2_verify, girth_obstruction, _balance)
 from homcommon.graphons import (StepKernel, constant_kernel, density, kernel_arrays,
                                 sample_graphon, sample_kernel)
 from homcommon.gluing import build_j
@@ -324,6 +324,16 @@ def test_girth_obstruction():
     # C5 against Petersen: 1/(5 p1^4) = 12/(15 p2^4) needs p2/p1 = sqrt(2)
     assert girth_obstruction(C5, petersen, Fraction(1, 2)) is False
     assert girth_obstruction(C5, petersen, 1 / (1 + math.sqrt(2))) is True
+    # an odd girth off the balance still refutes: (C5, C5) balances only at 1/2
+    assert girth_obstruction(C5, C5, 0.5114) is False
+
+
+@pytest.mark.parametrize("p1", [Fraction(3, 10), Fraction(1, 2), 0.3])
+def test_girth_obstruction_refuses_an_even_girth(p1):
+    # C4 is Sidorenko, so (C4, C4) is (p1, p2)-common for every p1, balanced or not
+    c4 = make_family("cycle", 4)
+    with pytest.raises(ValueError, match="girth 4 is even"):
+        girth_obstruction(c4, c4, p1)
 
 
 def test_dk3k2_point_values():
@@ -700,12 +710,13 @@ def test_rejected_measure_moves_leave_the_measures_bit_identical():
 
 # (best gap, evaluations, objective calls, witness block count, digest of the
 # witness) of falsify(objective, seed=1, restarts=20, steps=60), recorded at
-# commit 8dd3916, when `falsify` wrote out its own copy of the draw
+# commit 8dd3916, when `falsify` wrote out its own copy of the draw; the pair's
+# search reads the bits of `P_DIAMOND_PAIR`, the float nearest p*
 _FALSIFY_PINS = {
     "paw": ("-0x1.d488dfe588020p-9", 20320, 961, 2, "d4f3b87721acddfc"),
     "K3+K2": ("-0x1.cfeba18dd50a0p-9", 19665, 961, 4, "691a3edfd6848c51"),
     "K3": ("0x1.d800000000000p-48", 13857, 961, 3, "8be44d8a8651659d"),
-    "pair (diamond, K3+K2)": ("0x1.0cae800000000p-38", 20013, 961, 3, "177f898b5725447c"),
+    "pair (diamond, K3+K2)": ("0x1.0caec00000000p-38", 20013, 961, 3, "177f898b5725447c"),
 }
 
 

@@ -310,9 +310,11 @@ def _linear_systems(draw):
 
 def _rows(columns, m):
     """Dense columns of integral `Fraction`s as an (m, n) object array of
-    Python ints, a matrix `_phase_one` takes."""
-    return np.array([[int(col[i]) for col in columns] for i in range(m)],
-                    dtype=object).reshape(m, len(columns))
+    Python ints, a matrix `_phase_one` takes, and the largest column sum of
+    its absolute values (at least 1), the bound `_phase_one` takes with it."""
+    a = np.array([[int(col[i]) for col in columns] for i in range(m)],
+                 dtype=object).reshape(m, len(columns))
+    return a, max([1] + [sum(abs(int(v)) for v in col) for col in columns])
 
 
 def _dense_phase_one(columns, b):
@@ -358,7 +360,7 @@ def _dense_phase_one(columns, b):
 def test_phase_one_answers_are_exact_certificates(system):
     columns, b, feasible_by_construction = system
     m = len(b)
-    status, payload = _phase_one(_rows(columns, m), b)
+    status, payload = _phase_one(*_rows(columns, m), b)
     assert (status, payload) == _dense_phase_one(columns, b)
     if status == "feasible":
         assert all(c >= 0 for c in payload)
@@ -395,8 +397,9 @@ def test_phase_one_rational_rhs_sparse_columns(system):
     columns, b, feasible_by_construction = system
     m = len(b)
     # the solver takes the same columns as an int64 matrix, as check_good passes them
-    matrix = np.array(_rows(columns, m), dtype=np.int64).reshape(m, len(columns))
-    status, payload = _phase_one(matrix, b)
+    rows, col_sum = _rows(columns, m)
+    matrix = np.array(rows, dtype=np.int64).reshape(m, len(columns))
+    status, payload = _phase_one(matrix, col_sum, b)
     assert (status, payload) == _dense_phase_one(columns, b)
     if status == "feasible":
         assert all(c >= 0 for c in payload)
@@ -416,7 +419,7 @@ def test_phase_one_degenerate_ties_go_to_smaller_basic_variable(columns, b):
     # degenerate systems where a ratio-test tie is broken against row order
     columns = [[Fraction(v) for v in col] for col in columns]
     b = [Fraction(v) for v in b]
-    assert _phase_one(_rows(columns, len(b)), b) == _dense_phase_one(columns, b)
+    assert _phase_one(*_rows(columns, len(b)), b) == _dense_phase_one(columns, b)
 
 
 @st.composite
@@ -433,7 +436,7 @@ def _wide_systems(draw):
 @given(_wide_systems())
 def test_phase_one_matches_the_reference_beyond_int64(system):
     columns, b = system
-    assert _phase_one(_rows(columns, len(b)), b) == _dense_phase_one(columns, b)
+    assert _phase_one(*_rows(columns, len(b)), b) == _dense_phase_one(columns, b)
 
 
 def test_phase_one_switches_to_python_ints_on_a_wide_diagonal():
@@ -442,8 +445,8 @@ def test_phase_one_switches_to_python_ints_on_a_wide_diagonal():
     columns = [[Fraction(big), 0, 0], [0, Fraction(big), 0], [0, 0, Fraction(big)],
                [Fraction(1), Fraction(1), Fraction(1)]]
     for b in ([Fraction(1), Fraction(2), Fraction(3)], [Fraction(1), Fraction(-1), Fraction(1)]):
-        assert _phase_one(_rows(columns, 3), b) == _dense_phase_one(columns, b)
-    assert _phase_one(_rows(columns, 3), [Fraction(1), Fraction(2), Fraction(3)]) == (
+        assert _phase_one(*_rows(columns, 3), b) == _dense_phase_one(columns, b)
+    assert _phase_one(*_rows(columns, 3), [Fraction(1), Fraction(2), Fraction(3)]) == (
         "feasible", [Fraction(1, big), Fraction(2, big), Fraction(3, big), 0])
 
 
@@ -469,7 +472,7 @@ def test_phase_one_matches_the_reference_on_c7_goodness(name, price_columns, mon
     monkeypatch.setattr(cone, "_PRICE_COLUMNS", price_columns)
     _, a, b = _goodness_system(_c7_template(name))
     assert a.shape == (17, 433)
-    assert _phase_one(a, b) == _dense_goodness(name)
+    assert _phase_one(a, enumerate_generators(C7).col_sum, b) == _dense_goodness(name)
 
 
 def test_generator_matrix_is_cached_and_read_only():
@@ -481,6 +484,7 @@ def test_generator_matrix_is_cached_and_read_only():
     assert not a.flags.writeable
     assert keys == tuple(sorted(keys, key=lambda k: (len(k), k)))
     assert a.shape == (len(keys), len(gens)) == (17, 433)
+    assert gens.col_sum == int(np.abs(a).sum(axis=0).max()) == 4
     for col, triple in enumerate(gens.triples):
         assert {keys[i]: v for i, v in enumerate(a[:, col].tolist()) if v} == (
             reference_x(C7, *triple))

@@ -1,17 +1,21 @@
-"""The exact toolkit of `commonness` against sympy: numbers of Q(sqrt 10),
-Sturm root counts, and the polynomials behind criteria 8 and 9."""
+"""The exact module against sympy: numbers of Q(sqrt 10) and their nearest
+floats, Sturm root counts, and the polynomials behind criteria 8 and 9; and
+the module's import boundary."""
 
-import math
+import ast
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from homcommon.commonness import (P_DIAMOND_EXACT, P_DIAMOND_PAIR, Poly, QSqrt10,
-                                  _sign, _sturm_count, appendix_convexity_verify,
-                                  dk3k2_verify)
+import homcommon.exact
+from homcommon.commonness import P_DIAMOND_PAIR
+from homcommon.exact import (P_DIAMOND_EXACT, Poly, QSqrt10, _sign, _sturm_count,
+                             appendix_convexity_verify, dk3k2_verify)
 from homcommon.graphs import make_family
 
 X, Y = sympy.symbols("x y")
@@ -49,11 +53,38 @@ def test_q_sqrt10_arithmetic_and_sign_match_sympy(a, b, c, d):
         assert sympy.expand(sympy.radsimp(_sympy(exact) - reference)) == 0
 
 
-def test_exact_p_is_the_float_threshold_to_one_ulp():
+def test_exact_p_rounds_to_the_float_threshold():
     p = (8 - 2 * sympy.sqrt(10)) / 3
     assert sympy.simplify(_sympy(P_DIAMOND_EXACT) - p) == 0
-    assert abs(float(sympy.N(p, 50)) - P_DIAMOND_PAIR) <= math.ulp(P_DIAMOND_PAIR)
-    assert abs(float(P_DIAMOND_EXACT) - P_DIAMOND_PAIR) <= math.ulp(P_DIAMOND_PAIR)
+    assert float(sympy.N(p, 50)) == P_DIAMOND_PAIR == 0.5584815598877471
+    assert float(P_DIAMOND_EXACT) == P_DIAMOND_PAIR
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-999, 999), st.integers(1, 99), st.integers(-999, 999),
+       st.integers(1, 99), st.booleans())
+def test_float_of_q_sqrt10_is_the_nearest_float(a, da, b, db, rational):
+    u = QSqrt10(Fraction(a, da), Fraction(0) if rational else Fraction(b, db))
+    assert float(u) == float(sympy.N(_sympy(u), 50))
+
+
+def test_float_of_q_sqrt10_rounds_the_report_numbers():
+    rep = dk3k2_verify()
+    for x in (P_DIAMOND_EXACT, rep["threshold"], rep["crossover"]):
+        assert float(x) == float(sympy.N(_sympy(x), 50))
+
+
+def test_exact_imports_only_the_standard_library_and_graphs():
+    tree = ast.parse(Path(homcommon.exact.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    outside = {name for name in imported
+               if name != ".graphs" and name.split(".")[0] not in sys.stdlib_module_names}
+    assert not outside, f"exact imports {sorted(outside)}"
 
 
 def test_dk3k2_polynomials_match_sympy():
