@@ -12,9 +12,9 @@ from .graphons import StepKernel, density, sample_graphon
 from .gluing import GluingTemplate, build_j, canonical_class, x_vector
 from .cone import (GoodnessCertificate, binomial_inequality_check, check_good,
                    verify_certificate)
-from .commonness import (CommonPairSpec, SearchResult, certify_pair_via_templates,
-                         common_gap, convexity_conditions, falsify, pair_gap,
-                         solve_simple_tree_p)
+from .commonness import (CommonPairSpec, SearchResult, balancing_p,
+                         certify_pair_via_templates, common_gap, convexity_conditions,
+                         falsify, pair_gap)
 from .exact import appendix_convexity_verify, dk3k2_verify, girth_obstruction
 from .identities import (c5_goodman_residual, expansion_residual,
                          goodman_residual, strongly_common_gap)

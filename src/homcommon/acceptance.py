@@ -17,11 +17,12 @@ import time
 from fractions import Fraction
 from functools import partial
 
-from . import data
-from .commonness import (P_DIAMOND_PAIR, CommonPairSpec, common_gap_objective, falsify,
-                         min_pair_gap, solve_simple_tree_p)
+from . import data, exact
+from .commonness import (P_DIAMOND_PAIR, CommonPairSpec, balancing_p, common_gap_objective,
+                         falsify, min_pair_gap)
 from .cone import binomial_inequality_check, check_good, verify_certificate
 from .exact import appendix_convexity_verify, dk3k2_verify, girth_obstruction
+from .gluing import GluingTemplate
 from .graphs import (BALANCE_TOL, FALSIFY_THRESHOLD, IDENTITY_TOL, INEQUALITY_TOL,
                      make_family, random_graph)
 from .graphons import _sample_arrays
@@ -119,11 +120,18 @@ def criterion_6_binomial() -> dict:
             "detail": f"min slack = {report['min_slack']:.3e} over {report['graphs_checked']} graphs"}
 
 
+def _triangle_diamond_templates():
+    """A one-node K3 template, l = 0, and `simple_k3_edge`, l = 1 (J: the diamond and a K2)."""
+    return (GluingTemplate.make(make_family("complete", 3), 1, [], {0: range(3)}, {}), 0,
+            data.load_template("simple_k3_edge"), 1)
+
+
 def criterion_7_p_solver() -> dict:
-    p = solve_simple_tree_p(3, 3, 5, 4, 3)
+    t_k3, l_k3, t_d, l_d = _triangle_diamond_templates()
+    p = balancing_p(t_k3, l_k3, t_d, l_d)
     oracle = math.sqrt(5.0) / (math.sqrt(5.0) + math.sqrt(6.0))
-    residual = abs(1.0 / (3.0 * p**2) - 2.0 / (5.0 * (1.0 - p) ** 2))
-    swap = solve_simple_tree_p(5, 4, 3, 3, 3)
+    residual = abs(exact._balance((1, 3), (2, 5), 2, p)[0])
+    swap = balancing_p(t_d, l_d, t_k3, l_k3)
     sym = abs(p + swap - 1.0)
     ok = residual < BALANCE_TOL and abs(p - oracle) < 1e-10 and sym < BALANCE_TOL
     return {"name": "7 simple-tree p-solver (triangle vs diamond)",
@@ -179,7 +187,7 @@ def criterion_11_girth_obstruction() -> dict:
     k3 = make_family("complete", 3)
     d = make_family("complete_minus_edge", 4)
     at_half = girth_obstruction(k3, d, Fraction(1, 2))
-    p = solve_simple_tree_p(3, 3, 5, 4, 3)
+    p = balancing_p(*_triangle_diamond_templates())
     at_star = girth_obstruction(k3, d, p)
     ok = (at_half is False) and (at_star is True)
     return {"name": "11 girth obstruction (triangle vs diamond)",

@@ -14,8 +14,9 @@ import json
 import sys
 
 from . import acceptance, data
-from .commonness import (FALSIFY_MAX_BLOCKS, CommonPairSpec, certify_pair_via_templates,
-                         common_gap_objective, falsify, min_pair_gap, solve_simple_tree_p)
+from .commonness import (FALSIFY_MAX_BLOCKS, CommonPairSpec, balancing_p,
+                         certify_pair_via_templates, common_gap_objective, falsify,
+                         min_pair_gap)
 from .cone import certificate_from_json, certificate_to_json, check_good, verify_certificate
 from .exact import dk3k2_verify
 from .gluing import template_from_json
@@ -103,9 +104,9 @@ def _cmd_pair_gap(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    verdict = certify_pair_via_templates(_load_template_arg(args.template1), args.l1,
-                                         _load_template_arg(args.template2), args.l2,
-                                         args.p1, args.budget)
+    t1, t2 = _load_template_arg(args.template1), _load_template_arg(args.template2)
+    verdict = certify_pair_via_templates(t1, args.l1, t2, args.l2,
+                                         balancing_p(t1, args.l1, t2, args.l2), args.budget)
     report = {"certified": verdict.certified, "reason": verdict.reason,
               "p1": verdict.p1, "m": verdict.m,
               "h1_edge_count": verdict.h1_edge_count,
@@ -115,12 +116,6 @@ def _cmd_certify(args) -> int:
               "certificate2": certificate_to_json(verdict.certificate2)}
     _emit(report, args.json_out)
     return 0 if verdict.certified else 1
-
-
-def _cmd_solve_p(args) -> int:
-    p1 = solve_simple_tree_p(args.e1, args.v1, args.e2, args.v2, args.m)
-    _emit({"p1": p1, "p2": 1.0 - p1, "m": args.m}, args.json_out)
-    return 0
 
 
 def _cmd_dk3k2(args) -> int:
@@ -197,16 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     ccert.add_argument("--l1", type=int, required=True)
     ccert.add_argument("--template2", required=True)
     ccert.add_argument("--l2", type=int, required=True)
-    ccert.add_argument("--p1", type=float, required=True)
     ccert.set_defaults(handler=_cmd_certify)
-
-    csolve = csub.add_parser("solve-p")
-    csolve.add_argument("--e1", type=int, required=True)
-    csolve.add_argument("--v1", type=int, required=True)
-    csolve.add_argument("--e2", type=int, required=True)
-    csolve.add_argument("--v2", type=int, required=True)
-    csolve.add_argument("--m", type=int, required=True)
-    csolve.set_defaults(handler=_cmd_solve_p)
 
     cdk = csub.add_parser("dk3k2-verify")
     cdk.set_defaults(handler=_cmd_dk3k2)

@@ -2,10 +2,10 @@
 certification and a falsifier for common and (p1, p2)-common graph pairs.
 
 Covers the weighted two-colour gap functional, the convexity-lemma
-condition checker, template-based pair certification over odd cycles, the
-closed-form balance-equation solver for simple cycle-trees, and a
-random-restart falsifier for (un)commonness.  The exact side (the balance
-equation `exact._balance`, the girth obstruction, and the two exact
+condition checker, template-based pair certification over odd cycles with
+the p1 each pair balances at (`balancing_p`), and a random-restart
+falsifier for (un)commonness.  The exact side (the balance equation
+`exact._balance` and its root, the girth obstruction, and the two exact
 verifiers over Q(√10) and Q) lives in `exact`; `P_DIAMOND_PAIR` is the
 float nearest its exact threshold.
 
@@ -197,13 +197,9 @@ def convexity_conditions(spec: CommonPairSpec, sample_seeds, max_blocks: int = 4
 
 
 def _is_odd_cycle(g: Graph) -> bool:
-    if g.vertex_count < 3 or g.vertex_count % 2 == 0:
-        return False
-    if g.edge_count != g.vertex_count:
-        return False
-    if any(len(s) != 2 for s in g.neighbor_sets()):
-        return False
-    return len(components(g)) == 1
+    """Connected, with every degree 2 and an odd number of vertices, at least 3."""
+    return (g.vertex_count >= 3 and g.vertex_count % 2 == 1
+            and all(len(s) == 2 for s in g.neighbor_sets()) and len(components(g)) == 1)
 
 
 @dataclass(frozen=True)
@@ -219,29 +215,19 @@ class PairTemplateVerdict:
     certificate2: GoodnessCertificate
 
 
-def certify_pair_via_templates(t1: GluingTemplate, l1: int,
-                               t2: GluingTemplate, l2: int,
-                               p1: float, budget: int = DEFAULT_WORK_BUDGET
-                               ) -> PairTemplateVerdict:
-    """Certify (H1, H2) as (p1, p2)-common from two good odd-cycle templates.
-
-    H_i is the generalized tree J(t_i) with l_i two-vertex components and
-    all isolated vertices removed.  Certification needs both goodness
-    certificates, e(H_i) >= m, and the balance equation
-    (e(H1)+l1)/(e(H1) p1^(m-1)) = (e(H2)+l2)/(e(H2) p2^(m-1)), decided
-    exactly for a `Fraction` p1.  `budget` bounds each goodness check's
-    generator enumeration.  J's two-vertex components and e(H_i) are
-    checked before either goodness check, so an invalid l_i is a
-    ValueError at any budget.
-    """
+def _pair_sides(t1: GluingTemplate, l1: int, t2: GluingTemplate, l2: int
+                ) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """(m - 1, (e1 + l1, e1), (e2 + l2, e2)), the balance equation as
+    `exact._balance` reads it, for H_i, the generalized tree J(t_i) less l_i
+    two-vertex components and all isolated vertices, and e_i = e(H_i).
+    ValueError unless the templates share an odd-cycle base C_m, l_i >= 0,
+    J(t_i) has l_i two-vertex components, and e_i >= m."""
     base = t1.base
     if base != t2.base:
         raise ValueError("both templates must share the same base cycle")
     if not _is_odd_cycle(base):
         raise ValueError("base graph must be an odd cycle")
     m = base.vertex_count
-    if not 0 < p1 < 1:
-        raise ValueError("p1 must lie in (0, 1)")
     if l1 < 0 or l2 < 0:
         raise ValueError("l1 and l2 must be non-negative")
     sides = []
@@ -253,11 +239,37 @@ def certify_pair_via_templates(t1: GluingTemplate, l1: int,
         e_h = j.edge_count - l
         if e_h < m:
             raise ValueError("each H_i must have at least m edges")
-        sides.append(e_h)
-    e1, e2 = sides
+        sides.append((e_h + l, e_h))
+    return m - 1, sides[0], sides[1]
+
+
+def balancing_p(t1: GluingTemplate, l1: int, t2: GluingTemplate, l2: int) -> float:
+    """The float p1 solving (e1+l1)/(e1 p1^(m-1)) = (e2+l2)/(e2 p2^(m-1))
+    for the pair (H1, H2) of `_pair_sides`."""
+    n, a1, a2 = _pair_sides(t1, l1, t2, l2)
+    return exact._balance_root(a1, a2, n)
+
+
+def certify_pair_via_templates(t1: GluingTemplate, l1: int,
+                               t2: GluingTemplate, l2: int,
+                               p1: float, budget: int = DEFAULT_WORK_BUDGET
+                               ) -> PairTemplateVerdict:
+    """Certify (H1, H2) of `_pair_sides` as (p1, p2)-common from two good
+    odd-cycle templates.
+
+    Certification needs both goodness certificates and the balance
+    equation (e1+l1)/(e1 p1^(m-1)) = (e2+l2)/(e2 p2^(m-1)), decided exactly
+    for a `Fraction` p1; `balancing_p` is its root.  `_pair_sides` refuses
+    its inputs before either goodness check, whose generator enumeration
+    `budget` bounds, so an invalid l_i is a ValueError at any budget.
+    """
+    if not 0 < p1 < 1:
+        raise ValueError("p1 must lie in (0, 1)")
+    n, a1, a2 = _pair_sides(t1, l1, t2, l2)
+    m, e1, e2 = n + 1, a1[1], a2[1]
     cert1 = check_good(t1, budget=budget)
     cert2 = check_good(t2, budget=budget)
-    residual, balanced = exact._balance((e1 + l1, e1), (e2 + l2, e2), m - 1, p1)
+    residual, balanced = exact._balance(a1, a2, n, p1)
     if cert1.verdict != "good" or cert2.verdict != "good":
         return PairTemplateVerdict(False, "template not good", p1, m, e1, e2,
                                    residual, cert1, cert2)
@@ -266,21 +278,6 @@ def certify_pair_via_templates(t1: GluingTemplate, l1: int,
                                    residual, cert1, cert2)
     return PairTemplateVerdict(True, "certified (p1,p2)-common via good odd-cycle templates",
                                p1, m, e1, e2, residual, cert1, cert2)
-
-
-def solve_simple_tree_p(e1: int, v1: int, e2: int, v2: int, m: int) -> float:
-    """The unique p1 in (0,1) balancing two simple cycle-trees:
-    (e1-v1+1)/(e1 p1^(m-1)) = (e2-v2+1)/(e2 (1-p1)^(m-1)).
-
-    With c_i = e_i - v_i + 1 the equation says ((1-p1)/p1)^(m-1) = R for
-    R = c2 e1 / (c1 e2), so p1 = 1 / (1 + R^(1/(m-1))).
-    """
-    if m < 3 or m % 2 == 0:
-        raise ValueError("m must be an odd integer >= 3")
-    c1, c2 = e1 - v1 + 1, e2 - v2 + 1
-    if c1 < 1 or c2 < 1 or e1 < 1 or e2 < 1:
-        raise ValueError("cycle rank e - v + 1 must be positive on both sides")
-    return 1.0 / (1.0 + (c2 * e1 / (c1 * e2)) ** (1.0 / (m - 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ verifiers built on them.
 `_balance` is the one balance-equation check, shared by pair
 certification, the convexity conditions, the girth obstruction and the
 convexity verifier: a `Fraction` p1 is decided exactly, a float p1 within
-`BALANCE_TOL`.  The diamond / K3+K2 threshold verification (`dk3k2_verify`)
-builds polynomials (`Poly`) over Q(√10) (`QSqrt10`), and the convexity
-verifier (`appendix_convexity_verify`) over Q; each decides its claims by
-exact signs and Sturm root counts, and takes only the inputs its claims
-read: edge counts and girths are derived from the graphs, and nothing is
-sampled.  `float()` of a `QSqrt10` is the float nearest it.
+`BALANCE_TOL`; `_balance_root` is its float root, which pair certification
+derives its p1 from.  The diamond / K3+K2 threshold verification
+(`dk3k2_verify`) builds polynomials (`Poly`) over Q(√10) (`QSqrt10`), and
+the convexity verifier (`appendix_convexity_verify`) over Q; each decides
+its claims by exact signs and Sturm root counts, and takes only the inputs
+its claims read: edge counts and girths are derived from the graphs, and
+nothing is sampled.  `float()` of a `QSqrt10` is the float nearest it.
 
 This module imports only the standard library and `graphs`; the float side
 (gaps, sampled suites, pair certification and the falsifier) lives in
@@ -50,6 +51,13 @@ def _balance(a1: tuple[int, int], a2: tuple[int, int], n: int,
     if isinstance(p1, Fraction):
         return lhs - rhs, lhs == rhs
     return lhs - rhs, abs(lhs - rhs) <= BALANCE_TOL * max(1.0, abs(lhs), abs(rhs))
+
+
+def _balance_root(a1: tuple[int, int], a2: tuple[int, int], n: int) -> float:
+    """The float p1 at which `_balance(a1, a2, n, p1)` holds, for positive a_i:
+    ((1 - p1)/p1)^n = c2 d1 / (c1 d2), so p1 = 1 / (1 + (c2 d1 / (c1 d2))^(1/n))."""
+    (c1, d1), (c2, d2) = a1, a2
+    return 1.0 / (1.0 + (c2 * d1 / (c1 * d2)) ** (1.0 / n))
 
 
 def girth_obstruction(h1: Graph, h2: Graph, p1) -> bool:

@@ -127,10 +127,9 @@ class GluingTemplate:
             raise ValueError("tree edges contain a cycle")
         if len(self.psi_nodes) != k:
             raise ValueError("psi_nodes must cover every tree node")
-        edge_map = dict(self.psi_edges)
-        if set(edge_map) != set(self.tree_edges):
-            raise ValueError("psi_edges must cover exactly the tree edges")
-        for (s, t), subset in edge_map.items():
+        if sorted(e for e, _ in self.psi_edges) != sorted(self.tree_edges):
+            raise ValueError("psi_edges must name each tree edge once, and no other")
+        for (s, t), subset in self.psi_edges:
             if not subset <= (self.psi_nodes[s] & self.psi_nodes[t]):
                 raise ValueError(
                     f"psi({s},{t}) must be contained in psi({s}) and psi({t})")
@@ -151,6 +150,8 @@ class GluingTemplate:
             e = tuple(sorted((int(key[0]), int(key[1]))))
             if e not in edges:
                 raise ValueError(f"psi_edges refers to non-tree edge {e}")
+            if e in edge_psis:
+                raise ValueError(f"psi_edges names tree edge {e} more than once")
             edge_psis[e] = _as_subset(base, subset)
         full = tuple(sorted((e, edge_psis.get(e, frozenset())) for e in edges))
         return cls(base, tree_nodes, edges, nodes, full)

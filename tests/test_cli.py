@@ -146,13 +146,6 @@ def test_glue_check_corrupted_file(capsys, tmp_path):
     assert "error" in err
 
 
-def test_common_solve_p(capsys):
-    code, out, _ = run_cli(capsys, "common", "solve-p", "--e1", "3", "--v1", "3",
-                           "--e2", "5", "--v2", "4", "--m", "3")
-    assert code == 0
-    assert json.loads(out)["p1"] == pytest.approx(0.4772255750516612, abs=1e-10)
-
-
 def test_common_pair_gap(capsys):
     code, out, _ = run_cli(capsys, "common", "pair-gap", "--h1", "diamond",
                            "--h2", "k3uk2", "--p1", "0.558480847382856",
@@ -161,25 +154,45 @@ def test_common_pair_gap(capsys):
     assert json.loads(out)["passed"] is True
 
 
-def test_common_certify(capsys):
+def test_common_certify(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "common", "certify",
                            "--template1", "simple_c5_vertex", "--l1", "0",
-                           "--template2", "simple_c5_vertex", "--l2", "0",
-                           "--p1", "0.5")
+                           "--template2", "simple_c5_vertex", "--l2", "0")
     assert code == 0
     assert json.loads(out)["certified"] is True
+    assert json.loads(out)["p1"] == 0.5
     code, out, _ = run_cli(capsys, "common", "certify",
                            "--template1", "pentagon_square", "--l1", "1",
-                           "--template2", "simple_c5_vertex", "--l2", "0",
-                           "--p1", "0.4")
+                           "--template2", "simple_c5_vertex", "--l2", "0")
+    report = json.loads(out)
+    assert code == 0
+    assert report["certified"] is True and report["p1"] == 0.5065846515291016
+    # C5 plus an isolated vertex (e = 5) is not good: the pair balances at 1/2 but fails
+    path = tmp_path / "c5_isolated.json"
+    path.write_text(json.dumps({"F": "C5", "tree": {"nodes": 2, "edges": [[0, 1]]},
+                                "psi_nodes": {"0": [0, 1, 2, 3, 4], "1": [0]},
+                                "psi_edges": {"0-1": []}}))
+    code, out, _ = run_cli(capsys, "common", "certify",
+                           "--template1", str(path), "--l1", "0",
+                           "--template2", "simple_c5_vertex", "--l2", "0")
+    report = json.loads(out)
     assert code == 1
+    assert report["reason"] == "template not good" and report["p1"] == 0.5
+    assert report["h1_edge_count"] == 5
+
+
+def test_common_certify_takes_no_p1(capsys):
+    code, out, err = run_cli(capsys, "common", "certify",
+                             "--template1", "simple_c5_vertex", "--l1", "0",
+                             "--template2", "simple_c5_vertex", "--l2", "0", "--p1", "0.5")
+    assert code == 2
+    assert out == "" and "--p1" in err
 
 
 def test_common_certify_rejects_negative_l(capsys):
     code, out, err = run_cli(capsys, "common", "certify",
                              "--template1", "pentagon_square", "--l1", "-1",
-                             "--template2", "simple_c5_vertex", "--l2", "0",
-                             "--p1", "0.4940433955823518")
+                             "--template2", "simple_c5_vertex", "--l2", "0")
     assert code == 2
     assert out == "" and "non-negative" in err
 
@@ -263,7 +276,7 @@ def test_budget_reaches_common_commands(capsys, command):
 @pytest.mark.parametrize("command", [
     ("glue", "check", "lone_edge_c5"),
     ("common", "certify", "--template1", "pentagon_square", "--l1", "1",
-     "--template2", "simple_c5_vertex", "--l2", "0", "--p1", "0.4"),
+     "--template2", "simple_c5_vertex", "--l2", "0"),
 ])
 def test_budget_reaches_goodness_commands(capsys, command):
     code, _, err = run_cli(capsys, "--budget", "1", *command)
@@ -574,14 +587,10 @@ def test_falsify_plans_a_long_path_at_the_default_budget(capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ("common", "solve-p", "--e1", str(10**400), "--v1", str(10**400),
-     "--e2", "1", "--v2", "1", "--m", "3"),
-    ("common", "certify", "--template1", "pentagon_square", "--l1", "1",
-     "--template2", "simple_c5_vertex", "--l2", "0", "--p1", "1e-320"),
     # e1 p1^(e1-1) is 0 in floats, so the gap's weight 1/(e1 p1^(e1-1)) is undefined
     ("common", "pair-gap", "--h1", "K3", "--h2", "K3", "--p1", "1e-320", "--seeds", "0"),
     ("common", "pair-gap", "--h1", "K3", "--h2", "K3", "--p1", "1e-200", "--seeds", "0"),
-], ids=["overflow", "zero-division", "pair-gap-1e-320", "pair-gap-1e-200"])
+], ids=["pair-gap-1e-320", "pair-gap-1e-200"])
 def test_arithmetic_errors_are_data_errors(capsys, command):
     # a RuntimeWarning on the way is an error too (pytest's filterwarnings)
     code, out, err = run_cli(capsys, *command)

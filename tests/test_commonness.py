@@ -10,24 +10,34 @@ from hypothesis import strategies as st
 from conftest import digest
 from homcommon import data
 from homcommon.commonness import (FALSIFY_MAX_BLOCKS, CommonPairSpec, P_DIAMOND_PAIR,
-                                  certify_pair_via_templates, common_gap,
+                                  balancing_p, certify_pair_via_templates, common_gap,
                                   common_gap_objective, convexity_conditions, falsify,
                                   min_pair_gap, pair_gap, pair_gap_objective,
-                                  solve_simple_tree_p, _correlation_slacks, _descend,
-                                  _pair_gap)
+                                  _correlation_slacks, _descend, _pair_gap)
 from homcommon.exact import (P_DIAMOND_EXACT, QSqrt10, appendix_convexity_verify,
-                             dk3k2_verify, girth_obstruction, _balance)
+                             dk3k2_verify, girth_obstruction, _balance, _balance_root)
 from homcommon.graphons import (StepKernel, constant_kernel, density, kernel_arrays,
                                 sample_graphon, sample_kernel)
-from homcommon.gluing import build_j
-from homcommon.graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _plan,
-                             disjoint_union, make_family)
+from homcommon.gluing import GluingTemplate, build_j
+from homcommon.graphs import (DEFAULT_WORK_BUDGET, FALSIFY_THRESHOLD, INEQUALITY_TOL,
+                              BudgetExceededError, Graph, _plan, disjoint_union, make_family)
 from homcommon.identities import _strongly_common_gap, score_kernels, strongly_common_gap
 
 K3 = make_family("complete", 3)
 C5 = make_family("cycle", 5)
 D = make_family("complete_minus_edge", 4)
 S10 = math.sqrt(10.0)
+
+
+def _one_node(f: Graph) -> GluingTemplate:
+    """The template whose J is f itself."""
+    return GluingTemplate.make(f, 1, [], {0: range(f.vertex_count)}, {})
+
+
+def _triangle_diamond():
+    """The triangle (a one-node K3 template, l = 0) against the diamond
+    (`simple_k3_edge`, whose J is the diamond plus a K2, l = 1)."""
+    return _one_node(K3), 0, data.load_template("simple_k3_edge"), 1
 
 
 def test_pair_spec_validation():
@@ -189,8 +199,9 @@ def test_pair_gap_suite_budget_is_its_largest_graphons_charge():
 def test_certify_pair_square_attachment_vs_c5():
     t_sq = data.load_template("pentagon_square")
     t_single = data.load_template("simple_c5_vertex")
-    # balance: 10/(9 p^4) = 2/p2^4 for the vertex-glued double pentagon
-    p1 = solve_simple_tree_p(9, 8, 10, 9, 5)
+    # balance: 10/(9 p^4) = 10/(10 p2^4) for the vertex-glued double pentagon
+    p1 = balancing_p(t_sq, 1, t_single, 0)
+    assert p1 == 0.5065846515291016  # the bits of the closed form it replaced
     verdict = certify_pair_via_templates(t_sq, 1, t_single, 0, p1)
     assert verdict.certified
     assert abs(verdict.balance_residual) < 1e-10
@@ -222,6 +233,16 @@ def test_certify_pair_rejects_negative_l():
         certify_pair_via_templates(t_sq, -1, t_single, 0, p1)
     with pytest.raises(ValueError, match="non-negative"):
         certify_pair_via_templates(t_single, 0, t_sq, -1, 1 - p1)
+    with pytest.raises(ValueError, match="non-negative"):
+        balancing_p(t_sq, -1, t_single, 0)
+
+
+def test_certify_pair_at_an_underflowing_p1_is_an_arithmetic_error():
+    # 9 p1^4 is 0 in floats at p1 = 1e-320, so the balance's left side divides by zero
+    t_sq = data.load_template("pentagon_square")
+    t_single = data.load_template("simple_c5_vertex")
+    with pytest.raises(ZeroDivisionError):
+        certify_pair_via_templates(t_sq, 1, t_single, 0, 1e-320)
 
 
 def test_certify_pair_checks_j_before_the_goodness_lps():
@@ -240,11 +261,11 @@ def test_certify_pair_checks_j_before_the_goodness_lps():
 
 
 @settings(max_examples=200, deadline=None)
-@given(c1=st.integers(1, 20), d1=st.integers(1, 20), c2=st.integers(1, 20),
-       d2=st.integers(1, 20), m=st.sampled_from([3, 5, 7, 9, 11]))
+@given(c1=st.integers(1, 1000), d1=st.integers(1, 1000), c2=st.integers(1, 1000),
+       d2=st.integers(1, 1000), m=st.integers(3, 13))
 def test_balance_holds_at_its_root(c1, d1, c2, d2, m):
-    ratio = (c2 / d2) / (c1 / d1)
-    root = 1.0 / (1.0 + ratio ** (1.0 / (m - 1)))
+    root = _balance_root((c1, d1), (c2, d2), m - 1)
+    assert 0 < root < 1
     assert _balance((c1, d1), (c2, d2), m - 1, root)[1]
     residual, holds = _balance((c1, d1), (c2, d2), m - 1, Fraction(1, 2))
     assert holds == (Fraction(c1, d1) == Fraction(c2, d2))
@@ -252,12 +273,10 @@ def test_balance_holds_at_its_root(c1, d1, c2, d2, m):
 
 
 def test_certify_pair_square_attachment_vs_bare_cycle():
-    from homcommon.gluing import GluingTemplate
-
     t_sq = data.load_template("pentagon_square")
-    t_c5 = GluingTemplate.make(C5, 1, [], {0: range(5)}, {})
+    t_c5 = _one_node(C5)
     # balance 10/(9 p1^4) = 5/(5 p2^4) has root p1 = 1/(1 + (9/10)^(1/4))
-    p1 = solve_simple_tree_p(9, 8, 5, 5, 5)
+    p1 = balancing_p(t_sq, 1, t_c5, 0)
     assert p1 == pytest.approx(1.0 / (1.0 + (9 / 10) ** 0.25), abs=1e-12)
     assert p1 == pytest.approx(0.5065846515, abs=1e-9)
     verdict = certify_pair_via_templates(t_sq, 1, t_c5, 0, p1)
@@ -279,7 +298,7 @@ def test_certified_pairs_have_nonnegative_gap(graphon_suite):
 
     t_sq = data.load_template("pentagon_square")
     t_single = data.load_template("simple_c5_vertex")
-    p1 = solve_simple_tree_p(9, 8, 10, 9, 5)
+    p1 = balancing_p(t_sq, 1, t_single, 0)
     assert certify_pair_via_templates(t_sq, 1, t_single, 0, p1).certified
     h1 = data.load_graph("pentagon_square")
     j2, _ = build_j(t_single)
@@ -292,24 +311,32 @@ def test_certified_pairs_have_nonnegative_gap(graphon_suite):
     assert min(pair_gap(spec, w) for w in graphon_suite) >= -1e-9
 
 
-def test_solve_simple_tree_p():
-    p = solve_simple_tree_p(3, 3, 5, 4, 3)
+def test_balancing_p():
+    t_k3, l_k3, t_d, l_d = _triangle_diamond()
+    p = balancing_p(t_k3, l_k3, t_d, l_d)
+    assert p == 0.47722557505166113  # criterion 7's p1
     assert p == pytest.approx(math.sqrt(5) / (math.sqrt(5) + math.sqrt(6)), abs=1e-10)
     assert abs(1 / (3 * p**2) - 2 / (5 * (1 - p) ** 2)) < 1e-12
-    assert solve_simple_tree_p(7, 7, 7, 7, 3) == pytest.approx(0.5, abs=1e-12)
-    assert solve_simple_tree_p(5, 5, 10, 9, 5) == pytest.approx(0.5, abs=1e-12)
-    swap = solve_simple_tree_p(5, 4, 3, 3, 3)
+    swap = balancing_p(t_d, l_d, t_k3, l_k3)
+    assert swap == 0.5227744249483388
     assert abs(p + swap - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        solve_simple_tree_p(3, 4, 3, 3, 3)  # non-positive cycle rank
-    with pytest.raises(ValueError):
-        solve_simple_tree_p(3, 3, 3, 3, 4)  # even m
+    assert balancing_p(t_d, 0, t_d, 0) == 0.5
+    # the lone C5 against the vertex-glued double pentagon: 5/(5 p^4) = 10/(10 p2^4)
+    assert balancing_p(_one_node(C5), 0, data.load_template("simple_c5_vertex"), 0) == 0.5
+    with pytest.raises(ValueError, match="odd cycle"):
+        balancing_p(_one_node(make_family("cycle", 4)), 0, _one_node(make_family("cycle", 4)), 0)
+    with pytest.raises(ValueError, match="same base"):
+        balancing_p(t_k3, 0, _one_node(C5), 0)
+    with pytest.raises(ValueError, match="fewer than 2 two-vertex components"):
+        balancing_p(t_d, 2, t_d, 0)
+    with pytest.raises(ValueError, match="at least m edges"):  # J is one K2, so H is empty
+        balancing_p(GluingTemplate.make(K3, 1, [], {0: [0, 1]}, {}), 1, t_d, 0)
 
 
 def test_girth_obstruction():
     assert girth_obstruction(K3, K3, Fraction(1, 2)) is True
     assert girth_obstruction(K3, D, Fraction(1, 2)) is False
-    p = solve_simple_tree_p(3, 3, 5, 4, 3)
+    p = balancing_p(*_triangle_diamond())
     assert girth_obstruction(K3, D, p) is True
     with pytest.raises(ValueError, match="girth"):
         girth_obstruction(K3, C5, 0.5)  # girth mismatch
@@ -326,6 +353,20 @@ def test_girth_obstruction():
     assert girth_obstruction(C5, petersen, 1 / (1 + math.sqrt(2))) is True
     # an odd girth off the balance still refutes: (C5, C5) balances only at 1/2
     assert girth_obstruction(C5, C5, 0.5114) is False
+
+
+def test_c5_pair_is_common_only_at_its_balancing_p():
+    # the obstruction's False at 0.5114 is witnessed by a graphon; at the balancing
+    # p of two lone C5, 1/2, the same search finds no negative gap
+    off = falsify(pair_gap_objective(CommonPairSpec(C5, C5, 0.5114)), seed=1, restarts=10,
+                  steps=60)
+    assert off.best_gap < -FALSIFY_THRESHOLD
+    assert off.best_gap == pytest.approx(-0.01725, abs=1e-5)
+    half = balancing_p(_one_node(C5), 0, _one_node(C5), 0)
+    assert half == 0.5
+    at = falsify(pair_gap_objective(CommonPairSpec(C5, C5, half)), seed=1, restarts=10,
+                 steps=60)
+    assert at.best_gap >= -INEQUALITY_TOL
 
 
 @pytest.mark.parametrize("p1", [Fraction(3, 10), Fraction(1, 2), 0.3])

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import homcommon.exact
 from homcommon.commonness import P_DIAMOND_PAIR
-from homcommon.exact import (P_DIAMOND_EXACT, Poly, QSqrt10, _sign, _sturm_count,
-                             appendix_convexity_verify, dk3k2_verify)
+from homcommon.exact import (P_DIAMOND_EXACT, Poly, QSqrt10, _balance_root, _sign,
+                             _sturm_count, appendix_convexity_verify, dk3k2_verify)
 from homcommon.graphs import make_family
 
 X, Y = sympy.symbols("x y")
@@ -58,6 +58,14 @@ def test_exact_p_rounds_to_the_float_threshold():
     assert sympy.simplify(_sympy(P_DIAMOND_EXACT) - p) == 0
     assert float(sympy.N(p, 50)) == P_DIAMOND_PAIR == 0.5584815598877471
     assert float(P_DIAMOND_EXACT) == P_DIAMOND_PAIR
+
+
+def test_exact_p_solves_the_girth_balance():
+    # the (diamond, K3+K2) girth balance: two triangles in 5 edges against one in 4
+    p = P_DIAMOND_EXACT
+    both = QSqrt10(Fraction(13, 20), Fraction(1, 5))
+    assert 2 / (5 * p**2) == 1 / (4 * (1 - p) ** 2) == both
+    assert _balance_root((2, 5), (1, 4), 2) == P_DIAMOND_PAIR == 0.5584815598877471
 
 
 @settings(max_examples=300, deadline=None)

@@ -95,6 +95,23 @@ def test_template_invariants():
                             {(0, 2): [0]})
 
 
+def test_a_tree_edge_named_twice_is_refused():
+    # build_j would glue along both subsets, but the certificate's JSON keeps one
+    full = frozenset(range(5))
+    with pytest.raises(ValueError, match="each tree edge once"):
+        GluingTemplate(C5, 2, frozenset({(0, 1)}), (full, full),
+                       (((0, 1), frozenset({0})), ((0, 1), frozenset())))
+    with pytest.raises(ValueError, match="more than once"):
+        GluingTemplate.make(C5, 2, [(0, 1)], {0: full, 1: full}, {(0, 1): [0], (1, 0): []})
+    with pytest.raises(ValueError, match="more than once"):
+        template_from_json({"F": "C5", "tree": {"nodes": 2, "edges": [[0, 1]]},
+                            "psi_nodes": {"0": [0, 1, 2, 3, 4], "1": [0, 1, 2, 3, 4]},
+                            "psi_edges": {"0-1": [0], "1-0": []}})
+    # named once in either order, it is one edge
+    t = GluingTemplate.make(C5, 2, [(0, 1)], {0: full, 1: full}, {(1, 0): [0]})
+    assert t.psi_edges == (((0, 1), frozenset({0})),)
+
+
 def test_make_checks_the_edge_count_before_any_psi_subset(monkeypatch):
     calls = []
     as_subset = gluing._as_subset
