@@ -62,7 +62,7 @@ def _load_template_arg(spec: str):
     if spec in data.TEMPLATE_NAMES:
         return data.load_template(spec)
     with open(spec) as fh:
-        return template_from_json(json.load(fh))
+        return template_from_json(data.read_json(fh))
 
 
 def _cmd_verify(args) -> int:
@@ -85,7 +85,7 @@ def _cmd_glue_check(args) -> int:
 
 def _cmd_glue_verify(args) -> int:
     with open(args.certificate) as fh:
-        payload = json.load(fh)
+        payload = data.read_json(fh)
     cert = certificate_from_json(payload, args.budget)
     verified = verify_certificate(cert, args.budget)
     _emit({"certificate": args.certificate, "template_hash": payload["template_hash"],

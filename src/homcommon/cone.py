@@ -33,7 +33,7 @@ from itertools import chain, combinations, groupby, islice
 import numpy as np
 
 from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _hom_counts,
-                     _json_shaped, _mask_adjacency, graph_to_json)
+                     _json_shaped, _mask_adjacency, graph_to_json, orbit_minima)
 from .gluing import (GluingTemplate, _as_subset, _canonical_table,
                      _class_counts, _lex_submasks, _mask_vertices, _x_terms, _z_terms,
                      build_j, template_from_json, template_to_json)
@@ -42,6 +42,8 @@ GeneratorTriple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 # candidate graphs per batched hom-count contraction in the binomial check;
 # 1024-graph batches were no faster and raised peak memory by 0.7 MB
 _BATCH = 256
+# masks per block when orbit sizes are counted
+_BLOCK = 1 << 16
 # columns in the phase-one LP's first pricing block; each later block is
 # twice the one before, so a pivot that enters an early column prices few
 _PRICE_COLUMNS = 256
@@ -339,36 +341,27 @@ def _orbit_minima(n: int) -> np.ndarray:
     """For each n-vertex edge mask (bit i for the i-th pair of
     combinations(range(n), 2)), the least mask of its orbit under
     relabelling, as one read-only array of 2^C(n,2) entries: int32 while
-    every mask fits (up to 8 vertices), int64 above.
-
-    Min-label propagation with pointer jumping: S_n is generated by the
-    transposition (0 1) and the n-cycle, so each pass lowers every label to
-    the least of its own and its images' labels under both, then follows
-    labels to their own labels, until nothing changes.  Labels stay in
-    their orbit, and a generator of finite order carries the least label
-    round each of its cycles, so the fixed point is the orbit minimum.
-    Each image array is built bit by bit, so memory stays a few arrays of
-    2^C(n,2) entries.
+    every mask fits (up to 8 vertices), int64 above.  That is
+    `orbit_minima` over the pairs, moved by S_n's generators: the
+    transposition (0 1) and the n-cycle.
     """
     pairs = list(combinations(range(n), 2))
     index = {p: i for i, p in enumerate(pairs)}
-    masks = np.arange(1 << len(pairs), dtype=np.int32 if len(pairs) < 32 else np.int64)
-    images = []
-    for perm in ((1, 0, *range(2, n)), (*range(1, n), 0)):
-        image = np.zeros_like(masks)
-        for i, (u, v) in enumerate(pairs):
-            image |= (masks >> i & 1) << index[min(perm[u], perm[v]), max(perm[u], perm[v])]
-        images.append(image)
-    label = masks
-    while True:
-        least = label
-        for image in images:
-            label = np.minimum(label, label[image])
-        label = label[label]
-        if np.array_equal(label, least):
-            break
-    label.flags.writeable = False
-    return label
+    return orbit_minima(len(pairs), ([index[min(s[u], s[v]), max(s[u], s[v])] for u, v in pairs]
+                                     for s in ((1, 0, *range(2, n)), (*range(1, n), 0))))
+
+
+def _orbit_sizes(least: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit minima of a table of them (the masks that are their own
+    entry), ascending, and each one's orbit size, counted in blocks of
+    _BLOCK masks so that no temporary spans the table."""
+    blocks = range(0, len(least), _BLOCK)
+    minima = np.concatenate([start + np.flatnonzero(
+        least[start:start + _BLOCK] == np.arange(start, min(start + _BLOCK, len(least))))
+        for start in blocks])
+    sizes = sum(np.bincount(np.searchsorted(minima, least[start:start + _BLOCK]),
+                            minlength=len(minima)) for start in blocks)
+    return minima, sizes
 
 
 def binomial_inequality_check(t: GluingTemplate, max_g_vertices: int, extra_graphs=(),
@@ -414,9 +407,8 @@ def binomial_inequality_check(t: GluingTemplate, max_g_vertices: int, extra_grap
     checked, exact_ok = 0, True
 
     def orbits(n):
-        sizes = np.bincount(_orbit_minima(n))
-        least = np.flatnonzero(sizes)
-        return zip(least.tolist(), sizes[least].tolist())
+        minima, sizes = _orbit_sizes(_orbit_minima(n))
+        return zip(minima.tolist(), sizes.tolist())
 
     candidates = chain(((n, m, size) for n in range(1, max_g_vertices + 1)
                         for m, size in orbits(n)),

@@ -15,6 +15,21 @@ TEMPLATE_NAMES = ("pentagon_square", "gen_c5_tree_a", "gen_c5_tree_b",
                   "simple_c5_vertex", "simple_k3_edge", "lone_edge_c5")
 
 
+def _unique_keys(pairs: list) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"JSON object repeats the key {key!r}")
+        out[key] = value
+    return out
+
+
+def read_json(fh):
+    """`json.load`, but an object that repeats a key is refused with a
+    ValueError naming it, where plain `json` keeps the last value."""
+    return json.load(fh, object_pairs_hook=_unique_keys)
+
+
 def _load(kind: str, name: str) -> dict:
     ref = resources.files("homcommon").joinpath("data", kind, f"{name}.json")
     try:
@@ -22,7 +37,7 @@ def _load(kind: str, name: str) -> dict:
     except FileNotFoundError:
         raise KeyError(f"no bundled {kind[:-1]} named {name!r}") from None
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bundled file data/{kind}/{name}.json is corrupted: {exc}") from exc
 
@@ -46,4 +61,4 @@ def parse_graph_spec(spec: str) -> Graph:
     if name in GRAPH_NAMES:
         return load_graph(name)
     with open(spec) as fh:
-        return graph_from_json(json.load(fh))
+        return graph_from_json(read_json(fh))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _json_shaped,
-                     automorphisms, components, graph_from_json, parse_family)
+                     automorphisms, components, graph_from_json, orbit_minima,
+                     parse_family)
 
 _CANONICAL_TABLES: dict[Graph, tuple[int, ...]] = {}
 
@@ -56,8 +57,8 @@ def _canonical_table(f: Graph, budget: int, caller: str) -> tuple[int, ...]:
     its nodes against `budget`, and each automorphism it yields charges
     2^v(f) subset images; the table is refused as soon as the images exceed
     `budget` (before the search, for the identity's), and before any is
-    built.  Errors name `caller`.  The table is one running minimum, by rank,
-    over the subset images of each automorphism.
+    built.  Errors name `caller`.  The table is `orbit_minima` over the
+    automorphisms, least by lexicographic rank.
     """
     table = _CANONICAL_TABLES.get(f)
     if table is not None:
@@ -78,16 +79,7 @@ def _canonical_table(f: Graph, budget: int, caller: str) -> tuple[int, ...]:
                 f"{images} subset images, budget {budget}")
     except BudgetExceededError as exc:
         raise BudgetExceededError(f"{caller}: {exc}") from None
-    lex, rank = _lex_submasks(n)
-    best = list(rank)
-    image = [0] * (1 << n)
-    for perm in perms:
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            image[mask] = m = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
-            if rank[m] < best[mask]:
-                best[mask] = rank[m]
-    table = tuple(lex[-1][r] for r in best)
+    table = tuple(orbit_minima(n, perms, _lex_submasks(n)[1]).tolist())
     _CANONICAL_TABLES[f] = table
     return table
 

@@ -25,7 +25,7 @@ import string
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +37,8 @@ INEQUALITY_TOL = 1e-9
 BALANCE_TOL = 1e-12
 # a falsifier gap below -FALSIFY_THRESHOLD is reported as a violation
 FALSIFY_THRESHOLD = 1e-4
+# entries of the subset-image arrays `orbit_minima` builds in one pass
+_IMAGE_ENTRIES = 1 << 20
 _EINSUM_LETTERS = string.ascii_letters
 
 
@@ -191,6 +193,46 @@ def automorphisms(g: Graph, budget: int = DEFAULT_WORK_BUDGET) -> Iterator[tuple
         image[v] = -1
 
     return extend(0)
+
+
+def orbit_minima(k: int, perms, rank=None) -> np.ndarray:
+    """For each mask of k items (bit i for item i), the least mask of its
+    orbit under the group that `perms` (tuples of the items' images, in a
+    list or a stream) generate, by mask or by `rank` (rank[m] is mask m's
+    place in an order), as one read-only array, int32 while masks fit.
+
+    Min-label propagation with pointer jumping.  The masks' images under a
+    chunk of perms are built _IMAGE_ENTRIES (or one perm's) at a time, and
+    kept if they lower some label: one that lowers none keeps every orbit
+    found so far.  Each pass lowers every label to its images' least, per
+    image (or block of more than two), then follows labels to their own
+    labels, until a pass lowers none; as a perm of finite order carries the
+    least label round each of its cycles, labels are then orbit minima.
+    """
+    dtype = np.int32 if k < 32 else np.int64
+    # label[m]: the least of m's orbit found so far, as a rank; order[r]: the
+    # mask of rank r (ranks are masks when rank is None)
+    label, order, kept, perms = np.arange(1 << k, dtype=dtype), None, [], iter(perms)
+    if rank is not None:
+        label, order = np.array(rank, dtype=dtype), np.argsort(rank).astype(dtype)
+    while chunk := list(islice(perms, max(1, _IMAGE_ENTRIES >> k))):
+        images = np.zeros((len(chunk), 1 << k), dtype=dtype)
+        for i, bits in enumerate(np.left_shift(1, np.array(chunk, dtype=dtype).T[..., None])):
+            np.bitwise_or(images[:, :1 << i], bits, out=images[:, 1 << i:2 << i])
+        lowers = (label[images] < label).any(axis=1)
+        images = images if lowers.all() else images[lowers]
+        kept += [images] if len(images) > 2 else list(images)
+        fell = len(images) > 0
+        while fell:
+            total = label.sum()
+            for image in kept:
+                np.minimum(label, label[image] if image.ndim == 1 else label[image].min(axis=0),
+                           out=label)
+            label = label[label if order is None else order[label]]
+            fell = label.sum() < total
+    label = label if order is None else order[label]
+    label.flags.writeable = False
+    return label
 
 
 class _Plan(NamedTuple):

@@ -146,6 +146,24 @@ def test_glue_check_corrupted_file(capsys, tmp_path):
     assert "error" in err
 
 
+def test_repeated_json_keys_are_refused(capsys, tmp_path):
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps(template_to_json(data.load_template("pentagon_square")))
+                    .replace('"psi_edges": {', '"psi_edges": {"0-1": [0], "0-1": [], '))
+    code, _, err = run_cli(capsys, "glue", "check", str(path))
+    assert code == 2
+    assert "repeats the key '0-1'" in err
+    cert_path = tmp_path / "cert.json"
+    assert run_cli(capsys, "glue", "check", "pentagon_square", "--certificate",
+                   str(cert_path))[0] == 0
+    text = cert_path.read_text()
+    key = next(iter(json.loads(text)["target"]))
+    cert_path.write_text(text.replace('"target": {', f'"target": {{"{key}": "0", ', 1))
+    code, _, err = run_cli(capsys, "glue", "verify", str(cert_path))
+    assert code == 2
+    assert f"repeats the key '{key}'" in err
+
+
 def test_common_pair_gap(capsys):
     code, out, _ = run_cli(capsys, "common", "pair-gap", "--h1", "diamond",
                            "--h2", "k3uk2", "--p1", "0.558480847382856",

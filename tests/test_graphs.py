@@ -13,7 +13,7 @@ from homcommon.graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph,
                               components, disjoint_union,
                               girth_and_cycle_count, graph_from_json,
                               graph_to_json, hom_count, make_family,
-                              random_graph)
+                              orbit_minima, random_graph)
 from homcommon import graphs
 from homcommon.data import load_template
 from homcommon.gluing import build_j
@@ -447,3 +447,27 @@ def test_hom_count_contracts_one_unbatched_matrix(monkeypatch):
     monkeypatch.setattr(graphs, "_contract", recorded)
     assert hom_count(C5, K3) == 30
     assert shapes == [(1, 3, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(0, 6), count=st.integers(0, 3),
+       as_stream=st.booleans(), ranked=st.booleans())
+def test_orbit_minima_is_the_least_of_each_group_orbit(data, k, count, as_stream, ranked):
+    perms = [tuple(data.draw(st.permutations(range(k)))) for _ in range(count)]
+    perms += data.draw(st.lists(st.sampled_from([tuple(range(k))] + perms), max_size=2))
+    rank = data.draw(st.permutations(range(1 << k))) if ranked else list(range(1 << k))
+    # brute force: close each mask's orbit under the permutations
+    expected = []
+    for mask in range(1 << k):
+        orbit, todo = {mask}, [mask]
+        while todo:
+            m = todo.pop()
+            for p in perms:
+                image = sum(1 << p[i] for i in range(k) if m >> i & 1)
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        expected.append(min(orbit, key=rank.__getitem__))
+    table = orbit_minima(k, iter(perms) if as_stream else perms, rank if ranked else None)
+    assert table.tolist() == expected
+    assert table.dtype == np.int32 and not table.flags.writeable
