@@ -219,8 +219,9 @@ def orbit_minima(k: int, perms, rank=None) -> np.ndarray:
         images = np.zeros((len(chunk), 1 << k), dtype=dtype)
         for i, bits in enumerate(np.left_shift(1, np.array(chunk, dtype=dtype).T[..., None])):
             np.bitwise_or(images[:, :1 << i], bits, out=images[:, 1 << i:2 << i])
-        lowers = (label[images] < label).any(axis=1)
-        images = images if lowers.all() else images[lowers]
+        if kept:  # before the first fold only the identity's image lowers no label
+            lowers = (label[images] < label).any(axis=1)
+            images = images if lowers.all() else images[lowers]
         kept += [images] if len(images) > 2 else list(images)
         fell = len(images) > 0
         while fell:
