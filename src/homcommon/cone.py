@@ -338,16 +338,11 @@ def verify_certificate(cert: GoodnessCertificate,
 
 @lru_cache(maxsize=None)
 def _orbit_minima(n: int) -> np.ndarray:
-    """For each n-vertex edge mask (bit i for the i-th pair of
-    combinations(range(n), 2)), the least mask of its orbit under
-    relabelling, as one read-only array of 2^C(n,2) entries: int32 while
-    every mask fits (up to 8 vertices), int64 above.  That is
-    `orbit_minima` over the pairs, moved by S_n's generators: the
-    transposition (0 1) and the n-cycle.
-    """
-    pairs = list(combinations(range(n), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-    return orbit_minima(len(pairs), ([index[min(s[u], s[v]), max(s[u], s[v])] for u, v in pairs]
+    """`orbit_minima` of the n-vertex edge masks (bit i for the i-th pair of
+    combinations(range(n), 2)) under relabelling, by the transposition
+    (0 1) and the n-cycle: 2^C(n,2) entries, int32 up to 8 vertices."""
+    index = {p: i for i, p in enumerate(combinations(range(n), 2))}
+    return orbit_minima(len(index), ([index[min(s[u], s[v]), max(s[u], s[v])] for u, v in index]
                                      for s in ((1, 0, *range(2, n)), (*range(1, n), 0))))
 
 

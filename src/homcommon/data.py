@@ -37,7 +37,7 @@ def _load(kind: str, name: str) -> dict:
     except FileNotFoundError:
         raise KeyError(f"no bundled {kind[:-1]} named {name!r}") from None
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bundled file data/{kind}/{name}.json is corrupted: {exc}") from exc
 

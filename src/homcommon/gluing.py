@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph, _json_shaped,
-                     automorphisms, components, graph_from_json, orbit_minima,
-                     parse_family)
+                     automorphisms, components, graph_from_json, orbit_minima, parse_family)
 
 _CANONICAL_TABLES: dict[Graph, tuple[int, ...]] = {}
 
@@ -57,8 +56,7 @@ def _canonical_table(f: Graph, budget: int, caller: str) -> tuple[int, ...]:
     its nodes against `budget`, and each automorphism it yields charges
     2^v(f) subset images; the table is refused as soon as the images exceed
     `budget` (before the search, for the identity's), and before any is
-    built.  Errors name `caller`.  The table is `orbit_minima` over the
-    automorphisms, least by lexicographic rank.
+    built.  Errors name `caller`.  The table is `orbit_minima`, by lex rank.
     """
     table = _CANONICAL_TABLES.get(f)
     if table is not None:

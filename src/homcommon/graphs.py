@@ -37,8 +37,7 @@ INEQUALITY_TOL = 1e-9
 BALANCE_TOL = 1e-12
 # a falsifier gap below -FALSIFY_THRESHOLD is reported as a violation
 FALSIFY_THRESHOLD = 1e-4
-# entries of the subset-image arrays `orbit_minima` builds in one pass
-_IMAGE_ENTRIES = 1 << 20
+_IMAGE_ENTRIES = 1 << 20  # entries of the subset images `orbit_minima` builds at once
 _EINSUM_LETTERS = string.ascii_letters
 
 
@@ -196,41 +195,36 @@ def automorphisms(g: Graph, budget: int = DEFAULT_WORK_BUDGET) -> Iterator[tuple
 
 
 def orbit_minima(k: int, perms, rank=None) -> np.ndarray:
-    """For each mask of k items (bit i for item i), the least mask of its
-    orbit under the group that `perms` (tuples of the items' images, in a
-    list or a stream) generate, by mask or by `rank` (rank[m] is mask m's
-    place in an order), as one read-only array, int32 while masks fit.
+    """Each mask of k items (bit i for item i) mapped to the least mask of
+    its orbit, by mask or by `rank` (rank[m] is mask m's place in an
+    order), under the group that `perms` (the items' image tuples, in a
+    list or a stream) generate: one read-only array, int32 while masks fit.
 
-    Min-label propagation with pointer jumping.  The masks' images under a
-    chunk of perms are built _IMAGE_ENTRIES (or one perm's) at a time, and
-    kept if they lower some label: one that lowers none keeps every orbit
-    found so far.  Each pass lowers every label to its images' least, per
-    image (or block of more than two), then follows labels to their own
-    labels, until a pass lowers none; as a perm of finite order carries the
-    least label round each of its cycles, labels are then orbit minima.
+    Min-label propagation with pointer jumping, over the images of chunks
+    of perms built _IMAGE_ENTRIES entries at a time.  An image that lowers
+    no label keeps every orbit found so far, and is dropped; the rest are
+    folded (one by one, or more than two with one gather) until a pass
+    lowers none, when labels are orbit minima: a perm of finite order
+    carries the least label round each of its cycles.
     """
     dtype = np.int32 if k < 32 else np.int64
-    # label[m]: the least of m's orbit found so far, as a rank; order[r]: the
-    # mask of rank r (ranks are masks when rank is None)
-    label, order, kept, perms = np.arange(1 << k, dtype=dtype), None, [], iter(perms)
-    if rank is not None:
-        label, order = np.array(rank, dtype=dtype), np.argsort(rank).astype(dtype)
+    # label[m]: the least of m's orbit found so far, as a rank; order[r]: the mask of rank r
+    label = np.arange(1 << k, dtype=dtype) if rank is None else np.array(rank, dtype=dtype)
+    order, kept, perms = None if rank is None else np.argsort(label).astype(dtype), [], iter(perms)
     while chunk := list(islice(perms, max(1, _IMAGE_ENTRIES >> k))):
         images = np.zeros((len(chunk), 1 << k), dtype=dtype)
         for i, bits in enumerate(np.left_shift(1, np.array(chunk, dtype=dtype).T[..., None])):
             np.bitwise_or(images[:, :1 << i], bits, out=images[:, 1 << i:2 << i])
-        if kept:  # before the first fold only the identity's image lowers no label
-            lowers = (label[images] < label).any(axis=1)
-            images = images if lowers.all() else images[lowers]
+        # (before the first fold only the identity's image lowers no label)
+        images = images[(label[images] < label).any(axis=1)] if kept else images
         kept += [images] if len(images) > 2 else list(images)
-        fell = len(images) > 0
+        fell, total = len(images) > 0, label.sum(dtype=np.int64)
         while fell:
-            total = label.sum()
             for image in kept:
                 np.minimum(label, label[image] if image.ndim == 1 else label[image].min(axis=0),
                            out=label)
             label = label[label if order is None else order[label]]
-            fell = label.sum() < total
+            fell = total > (total := label.sum(dtype=np.int64))  # labels never rise
     label = label if order is None else order[label]
     label.flags.writeable = False
     return label
@@ -464,10 +458,11 @@ def girth_and_cycle_count(h: Graph, budget: int = DEFAULT_WORK_BUDGET):
     return math.inf, 0
 
 
-def random_graph(n: int, seed: int, edge_probability: float = 0.5) -> Graph:
-    """Seeded Erdos-Renyi style labelled graph; deterministic in seed."""
+def random_graph(n: int, seed: int) -> Graph:
+    """Seeded Erdos-Renyi labelled graph, each pair an edge with
+    probability 1/2; deterministic in seed."""
     rng = random.Random(seed)
-    edges = [e for e in combinations(range(n), 2) if rng.random() < edge_probability]
+    edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
     return Graph.from_edges(n, edges)
 
 

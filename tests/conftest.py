@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -8,6 +9,13 @@ from hypothesis import strategies as st
 
 from homcommon.graphons import StepKernel, sample_graphon
 from homcommon.graphs import Graph
+
+
+def seeded_graph(n: int, seed: int, p: float) -> Graph:
+    """`graphs.random_graph` at edge probability p in place of 1/2: the same
+    seeded draws, a pair kept when its draw is below p."""
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
 @pytest.fixture(scope="session")

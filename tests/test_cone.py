@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_force_classes, combination, dot, reference_x, reference_z,
-                      small_graphs, unit)
+                      seeded_graph, small_graphs, unit)
 from homcommon import cone, data
 from homcommon.cone import (_phase_one, binomial_inequality_check, certificate_from_json,
                             certificate_to_json, check_good,
@@ -588,7 +588,7 @@ def test_batched_binomial_object_counts():
     t = data.load_template("gen_c5_tree_a")
     j, _ = build_j(t)
     assert j.vertex_count == 15 and 19**15 >= 2**63
-    extra = [random_graph(19, 6), random_graph(3, 7), random_graph(19, 8, 0.8)]
+    extra = [random_graph(19, 6), random_graph(3, 7), seeded_graph(19, 8, 0.8)]
     report = binomial_inequality_check(t, 2, extra_graphs=extra)
     assert report == _per_graph_binomial(t, 2, extra)
 

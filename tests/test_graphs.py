@@ -1,13 +1,14 @@
 import math
 import time
 from itertools import combinations, permutations, product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_graphs
+from conftest import seeded_graph, small_graphs
 from homcommon.graphs import (DEFAULT_WORK_BUDGET, BudgetExceededError, Graph,
                               _hom_counts, all_labelled_graphs, automorphisms,
                               components, disjoint_union,
@@ -256,7 +257,7 @@ def test_plan_matches_the_quadratic_planner(h):
 @given(n=st.integers(10, 40), seed=st.integers(0, 2**32 - 1),
        p=st.sampled_from([0.05, 0.1, 0.2, 0.5]))
 def test_plan_matches_the_quadratic_planner_on_larger_graphs(n, seed, p):
-    h = random_graph(n, seed, p)
+    h = seeded_graph(n, seed, p)
     assert graphs._plan.__wrapped__(h) == _quadratic_plan(h)
 
 
@@ -451,8 +452,9 @@ def test_hom_count_contracts_one_unbatched_matrix(monkeypatch):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), k=st.integers(0, 6), count=st.integers(0, 3),
-       as_stream=st.booleans(), ranked=st.booleans())
-def test_orbit_minima_is_the_least_of_each_group_orbit(data, k, count, as_stream, ranked):
+       as_stream=st.booleans(), ranked=st.booleans(), chunk=st.integers(1, 4))
+def test_orbit_minima_is_the_least_of_each_group_orbit(data, k, count, as_stream, ranked,
+                                                       chunk):
     perms = [tuple(data.draw(st.permutations(range(k)))) for _ in range(count)]
     perms += data.draw(st.lists(st.sampled_from([tuple(range(k))] + perms), max_size=2))
     rank = data.draw(st.permutations(range(1 << k))) if ranked else list(range(1 << k))
@@ -468,6 +470,8 @@ def test_orbit_minima_is_the_least_of_each_group_orbit(data, k, count, as_stream
                     orbit.add(image)
                     todo.append(image)
         expected.append(min(orbit, key=rank.__getitem__))
-    table = orbit_minima(k, iter(perms) if as_stream else perms, rank if ranked else None)
+    # chunks of 1-4 perms, so that later chunks are filtered and folded
+    with patch.object(graphs, "_IMAGE_ENTRIES", chunk << k):
+        table = orbit_minima(k, iter(perms) if as_stream else perms, rank if ranked else None)
     assert table.tolist() == expected
     assert table.dtype == np.int32 and not table.flags.writeable
